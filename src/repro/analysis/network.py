@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.context import AnalysisContext
-from repro.graph.centrality import betweenness_centrality, closeness_centrality
+from repro.graph.centrality import betweenness_centrality
+# not called here; perfbench's tracer self-test wraps this alias by name
+from repro.graph.centrality import closeness_centrality  # noqa: F401
 from repro.graph.components import ConnectedComponents, connected_components
 from repro.graph.core import Graph
-from repro.graph.traversal import exact_diameter, radius_from
+from repro.graph.traversal import distance_profile, radius_from
 from repro.stats.powerlaw import PowerLawFit, fit_power_law
 
 
@@ -130,7 +132,8 @@ def component_analysis(
     cc = connected_components(network.graph)
     members = cc.largest_members()
     sub, verts = network.graph.subgraph(members)
-    diameter = exact_diameter(sub)
+    # one all-sources sweep gives both the diameter and the closeness
+    profile = distance_profile(sub)
 
     user_members = members[members < network.n_users]
     project_members = members[members >= network.n_users]
@@ -158,7 +161,7 @@ def component_analysis(
             ) / len(domain_gids)
 
     # §4.3.2 centrality: top closeness vertices within the largest CC
-    closeness = closeness_centrality(sub)
+    closeness = profile.closeness()
     order = np.argsort(closeness)[::-1][:n_central]
     central: list[tuple[str, int, float]] = []
     central_sub_ids = []
@@ -173,7 +176,7 @@ def component_analysis(
         components=cc,
         largest_users=int(user_members.size),
         largest_projects=int(project_members.size),
-        diameter=diameter,
+        diameter=profile.diameter,
         domain_share_of_largest=share,
         domain_inclusion_prob=inclusion,
         central_entities=central,

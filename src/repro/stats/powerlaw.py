@@ -35,11 +35,14 @@ class PowerLawFit:
 _ZETA_TERMS = 100_000
 
 
-def _hurwitz_zeta(alpha: float, kmin: int) -> float:
-    """``sum_{k=kmin}^inf k^-alpha`` by direct summation + integral tail."""
-    ks = np.arange(kmin, kmin + _ZETA_TERMS, dtype=np.float64)
+def _hurwitz_zeta(alpha: float, ks: np.ndarray) -> float:
+    """``sum_{k=kmin}^inf k^-alpha`` by direct summation + integral tail.
+
+    ``ks`` holds the ``_ZETA_TERMS`` summed terms ``kmin, kmin + 1, ...``;
+    callers build it once per ``kmin``, not once per ``alpha``.
+    """
     head = float((ks ** -alpha).sum())
-    tail_start = kmin + _ZETA_TERMS
+    tail_start = int(ks[0]) + _ZETA_TERMS
     # Euler–Maclaurin leading terms for the truncated tail
     tail = tail_start ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * tail_start ** -alpha
     return head + tail
@@ -56,9 +59,10 @@ def _mle_alpha(sample: np.ndarray, kmin: int) -> float:
     if n == 0:
         return float("nan")
     log_sum = float(np.log(tail).sum())
+    ks = np.arange(kmin, kmin + _ZETA_TERMS, dtype=np.float64)
 
     def neg_loglik(alpha: float) -> float:
-        return alpha * log_sum + n * np.log(_hurwitz_zeta(alpha, kmin))
+        return alpha * log_sum + n * np.log(_hurwitz_zeta(alpha, ks))
 
     lo, hi = 1.01, 8.0
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -7,6 +7,8 @@ from repro.analysis.network import (
     component_analysis,
     degree_distribution,
 )
+from repro.graph.centrality import closeness_centrality
+from repro.graph.traversal import exact_diameter, radius_from
 
 
 def test_network_vertex_counts(ctx):
@@ -68,6 +70,20 @@ def test_component_diameter_sparse(ctx):
     # central entities reach everything in far fewer hops (§4.3.2)
     assert comp.central_radius < comp.diameter
     assert comp.central_radius > 0
+
+
+def test_component_figures_match_per_vertex_references(ctx):
+    """The one-sweep diameter and closeness equal the per-vertex BFS references."""
+    net = build_network(ctx)
+    comp = component_analysis(ctx, net, n_central=12)
+    sub, verts = net.graph.subgraph(comp.components.largest_members())
+    closeness = closeness_centrality(sub)
+    order = np.argsort(closeness)[::-1][:12]
+    assert comp.diameter == exact_diameter(sub)
+    assert comp.central_entities == [
+        (*net.label(int(verts[i])), float(closeness[i])) for i in order
+    ]
+    assert comp.central_radius == radius_from(sub, order)
 
 
 def test_domain_inclusion_probabilities(ctx):

@@ -1,13 +1,19 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.graph import traversal
+from repro.graph.centrality import closeness_centrality
 from repro.graph.core import Graph
 from repro.graph.traversal import (
     UNREACHED,
     bfs_distances,
+    distance_profile,
     double_sweep_diameter,
     eccentricity,
     exact_diameter,
@@ -126,3 +132,57 @@ def test_double_sweep_lower_bounds_exact(args):
     g = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
     exact = exact_diameter(g)
     assert double_sweep_diameter(g, 0) <= exact
+
+
+@pytest.mark.parametrize("block_cells", [traversal.SWEEP_BLOCK_CELLS, 64, 1])
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.integers(min_value=0, max_value=n - 1),
+                ),
+                max_size=2 * n,
+            ),
+        )
+    )
+)
+@example((0, []))
+@example((1, []))
+@example((1, [(0, 0)]))
+@example((6, [(0, 1), (1, 1), (2, 3), (3, 4)]))  # two components, a loop, an isolate
+def test_distance_profile_matches_per_vertex_references(block_cells, args):
+    """One sweep gives bitwise the references' diameter and closeness.
+
+    ``block_cells`` 64 and 1 force several source rows per block with a short
+    last block, and one row per block.
+    """
+    n, edges = args
+    g = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    with mock.patch.object(traversal, "SWEEP_BLOCK_CELLS", block_cells):
+        profile = distance_profile(g)
+    for v in range(n):
+        dist = bfs_distances(g, v)
+        reached = dist[dist >= 0]
+        assert profile.reached[v] == reached.size
+        assert profile.distance_sum[v] == reached.sum()
+        assert profile.eccentricity[v] == reached.max()
+    assert profile.diameter == exact_diameter(g)
+    assert profile.closeness().tobytes() == closeness_centrality(g).tobytes()
+
+
+def test_distance_profile_memory_is_blocked():
+    """Transient memory follows the block size, not the n x n distance matrix."""
+    rng = np.random.default_rng(7)
+    n = 2000
+    g = Graph.from_edges(n, rng.integers(0, n, size=(n, 2)))
+    tracemalloc.start()
+    try:
+        distance_profile(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20 < 4 * n * n  # an unblocked int32 matrix: 16 MB
