@@ -1,18 +1,15 @@
-"""Pipeline-stage benchmarks: LustreDU scan throughput, the PSV →
-columnar conversion (the paper's Parquet stage, §3/Figure 4), and the
-fused-kernel vs per-analysis-pass ablation."""
+"""Pipeline-stage benchmarks: LustreDU scan throughput and the PSV →
+columnar conversion (the paper's Parquet stage, §3/Figure 4).  The
+fused-kernel vs per-analysis-pass ablation is recorded in
+``output/pipeline_fused_ablation.txt``."""
 
 import io
 
-from conftest import BURSTINESS_MIN_FILES, emit
+from conftest import emit
 
-from repro.analysis.context import AnalysisContext
-from repro.analysis.registry import AnalyzeOptions, resolve_specs, run_analyses
-from repro.query.parallel import SnapshotExecutor
 from repro.scan.columnar import write_columnar
 from repro.scan.lustredu import LustreDuScanner
 from repro.scan.psv import write_psv
-from repro.scan.store import DiskSnapshotCollection
 
 
 def test_scan_throughput(benchmark, sim_result, artifact_dir):
@@ -58,65 +55,4 @@ def test_psv_to_columnar_reduction(benchmark, sim_result, tmp_path, artifact_dir
         f"PSV {psv_bytes:,} B → columnar {col_bytes:,} B "
         f"({reduction:.1f}x reduction; paper: ~4.3x)\n"
         f"in-memory raw/stored ratio: {stats['ratio']:.1f}x",
-    )
-
-
-def _disk_opts(directory, population):
-    """Fresh disk-backed context so cache/load counters start at zero."""
-    executor = SnapshotExecutor(processes=1)
-    disk = DiskSnapshotCollection(directory, cache_size=2)
-    return AnalyzeOptions(
-        ctx=AnalysisContext(
-            collection=disk,
-            population=population,
-            executor=executor,
-        ),
-        burstiness_min_files=BURSTINESS_MIN_FILES,
-    ), disk, executor
-
-
-def test_fused_vs_legacy_passes(benchmark, sim_result, tmp_path, artifact_dir):
-    """The tentpole ablation: one fused pass over every snapshot vs a full
-    namespace re-scan per analysis (the pre-refactor behavior)."""
-    from repro.core.pipeline import ReproPipeline
-
-    pipeline = ReproPipeline(sim_result.config)
-    pipeline.simulation = sim_result
-    pipeline.archive(tmp_path)
-
-    specs = resolve_specs(None)
-
-    def fused_pass():
-        opts, disk, executor = _disk_opts(tmp_path, sim_result.population)
-        run_analyses(opts, specs, fused=True)
-        return disk, executor
-
-    disk, executor = benchmark.pedantic(fused_pass, rounds=3, iterations=1)
-    fused_info = disk.cache_info()
-    fused_stats = executor.stats
-
-    opts, legacy_disk, _ = _disk_opts(tmp_path, sim_result.population)
-    run_analyses(opts, specs, fused=False)
-    legacy_info = legacy_disk.cache_info()
-
-    n = len(disk)
-    assert fused_info.misses == n  # the headline: one load per snapshot
-    assert legacy_info.misses > fused_info.misses
-
-    kernel_lines = "\n".join(
-        f"  {name:<12} {seconds * 1e3:8.1f} ms"
-        for name, seconds in sorted(
-            fused_stats.kernel_totals().items(), key=lambda kv: -kv[1]
-        )
-    )
-    emit(
-        artifact_dir,
-        "pipeline_fused_ablation",
-        f"{n} snapshots, {len(specs)} analyses\n"
-        f"fused pass:    {fused_info.misses:,} snapshot loads "
-        f"({fused_info.hits:,} cache hits)\n"
-        f"legacy passes: {legacy_info.misses:,} snapshot loads "
-        f"({legacy_info.hits:,} cache hits) — "
-        f"{legacy_info.misses / fused_info.misses:.1f}x more I/O\n"
-        f"per-kernel map+reduce time (fused):\n{kernel_lines}",
     )

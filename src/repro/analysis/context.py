@@ -2,8 +2,7 @@
 
 Bundles what every analysis needs — the snapshot collection, the population
 (standing in for OLCF's user-accounts database), a parallelism policy, and
-memoized lookup tables (gid → domain id, uid → org/domain) in both dict and
-columnar form.
+the memoized gid → domain-id lookup in both dict and vectorized form.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.query.parallel import Kernel, SnapshotExecutor
-from repro.query.table import ColumnTable
-from repro.scan.snapshot import Snapshot, SnapshotCollection
+from repro.scan.snapshot import SnapshotCollection
 from repro.synth.domains import DOMAINS
 from repro.synth.population import Population
 
@@ -51,11 +49,11 @@ class AnalysisContext:
         """Run kernels in one fused pass over this context's collection.
 
         Every analysis routes its snapshot scans through here, so a single
-        executor policy (and its stats) covers both the legacy one-kernel
-        wrappers and the registry's fully fused pass.  If a ``checkpoint``
-        path is attached, the first non-empty pass consumes it (one-shot)
-        and becomes resumable: completed snapshots are journaled durably
-        and restored on a rerun instead of re-executed.
+        executor policy (and its stats) covers both the per-analysis
+        one-kernel wrappers and the registry's fully fused pass.  If a
+        ``checkpoint`` path is attached, the first non-empty pass consumes
+        it (one-shot) and becomes resumable: completed snapshots are
+        journaled durably and restored on a rerun instead of re-executed.
         """
         journal = None
         if kernels and self.checkpoint is not None:
@@ -125,72 +123,6 @@ class AnalysisContext:
         out = dom[pos_clipped].copy()
         out[table[pos_clipped] != gids] = -1
         return out
-
-    # -- dimension tables -----------------------------------------------------
-
-    @cached_property
-    def projects_table(self) -> ColumnTable:
-        """gid / domain_id / n_users / core — the project dimension table."""
-        gids = sorted(self.population.projects)
-        rows = [self.population.projects[g] for g in gids]
-        return ColumnTable(
-            {
-                "gid": np.array(gids, dtype=np.int64),
-                "domain_id": np.array(
-                    [self.domain_index[p.domain] for p in rows], dtype=np.int64
-                ),
-                "n_users": np.array([p.n_users for p in rows], dtype=np.int64),
-                "core": np.array([p.core for p in rows], dtype=bool),
-            }
-        )
-
-    @cached_property
-    def accounts_table(self) -> ColumnTable:
-        """uid / org type id / primary domain id — the accounts database."""
-        uids = sorted(self.population.users)
-        users = [self.population.users[u] for u in uids]
-        orgs = sorted({u.org_type for u in users})
-        self._org_names = orgs
-        org_idx = {o: i for i, o in enumerate(orgs)}
-        return ColumnTable(
-            {
-                "uid": np.array(uids, dtype=np.int64),
-                "org_id": np.array(
-                    [org_idx[u.org_type] for u in users], dtype=np.int64
-                ),
-                "domain_id": np.array(
-                    [self.domain_index[u.primary_domain] for u in users],
-                    dtype=np.int64,
-                ),
-            }
-        )
-
-    @property
-    def org_names(self) -> list[str]:
-        self.accounts_table  # ensure populated
-        return self._org_names
-
-    # -- snapshot-derived activity -------------------------------------------
-
-    @cached_property
-    def active_uids(self) -> np.ndarray:
-        """UIDs observed owning at least one entry in any snapshot (§4.1.1)."""
-        if len(self.collection) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(
-            np.concatenate([np.unique(s.uid) for s in self.collection])
-        ).astype(np.int64)
-
-    @cached_property
-    def active_gids(self) -> np.ndarray:
-        if len(self.collection) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(
-            np.concatenate([np.unique(s.gid) for s in self.collection])
-        ).astype(np.int64)
-
-    def files_only(self, snapshot: Snapshot) -> Snapshot:
-        return snapshot.select(snapshot.is_file)
 
     @property
     def n_snapshots(self) -> int:

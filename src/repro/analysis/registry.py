@@ -310,28 +310,18 @@ def resolve_specs(
 def run_analyses(
     opts: AnalyzeOptions,
     specs: Sequence[AnalysisSpec],
-    fused: bool = True,
 ) -> dict[str, Any]:
     """Run the selected specs; returns ``{report field: result object}``.
 
-    ``fused=True`` executes the union of all specs' kernels (deduped by
-    name) in one pass over the collection; ``fused=False`` gives every
-    spec its own pass — the legacy behavior, kept for ablation.
+    The union of all specs' kernels (deduped by name) executes in one pass
+    over the collection; each spec then finalizes from the kernel results.
     """
+    kernels: dict[str, Kernel] = {}
+    for spec in specs:
+        for kernel in spec.build_kernels(opts):
+            kernels.setdefault(kernel.name, kernel)
+    kres = opts.ctx.run_kernels(list(kernels.values())) if kernels else {}
     values: dict[str, Any] = {}
-    if fused:
-        kernels: dict[str, Kernel] = {}
-        for spec in specs:
-            for kernel in spec.build_kernels(opts):
-                kernels.setdefault(kernel.name, kernel)
-        kres = (
-            opts.ctx.run_kernels(list(kernels.values())) if kernels else {}
-        )
-        for spec in specs:
-            values.update(spec.finalize(opts, kres, values))
-    else:
-        for spec in specs:
-            spec_kernels = spec.build_kernels(opts)
-            kres = opts.ctx.run_kernels(spec_kernels) if spec_kernels else {}
-            values.update(spec.finalize(opts, kres, values))
+    for spec in specs:
+        values.update(spec.finalize(opts, kres, values))
     return values

@@ -166,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "network, collaboration, table1",
     )
     parser.add_argument(
-        "--legacy-passes",
-        action="store_true",
-        help="run one snapshot pass per analysis instead of the fused "
-        "kernel pass (ablation / debugging)",
-    )
-    parser.add_argument(
         "--engine-stats",
         action="store_true",
         help="print the execution engine's lifetime stats (per-kernel "
@@ -904,7 +898,6 @@ def _run(args: argparse.Namespace, controller: RunController) -> int:
             executor=executor,
             burstiness_min_files=args.burstiness_min_files,
             analyses=args.analyses,
-            fused=not args.legacy_passes,
             on_error=args.on_error,
             checkpoint=args.checkpoint,
             allow_config_mismatch=args.allow_config_mismatch,
@@ -947,9 +940,7 @@ def _run(args: argparse.Namespace, controller: RunController) -> int:
                 f"{stats.columnar_bytes:,} B ({stats.reduction:.1f}x reduction)",
                 file=sys.stderr,
             )
-        report = pipeline.analyze(
-            analyses=args.analyses, fused=not args.legacy_passes
-        )
+        report = pipeline.analyze(analyses=args.analyses)
     if args.export_dir:
         from repro.analysis.export import export_all
 

@@ -237,15 +237,13 @@ class ReproPipeline:
     def analyze(
         self,
         analyses: list[str] | str | None = None,
-        fused: bool = True,
     ) -> PaperReport:
         """Run the selected analyses and assemble the rendered report.
 
         ``analyses`` selects registry specs by name (None / ``"all"`` for
         everything; requirements like Table 1's inputs are pulled in
-        automatically).  ``fused=True`` runs every selected kernel in one
-        pass per snapshot; ``fused=False`` reproduces the legacy
-        one-pass-per-analysis behavior (kept for ablation).
+        automatically).  Every selected kernel runs in one pass per
+        snapshot.
         """
         if self.context is None or self.simulation is None:
             raise RuntimeError("simulate() first")
@@ -255,7 +253,7 @@ class ReproPipeline:
             purge_window_days=self.config.purge_window_days,
             burstiness_min_files=self.burstiness_min_files,
         )
-        values = run_analyses(opts, resolve_specs(analyses), fused=fused)
+        values = run_analyses(opts, resolve_specs(analyses))
         sections = [
             (title, render(values[fld]))
             for fld, title, render in _SECTIONS
@@ -404,7 +402,6 @@ def analyze_archive(
     executor: SnapshotExecutor | None = None,
     burstiness_min_files: int = 10,
     analyses: list[str] | str | None = None,
-    fused: bool = True,
     on_error: str = "raise",
     verify: str | None = None,
     checkpoint: str | Path | None = None,
@@ -442,8 +439,6 @@ def analyze_archive(
     * ``checkpoint`` — path of a resume journal: completed snapshots are
       checkpointed durably, a killed run resumes at the first unprocessed
       snapshot, and the journal is deleted after a successful run.
-      Requires ``fused=True`` (the legacy multi-pass mode has no single
-      pass to journal).
 
     Run control:
 
@@ -472,8 +467,8 @@ def analyze_archive(
       The state is fingerprint-bound (archive config + delta layout) and
       label-prefix-checked; any mismatch, missing sidecar, or broken
       chain falls back to full maps with a RuntimeWarning, never a wrong
-      answer.  Requires ``fused=True``; state is never persisted from a
-      degraded or quarantine-marred run.
+      answer.  State is never persisted from a degraded or
+      quarantine-marred run.
     * ``repair_deltas=True`` (the serving follower's mode) narrows that
       fallback: a missing/corrupt/mislinked sidecar is replaced by a
       delta recomputed from its two adjacent snapshots — a bounded
@@ -493,10 +488,6 @@ def analyze_archive(
     from repro.synth.population import generate_population
 
     config = config if config is not None else SimulationConfig()
-    if checkpoint is not None and not fused:
-        raise ValueError("checkpoint/resume requires the fused pass (fused=True)")
-    if incremental and not fused:
-        raise ValueError("incremental analysis requires the fused pass (fused=True)")
     validate_manifest(directory, config, allow_mismatch=allow_config_mismatch)
     pipeline = ReproPipeline(
         config=config, executor=executor,
@@ -568,7 +559,7 @@ def analyze_archive(
         purge_reports=[],
         week_stats=[],
     )
-    report = pipeline.analyze(analyses=analyses, fused=fused)
+    report = pipeline.analyze(analyses=analyses)
     if checkpoint is not None:
         # the run completed: the journal has served its purpose
         Path(checkpoint).unlink(missing_ok=True)
@@ -578,13 +569,8 @@ def analyze_archive(
             and pipeline.executor.stats.quarantined_snapshots == 0
         )
         if healthy and delta_plan.updated_states:
-            if delta_plan.fallbacks or not delta_plan.replayed:
-                # a fused pass ran: under a parallel executor the snapshots
-                # were loaded (and interned) worker-side, so replay the
-                # interning parent-side in index order before journaling the
-                # table — ids must match the states' path ids exactly
-                for i in range(len(collection)):
-                    collection.warm_paths(i)
+            # the engine interned every snapshot parent-side in index order
+            # on every route, so the table matches the states' path ids
             state_store.save(
                 delta_plan.updated_states, collection.labels,
                 collection.paths, collection.content_ids(),

@@ -3,13 +3,15 @@
 The paper runs its analyses as SparkSQL jobs over Parquet snapshots on a
 32-node cluster (§3).  The analyses themselves are column scans, filters,
 group-by aggregations, and joins; :class:`~repro.query.table.ColumnTable`
-provides exactly those, vectorized over NumPy arrays, and
-:mod:`repro.query.parallel` fans independent per-snapshot queries out over a
-process pool — zero-copy under ``fork`` (copy-on-write) *and* under
-``spawn`` (a shared-memory column transport, :mod:`repro.query.shm`) —
-mirroring Spark's per-partition parallelism at laptop scale.  The engine
-(:mod:`repro.query.engine`) surfaces worker failures as structured
-:class:`TaskError`\\ s and accumulates per-task :class:`ExecutionStats`.
+provides exactly those, vectorized over NumPy arrays.  Every per-snapshot
+scan is a :class:`Kernel` (a per-snapshot map plus a parent-side reduce),
+and :meth:`SnapshotExecutor.run_kernels` runs a set of them in one fused
+pass — inline, or over a process pool that is zero-copy under ``fork``
+(copy-on-write) *and* under ``spawn`` (a shared-memory column transport,
+:mod:`repro.query.shm`) — mirroring Spark's per-partition parallelism at
+laptop scale.  The engine (:mod:`repro.query.engine`) surfaces task
+failures as structured :class:`TaskError`\\ s and accumulates per-task
+:class:`ExecutionStats`.
 """
 
 from repro.query.engine import (
@@ -19,7 +21,7 @@ from repro.query.engine import (
     Kernel,
     TaskError,
 )
-from repro.query.parallel import SnapshotExecutor, snapshot_map
+from repro.query.parallel import SnapshotExecutor
 from repro.query.table import ColumnTable, GroupBy
 
 __all__ = [
@@ -31,5 +33,4 @@ __all__ = [
     "Kernel",
     "SnapshotExecutor",
     "TaskError",
-    "snapshot_map",
 ]

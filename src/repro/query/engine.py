@@ -1,28 +1,33 @@
 """Crash-safe parallel execution engine for per-snapshot analyses.
 
 The paper ran its analyses as per-snapshot-partition Spark jobs (§3); this
-engine is the local equivalent: it fans a pure function over a snapshot
-collection with a process pool and gives the run the properties a scan
-subsystem needs in production:
+engine is the local equivalent: :meth:`ExecutionEngine.run_kernels` runs one
+fused pass of analysis kernels over a snapshot collection — inline or with a
+process pool — and gives the run the properties a scan subsystem needs in
+production:
 
 * **start-method portability** — under ``fork`` workers inherit the columns
   copy-on-write; under ``spawn`` (and ``forkserver``) the columns travel
   through a shared-memory segment (:mod:`repro.query.shm`) and only a small
   handle is pickled.  The engine works the same either way.
+* **one task loop** — serial and pooled runs execute every snapshot task
+  through the same retry loop and hand its entry to the same parent-side
+  result handler (stats, journaling, quarantine, failure capture), so a
+  run's results, stats and quarantine records do not depend on the route.
 * **re-entrant scheduling** — tasks are integer indices batched into chunks
-  and dispatched through ``imap_unordered``; results are reassembled in
-  snapshot order.  All run state lives in an engine-local context, so
-  concurrent or nested maps never trample each other (the old module-global
-  handoff could).  A map issued *inside* a worker (daemonic processes cannot
-  fork) transparently runs serial.
+  and submitted with ``apply_async`` in bounded waves; results are
+  reassembled in snapshot order.  All run state lives in an engine-local
+  context, so concurrent or nested passes never trample each other (the old
+  module-global handoff could).  A pass issued *inside* a worker (daemonic
+  processes cannot fork) transparently runs serial.
 * **fault handling** — a task that raises is retried up to
-  ``EngineConfig.retries`` times in the worker; when retries are exhausted a
-  structured :class:`TaskError` carrying the snapshot index and the worker
-  traceback is raised in the parent — never a hang, never a silent partial
-  result.  A worker that dies outright is caught by the optional
-  ``task_timeout`` watchdog.  Any *downgrade* to serial execution (no usable
-  start method, unpicklable work under spawn) is warned about and recorded
-  in the stats, never silent.
+  ``EngineConfig.retries`` times; when retries are exhausted a structured
+  :class:`TaskError` carrying the snapshot index and the task traceback is
+  raised in the parent — never a hang, never a silent partial result.  A
+  worker that dies outright is caught by the optional ``task_timeout``
+  watchdog.  Any *downgrade* to serial execution (no usable start method,
+  unpicklable work under spawn) is warned about and recorded in the stats,
+  never silent.
 * **observability** — every run accumulates per-task wall time, bytes
   touched, retry/failure counts, and pool utilization into an
   :class:`ExecutionStats`, exposed by
@@ -82,11 +87,6 @@ START_METHOD_ENV = "REPRO_START_METHOD"
 
 #: Pseudo start method: run everything inline in the calling process.
 SERIAL = "serial"
-
-#: Execution modes used by the worker context (internal).
-_MODE_MAP = "map"
-_MODE_PAIRS = "pairs"
-_MODE_FUSED = "fused"
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,8 @@ class TaskError(RuntimeError):
         Snapshot index of the failing task (None if unattributable, e.g. a
         dead worker whose chunk never reported).
     traceback_text:
-        The worker-side traceback, verbatim.
+        The task's traceback, verbatim (captured where the task ran: in a
+        pool worker, or inline on the serial route).
     stats:
         The :class:`ExecutionStats` accumulated up to the failure.
     """
@@ -385,9 +386,10 @@ class EngineConfig:
     chunk_size:
         Tasks per scheduling unit; None targets ~4 chunks per worker.
     retries:
-        Per-task in-worker retry count for raising tasks.
+        Per-task retry count for raising tasks (in the worker, or inline
+        on the serial route).
     retry_backoff:
-        Base seconds for exponential backoff between in-worker retries
+        Base seconds for exponential backoff between task retries
         (sleep ``retry_backoff * 2**attempt``); 0 retries immediately.
         Transient-I/O failures (EIO under load) are the target: an
         immediate retry usually hits the same condition, a backed-off one
@@ -442,8 +444,8 @@ class QuarantinedRow:
 @dataclass
 class _WorkerContext:
     collection: Any
-    fn: Callable[..., Any]
-    mode: str
+    #: the shipped ``(name, map_fn, pairwise)`` kernel triples
+    specs: tuple
     retries: int
     retry_backoff: float = 0.0
     segment: Any = None  # keeps the shm mapping alive for the views
@@ -463,7 +465,7 @@ def _init_worker(payload: tuple) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    fn, mode, retries, retry_backoff, transport, data = payload
+    specs, retries, retry_backoff, transport, data = payload
     segment = None
     if transport == "shm":
         collection, segment = shm_transport.attach_collection(data)
@@ -471,8 +473,7 @@ def _init_worker(payload: tuple) -> None:
         collection = data
     _WORKER = _WorkerContext(
         collection=collection,
-        fn=fn,
-        mode=mode,
+        specs=specs,
         retries=retries,
         retry_backoff=retry_backoff,
         segment=segment,
@@ -488,17 +489,17 @@ def _run_fused_task(ctx: _WorkerContext, index: int) -> tuple[Any, int]:
     """All kernels' map phases against one resident snapshot (+ its
     predecessor for pair kernels).
 
-    ``ctx.fn`` holds the shipped ``(name, map_fn, pairwise)`` triples.  The
-    previous snapshot is fetched *before* the current one so an LRU-cached
-    disk collection with a two-snapshot window serves the predecessor from
-    cache and loads each snapshot exactly once across the pass.  Kernels
-    sharing a map function share one evaluation; its cost is split evenly
-    among them so per-kernel times still sum to the pass's busy time.
+    The previous snapshot is fetched *before* the current one so an
+    LRU-cached disk collection with a two-snapshot window serves the
+    predecessor from cache and loads each snapshot exactly once across the
+    pass.  Kernels sharing a map function share one evaluation; its cost
+    is split evenly among them so per-kernel times still sum to the pass's
+    busy time.
     """
     prev = ctx.collection[index - 1] if index > 0 else None
     cur = ctx.collection[index]
     groups: dict[tuple[Callable[..., Any], bool], list[str]] = {}
-    for name, map_fn, pairwise in ctx.fn:
+    for name, map_fn, pairwise in ctx.specs:
         groups.setdefault((map_fn, pairwise), []).append(name)
     partials: dict[str, Any] = {}
     times: dict[str, float] = {}
@@ -523,43 +524,89 @@ def _run_fused_task(ctx: _WorkerContext, index: int) -> tuple[Any, int]:
     return (partials, times), nbytes
 
 
-def _run_task(ctx: _WorkerContext, index: int) -> tuple[Any, int]:
-    if ctx.mode == _MODE_FUSED:
-        return _run_fused_task(ctx, index)
-    if ctx.mode == _MODE_PAIRS:
-        prev, cur = ctx.collection[index - 1], ctx.collection[index]
-        return ctx.fn(prev, cur), _nbytes_of(prev) + _nbytes_of(cur)
-    snap = ctx.collection[index]
-    return ctx.fn(snap), _nbytes_of(snap)
+def _run_task(ctx: _WorkerContext, index: int) -> tuple[tuple, Exception | None]:
+    """One snapshot task under the retry policy — the task loop of every route.
+
+    Returns the task's entry ``(index, ok, value, secs, nbytes, retries)``
+    — a failed task's ``value`` is its traceback text — plus the final
+    exception (None on success).  Pool workers send home only the entry
+    (an exception need not pickle); the serial path chains the exception
+    onto its :class:`TaskError`.
+    """
+    t0 = time.perf_counter()
+    used = 0
+    while True:
+        try:
+            value, nbytes = _run_fused_task(ctx, index)
+        except Exception as exc:
+            if used < ctx.retries:
+                used += 1
+                if ctx.retry_backoff > 0:
+                    time.sleep(ctx.retry_backoff * (2 ** (used - 1)))
+                continue
+            entry = (index, False, traceback.format_exc(),
+                     time.perf_counter() - t0, 0, used)
+            return entry, exc
+        return (index, True, value, time.perf_counter() - t0, nbytes, used), None
 
 
 def _run_chunk(indices: Sequence[int]) -> list[tuple]:
-    """Execute one chunk; every task reports (index, ok, value, secs, nbytes, retries)."""
+    """Pool entry point: run one chunk, return its task entries."""
     ctx = _WORKER
     assert ctx is not None, "worker context not initialized"
-    out: list[tuple] = []
-    for index in indices:
-        t0 = time.perf_counter()
-        used = 0
-        while True:
-            try:
-                value, nbytes = _run_task(ctx, index)
-            except Exception:
-                if used < ctx.retries:
-                    used += 1
-                    if ctx.retry_backoff > 0:
-                        time.sleep(ctx.retry_backoff * (2 ** (used - 1)))
-                    continue
-                out.append(
-                    (index, False, traceback.format_exc(), time.perf_counter() - t0, 0, used)
-                )
-                break
-            out.append((index, True, value, time.perf_counter() - t0, nbytes, used))
-            break
-    return out
+    return [_run_task(ctx, index)[0] for index in indices]
 
 
 # -- parent side -----------------------------------------------------------
+
+
+def _handle_result(
+    entry: tuple,
+    stats: ExecutionStats,
+    results: dict[int, Any],
+    on_result: Callable[[int, Any], None] | None,
+    quarantine: Callable[[int, str], str] | None,
+) -> tuple[int, str] | None:
+    """Fold one task entry into the run — the result handler of every route.
+
+    Accounts the task in ``stats``, stores its value in ``results`` and
+    journals it through ``on_result``.  A failed task is quarantined when
+    the circuit breaker is armed: a :class:`QuarantinedRow` takes its place
+    and is journaled like any other row.  Otherwise the failure is returned
+    as ``(index, traceback_text)`` for the caller to raise.
+    """
+    index, ok, value, secs, nbytes, used = entry
+    stats.task_seconds += secs
+    stats.task_wall.append(secs)
+    stats.retries += used
+    if ok:
+        stats.bytes_touched += nbytes
+    else:
+        stats.failures += 1
+        if quarantine is None:
+            return index, value
+        # circuit breaker: the task burned through its allowed attempts —
+        # quarantine the snapshot instead of sinking the run
+        value = QuarantinedRow(_failure_digest(value))
+        quarantine(index, value.reason)
+    results[index] = value
+    if on_result is not None:
+        on_result(index, value)
+    return None
+
+
+def _task_error(
+    failure: tuple[int, str], retries: int, stats: ExecutionStats
+) -> TaskError:
+    """The :class:`TaskError` for a captured failure (same shape on every route)."""
+    index, tb_text = failure
+    return TaskError(
+        f"snapshot task {index} failed (after {retries} retries): "
+        f"{_failure_digest(tb_text)}",
+        index=index,
+        traceback_text=tb_text,
+        stats=stats,
+    )
 
 
 def _available_methods() -> list[str]:
@@ -567,24 +614,12 @@ def _available_methods() -> list[str]:
 
 
 class ExecutionEngine:
-    """Runs per-snapshot (or per-pair) functions under one explicit policy."""
+    """Runs fused kernel passes over a snapshot collection under one policy."""
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config if config is not None else EngineConfig()
 
     # -- public API --------------------------------------------------------
-
-    def map(
-        self, collection: Any, fn: Callable[[Any], Any]
-    ) -> tuple[list[Any], ExecutionStats]:
-        """``[fn(s) for s in collection]`` with the configured policy + stats."""
-        return self._run(collection, fn, list(range(len(collection))), _MODE_MAP)
-
-    def map_pairs(
-        self, collection: Any, fn: Callable[[Any, Any], Any]
-    ) -> tuple[list[Any], ExecutionStats]:
-        """``fn`` over adjacent snapshot pairs (weekly diffs), ordered."""
-        return self._run(collection, fn, list(range(1, len(collection))), _MODE_PAIRS)
 
     def run_kernels(
         self,
@@ -680,7 +715,6 @@ class ExecutionEngine:
                 collection,
                 specs,
                 remaining,
-                _MODE_FUSED,
                 on_result=on_result,
                 controller=controller,
                 quarantine=quarantine,
@@ -891,9 +925,8 @@ class ExecutionEngine:
     def _run(
         self,
         collection: Any,
-        fn: Callable[..., Any] | tuple,
+        specs: tuple,
         indices: list[int],
-        mode: str,
         on_result: Callable[[int, Any], None] | None = None,
         controller: RunController | None = None,
         quarantine: Callable[[int, str], str] | None = None,
@@ -925,9 +958,8 @@ class ExecutionEngine:
         try:
             results, stats = self._dispatch(
                 collection,
-                fn,
+                specs,
                 indices,
-                mode,
                 on_result,
                 controller=controller,
                 quarantine=quarantine,
@@ -938,26 +970,13 @@ class ExecutionEngine:
                 finish(err.stats)
             raise
         finish(stats)
-        if stats.transport in ("inherit", "pickle"):
-            # pooled workers loaded — and path-interned — on their own
-            # copies of the collection, leaving the parent's PathTable
-            # empty; replay the interning parent-side in index order so
-            # snapshot path ids resolve against it (the depth/extension
-            # gathers and the kernel-state journal both depend on that).
-            # shm transport needs no replay: the parent interned everything
-            # while exporting the segment.
-            warm = getattr(collection, "warm_paths", None)
-            if callable(warm):
-                for index in sorted(indices):
-                    warm(index)
         return results, stats
 
     def _dispatch(
         self,
         collection: Any,
-        fn: Callable[..., Any] | tuple,
+        specs: tuple,
         indices: list[int],
-        mode: str,
         on_result: Callable[[int, Any], None] | None = None,
         controller: RunController | None = None,
         quarantine: Callable[[int, str], str] | None = None,
@@ -968,6 +987,19 @@ class ExecutionEngine:
         if n == 0:
             return [], stats
         stats.n_tasks = n
+        retries = self._effective_retries(quarantine, max_task_failures)
+
+        def run_serial() -> tuple[list[Any], ExecutionStats]:
+            ctx = _WorkerContext(
+                collection=collection,
+                specs=specs,
+                retries=retries,
+                retry_backoff=self.config.retry_backoff,
+            )
+            return self._run_serial(
+                ctx, indices, stats, on_result, controller, quarantine
+            )
+
         processes = self._resolve_processes(n)
         budget = controller.memory_budget if controller is not None else None
         if budget is not None:
@@ -978,30 +1010,18 @@ class ExecutionEngine:
             if per_task > 0:
                 cap = max(1, budget.wave_bytes // per_task)
                 processes = min(processes, int(cap))
-        serial_kwargs = dict(
-            on_result=on_result,
-            controller=controller,
-            quarantine=quarantine,
-            max_task_failures=max_task_failures,
-        )
         if processes <= 1:
-            return self._run_serial(
-                collection, fn, indices, mode, stats, **serial_kwargs
-            )
+            return run_serial()
         method = self._resolve_start_method()
         if method == SERIAL:
             # explicit policy choice (config or $REPRO_START_METHOD=serial)
-            return self._run_serial(
-                collection, fn, indices, mode, stats, **serial_kwargs
-            )
+            return run_serial()
         if mp.current_process().daemon:
-            # nested map inside a pool worker: daemonic processes cannot
+            # nested run inside a pool worker: daemonic processes cannot
             # have children, run inline (recorded, not a parent-side warning)
             stats.downgraded = True
-            stats.downgrade_reason = "nested map inside a daemonic worker"
-            return self._run_serial(
-                collection, fn, indices, mode, stats, **serial_kwargs
-            )
+            stats.downgrade_reason = "nested run inside a daemonic worker"
+            return run_serial()
 
         export: shm_transport.CollectionExport | None = None
         if method == "fork":
@@ -1016,33 +1036,43 @@ class ExecutionEngine:
             # big for the budget → fall through to pickling the (small)
             # collection object and let each worker decode lazily under its
             # own bounded cache.
-            reason = _unpicklable_reason((fn,))
+            reason = _unpicklable_reason((specs,))
             if reason is not None:
-                return self._downgrade(
-                    collection, fn, indices, mode, stats, method, reason,
-                    **serial_kwargs,
-                )
+                self._downgrade(stats, method, reason)
+                return run_serial()
             export = shm_transport.export_collection(collection)
             transport, data = "shm", export.handle
         else:
-            reason = _unpicklable_reason((fn, collection))
+            reason = _unpicklable_reason((specs, collection))
             if reason is not None:
-                return self._downgrade(
-                    collection, fn, indices, mode, stats, method, reason,
-                    **serial_kwargs,
-                )
+                self._downgrade(stats, method, reason)
+                return run_serial()
             transport, data = "pickle", collection
+        if transport != "shm":
+            # workers intern path strings into their own copies of the
+            # collection's PathTable, and each sees only the snapshots its
+            # chunks name: one that skipped a snapshot would number the
+            # next one's new paths differently.  Interning every snapshot
+            # here first, in index order, gives each worker (and the
+            # parent, whose reduces resolve the ids) exactly the ids a
+            # serial pass assigns.  shm needs nothing: the export interned
+            # everything in the parent.
+            warm = getattr(collection, "warm_paths", None)
+            if callable(warm):
+                for index in indices:
+                    try:
+                        warm(index)
+                    except OSError:
+                        # unreadable: the task that loads it reports the
+                        # fault, and a serial pass interns nothing for it
+                        continue
 
         stats.processes = processes
         stats.start_method = method
         stats.transport = transport
-        retries = self._effective_retries(quarantine, max_task_failures)
         chunk_size = self.config.chunk_size or max(1, -(-n // (processes * 4)))
         chunks = [indices[i : i + chunk_size] for i in range(0, n, chunk_size)]
-        payload = (
-            fn, mode, retries, self.config.retry_backoff,
-            transport, data,
-        )
+        payload = (specs, retries, self.config.retry_backoff, transport, data)
         # Dispatch in bounded waves — at most ``wave`` chunks in flight,
         # the next submitted only as one completes.  Waves are what make
         # run control enforceable: a stop request halts *submission*
@@ -1053,7 +1083,7 @@ class ExecutionEngine:
         wave = min(len(chunks), processes if budget is not None else processes * 2)
         poll = 0.2  # controller polling cadence while waiting for results
         results: dict[int, Any] = {}
-        failure: tuple[int | None, str] | None = None
+        failure: tuple[int, str] | None = None
         cancel_reason: str | None = None
         t0 = time.perf_counter()
         try:
@@ -1124,29 +1154,12 @@ class ExecutionEngine:
                             f"chunk execution failed in the pool: {item!r}",
                             stats=stats,
                         ) from item
-                    for index, ok, value, secs, nbytes, used in item:
-                        stats.task_seconds += secs
-                        stats.task_wall.append(secs)
-                        stats.retries += used
-                        if ok:
-                            stats.bytes_touched += nbytes
-                            results[index] = value
-                            if on_result is not None:
-                                on_result(index, value)
-                        elif quarantine is not None:
-                            # circuit breaker: the task burned through its
-                            # allowed attempts — quarantine the snapshot
-                            # instead of sinking the run
-                            stats.failures += 1
-                            row = QuarantinedRow(_failure_digest(value))
-                            quarantine(index, row.reason)
-                            results[index] = row
-                            if on_result is not None:
-                                on_result(index, row)
-                        else:
-                            stats.failures += 1
-                            if failure is None:
-                                failure = (index, value)
+                    for entry in item:
+                        failed = _handle_result(
+                            entry, stats, results, on_result, quarantine
+                        )
+                        if failure is None:
+                            failure = failed
                     if cancel_reason is None and next_chunk < len(chunks):
                         submit(chunks[next_chunk])
                         next_chunk += 1
@@ -1166,14 +1179,7 @@ class ExecutionEngine:
                 stats=stats,
             )
         if failure is not None:
-            index, tb_text = failure
-            raise TaskError(
-                f"snapshot task {index} failed in a worker "
-                f"(after {retries} retries)",
-                index=index,
-                traceback_text=tb_text,
-                stats=stats,
-            )
+            raise _task_error(failure, retries, stats)
         return [results[i] for i in indices], stats
 
     def _effective_retries(
@@ -1181,51 +1187,39 @@ class ExecutionEngine:
         quarantine: Callable[[int, str], str] | None,
         max_task_failures: int | None,
     ) -> int:
-        """In-worker retry count; the circuit breaker caps total attempts."""
+        """Task retry count; the circuit breaker caps total attempts."""
         if quarantine is not None and max_task_failures is not None:
             return min(self.config.retries, max_task_failures - 1)
         return self.config.retries
 
-    def _downgrade(
-        self,
-        collection: Any,
-        fn: Callable[..., Any] | tuple,
-        indices: list[int],
-        mode: str,
-        stats: ExecutionStats,
-        method: str,
-        reason: str,
-        **serial_kwargs: Any,
-    ) -> tuple[list[Any], ExecutionStats]:
-        """Explicit (warned + recorded) fallback to serial execution."""
-        message = (
-            f"parallel snapshot map downgraded to serial under {method!r}: {reason}"
+    @staticmethod
+    def _downgrade(stats: ExecutionStats, method: str, reason: str) -> None:
+        """Warn about and record a fallback to serial execution."""
+        warnings.warn(
+            f"parallel snapshot pass downgraded to serial under {method!r}: "
+            f"{reason}",
+            RuntimeWarning,
+            stacklevel=4,
         )
-        warnings.warn(message, RuntimeWarning, stacklevel=4)
         stats.downgraded = True
         stats.downgrade_reason = reason
-        return self._run_serial(collection, fn, indices, mode, stats, **serial_kwargs)
 
+    @staticmethod
     def _run_serial(
-        self,
-        collection: Any,
-        fn: Callable[..., Any] | tuple,
+        ctx: _WorkerContext,
         indices: list[int],
-        mode: str,
         stats: ExecutionStats,
         on_result: Callable[[int, Any], None] | None = None,
         controller: RunController | None = None,
         quarantine: Callable[[int, str], str] | None = None,
-        max_task_failures: int | None = None,
     ) -> tuple[list[Any], ExecutionStats]:
-        ctx = _WorkerContext(
-            collection=collection,
-            fn=fn,
-            mode=mode,
-            retries=self._effective_retries(quarantine, max_task_failures),
-            retry_backoff=self.config.retry_backoff,
-        )
-        results: list[Any] = []
+        """Run the tasks inline, in index order, on the shared task loop.
+
+        On top of :func:`_run_task` and :func:`_handle_result` it adds only
+        a stop check before each task and a :class:`TaskError` at the first
+        unquarantined failure, chained to the task's own exception.
+        """
+        results: dict[int, Any] = {}
         t0 = time.perf_counter()
         try:
             for pos, index in enumerate(indices):
@@ -1237,49 +1231,18 @@ class ExecutionEngine:
                             f"run interrupted ({reason}) after {pos}/"
                             f"{len(indices)} tasks; completed work journaled",
                             reason=reason,
-                            partial=dict(zip(indices[:pos], results)),
+                            partial=dict(results),
                             stats=stats,
                         )
-                t_task = time.perf_counter()
-                used = 0
-                while True:
-                    try:
-                        value, nbytes = _run_task(ctx, index)
-                        break
-                    except Exception as exc:
-                        if used < ctx.retries:
-                            used += 1
-                            if ctx.retry_backoff > 0:
-                                time.sleep(ctx.retry_backoff * (2 ** (used - 1)))
-                            continue
-                        stats.retries += used
-                        stats.failures += 1
-                        stats.task_wall.append(time.perf_counter() - t_task)
-                        if quarantine is not None:
-                            # circuit breaker (see the parallel path)
-                            value = QuarantinedRow(_failure_digest(repr(exc)))
-                            quarantine(index, value.reason)
-                            nbytes = 0
-                            break
-                        raise TaskError(
-                            f"snapshot task {index} failed "
-                            f"(after {used} retries): {exc!r}",
-                            index=index,
-                            traceback_text=traceback.format_exc(),
-                            stats=stats,
-                        ) from exc
-                if not isinstance(value, QuarantinedRow):
-                    secs = time.perf_counter() - t_task
-                    stats.task_seconds += secs
-                    stats.task_wall.append(secs)
-                    stats.retries += used
-                    stats.bytes_touched += nbytes
-                results.append(value)
-                if on_result is not None:
-                    on_result(index, value)
+                entry, exc = _run_task(ctx, index)
+                failure = _handle_result(
+                    entry, stats, results, on_result, quarantine
+                )
+                if failure is not None:
+                    raise _task_error(failure, ctx.retries, stats) from exc
         finally:
             stats.wall_seconds = time.perf_counter() - t0
-        return results, stats
+        return [results[i] for i in indices], stats
 
 
 def _note_deadline(

@@ -1,8 +1,10 @@
 """Process-parallel execution of per-snapshot analyses (public API).
 
 The paper's Spark jobs are per-snapshot-partition parallel; our equivalent
-fans a pure function over the snapshot collection through
-:class:`repro.query.engine.ExecutionEngine`.  Workers receive the columns
+runs every analysis as a :class:`~repro.query.engine.Kernel` in one fused
+pass over the snapshot collection, through
+:meth:`SnapshotExecutor.run_kernels` (a thin policy-and-stats wrapper over
+:class:`repro.query.engine.ExecutionEngine`).  Workers receive the columns
 either by copy-on-write inheritance (``fork``) or through a shared-memory
 segment (``spawn`` / ``forkserver`` — see :mod:`repro.query.shm`), so the
 multi-gigabyte columns are never pickled under any start method.
@@ -10,7 +12,7 @@ multi-gigabyte columns are never pickled under any start method.
 Failure semantics: a task that raises (or a worker that dies, when a
 ``task_timeout`` watchdog is configured) surfaces as a structured
 :class:`~repro.query.engine.TaskError` carrying the snapshot index and the
-worker traceback.  Any fallback to serial execution is warned about and
+task traceback.  Any fallback to serial execution is warned about and
 recorded in the run's :class:`~repro.query.engine.ExecutionStats` — never
 silent.  Set ``$REPRO_START_METHOD`` to pin the start method suite-wide
 (``fork`` / ``spawn`` / ``forkserver`` / ``serial``).
@@ -18,8 +20,8 @@ silent.  Set ``$REPRO_START_METHOD`` to pin the start method suite-wide
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from typing import Any, TypeVar
+from collections.abc import Sequence
+from typing import Any
 
 from repro.core.runcontrol import RunController, RunInterrupted
 from repro.query.engine import (
@@ -30,7 +32,7 @@ from repro.query.engine import (
     Kernel,
     TaskError,
 )
-from repro.scan.snapshot import Snapshot, SnapshotCollection
+from repro.scan.snapshot import SnapshotCollection
 
 __all__ = [
     "DeltaPlan",
@@ -41,31 +43,7 @@ __all__ = [
     "RunInterrupted",
     "SnapshotExecutor",
     "TaskError",
-    "snapshot_map",
 ]
-
-T = TypeVar("T")
-
-
-def snapshot_map(
-    collection: SnapshotCollection,
-    fn: Callable[[Snapshot], T],
-    processes: int | None = None,
-    start_method: str | None = None,
-) -> list[T]:
-    """Apply ``fn`` to every snapshot; returns results in snapshot order.
-
-    ``processes=None`` picks a sensible default (half the cores, capped at
-    the snapshot count); ``processes=1`` forces serial execution.  Under
-    ``fork`` closures work (workers inherit them); under ``spawn`` the
-    function must be picklable — if it is not, the map runs serial with a
-    ``RuntimeWarning`` rather than failing or silently misbehaving.
-    """
-    engine = ExecutionEngine(
-        EngineConfig(processes=processes, start_method=start_method)
-    )
-    results, _ = engine.map(collection, fn)
-    return results
 
 
 class SnapshotExecutor:
@@ -73,7 +51,7 @@ class SnapshotExecutor:
 
     The analysis suite takes one of these so callers choose the policy once
     (``SnapshotExecutor(processes=1)`` in unit tests, parallel in benches).
-    After every map the run's :class:`ExecutionStats` is available as
+    After every pass the run's :class:`ExecutionStats` is available as
     ``last_stats``, and ``stats`` keeps the lifetime aggregate across runs.
     """
 
@@ -107,29 +85,6 @@ class SnapshotExecutor:
     def _record(self, stats: ExecutionStats) -> None:
         self.last_stats = stats
         self.stats.merge(stats)
-
-    def _collect(self, run: Callable[[], tuple[list[Any], ExecutionStats]]) -> list[Any]:
-        try:
-            results, stats = run()
-        except TaskError as err:
-            if err.stats is not None:
-                self._record(err.stats)
-            raise
-        self._record(stats)
-        return results
-
-    def map(
-        self, collection: SnapshotCollection, fn: Callable[[Snapshot], T]
-    ) -> list[T]:
-        return self._collect(lambda: self._engine.map(collection, fn))
-
-    def map_pairs(
-        self,
-        collection: SnapshotCollection,
-        fn: Callable[[Snapshot, Snapshot], T],
-    ) -> list[T]:
-        """Apply ``fn`` to adjacent snapshot pairs (weekly diffs), ordered."""
-        return self._collect(lambda: self._engine.map_pairs(collection, fn))
 
     def run_kernels(
         self,

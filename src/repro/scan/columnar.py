@@ -29,11 +29,10 @@ hot numeric columns stored with the ``raw`` codec can be mapped straight
 out of the file (``mmap`` + ``np.frombuffer``) without any inflation.  Per
 block the codec is a flag: ``raw`` (the v3 default for numeric columns),
 ``zlib``/``delta-zlib`` (the v2 codecs, still legal per block — the
-streaming ingest keeps zlib even inside a v3 container), ``lz4`` (used only
-when the optional ``lz4`` package is importable; the writer falls back to
-zlib with a warning, the reader raises a typed error naming the missing
-codec), and ``strtab-zlib`` for the path table.  Versions 1 (``RPQ1``, no
-header CRC, no trailer) and 2 remain readable.
+streaming ingest keeps zlib even inside a v3 container), and
+``strtab-zlib`` for the path table; a block tagged with any other codec is
+refused with a typed error naming it.  Versions 1 (``RPQ1``, no header CRC,
+no trailer) and 2 remain readable.
 
 Reading is either eager (:func:`read_columnar` — decode everything now) or
 lazy (:func:`open_columnar` — decode the path table eagerly so interning
@@ -54,10 +53,9 @@ import json
 import mmap
 import threading
 import time
-import warnings
 import zlib
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -65,11 +63,6 @@ from repro.core.durable import atomic_write
 from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
 from repro.scan.snapshot import COLUMN_DTYPES, NUMERIC_COLUMNS, Snapshot
-
-try:  # optional codec — the container works without it (never pip-installed)
-    import lz4.frame as _lz4  # type: ignore[import-not-found]
-except Exception:  # pragma: no cover - environment-dependent
-    _lz4 = None
 
 MAGIC_V1 = b"RPQ1"
 MAGIC_V2 = b"RPQ2"
@@ -99,31 +92,26 @@ _COMPRESSION_LEVEL = 6
 _HEADER_KEYS = ("label", "timestamp", "rows", "columns")
 _META_KEYS = ("name", "codec", "rows", "stored_bytes", "crc32")
 
+#: Codecs a numeric column block may carry (a tuple: membership compares
+#: with ``==``, so an unhashable codec in a crafted header stays typed).
+_NUMERIC_CODECS = ("raw", "zlib", "delta-zlib")
+
 
 def _align_up(offset: int) -> int:
     return -(-offset // BLOCK_ALIGN) * BLOCK_ALIGN
 
 
 def _encode_column(
-    name: str, data: np.ndarray, format_version: int = 2, codec: str | None = None
+    name: str, data: np.ndarray, format_version: int = 2
 ) -> tuple[bytes, dict]:
-    """Encode one numeric column; v3 defaults to the zero-copy ``raw`` codec."""
-    if codec is None:
-        codec = "raw" if format_version >= 3 else "zlib"
-    if codec == "lz4" and _lz4 is None:
-        warnings.warn(
-            "lz4 codec requested but the lz4 package is not importable — "
-            "falling back to zlib",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        codec = "zlib"
+    """Encode one numeric column: ``raw`` for v3, ``zlib`` (``delta-zlib``
+    for time and inode columns) for v2."""
     meta: dict = {"name": name, "dtype": str(data.dtype), "rows": int(data.size)}
-    if codec == "raw":
+    if format_version >= 3:
         blob = np.ascontiguousarray(data).tobytes()
         meta["codec"] = "raw"
         meta["raw_bytes"] = len(blob)
-    elif name in _DELTA_COLUMNS and data.size and codec == "zlib":
+    elif name in _DELTA_COLUMNS and data.size:
         base = int(data.min())
         delta = (data.astype(np.int64) - base).astype(np.uint64)
         raw = delta.tobytes()
@@ -134,12 +122,8 @@ def _encode_column(
     else:
         raw = np.ascontiguousarray(data).tobytes()
         meta["raw_bytes"] = len(raw)
-        if codec == "lz4":
-            meta["codec"] = "lz4"
-            blob = _lz4.compress(raw)
-        else:
-            meta["codec"] = "zlib"
-            blob = zlib.compress(raw, _COMPRESSION_LEVEL)
+        meta["codec"] = "zlib"
+        blob = zlib.compress(raw, _COMPRESSION_LEVEL)
     meta["stored_bytes"] = len(blob)
     meta["crc32"] = zlib.crc32(blob)
     return blob, meta
@@ -154,22 +138,12 @@ def _decode_column(
             source, f"column {name!r}: checksum mismatch", offset=offset
         )
     codec = meta["codec"]
+    if codec not in _NUMERIC_CODECS:
+        raise CorruptSnapshotError(
+            source, f"column {name!r}: unknown codec {codec!r}", offset=offset
+        )
     try:
-        if codec == "raw":
-            raw = bytes(blob)
-        elif codec == "lz4":
-            if _lz4 is None:
-                raise CorruptSnapshotError(
-                    source,
-                    f"column {name!r}: codec 'lz4' requires the lz4 package, "
-                    "which is not importable here",
-                    offset=offset,
-                )
-            raw = _lz4.decompress(blob)
-        else:
-            raw = zlib.decompress(blob)
-    except CorruptSnapshotError:
-        raise
+        raw = bytes(blob) if codec == "raw" else zlib.decompress(blob)
     except Exception as exc:
         raise CorruptSnapshotError(
             source, f"column {name!r}: decompression failed ({exc})", offset=offset
@@ -178,15 +152,8 @@ def _decode_column(
         if codec == "delta-zlib":
             delta = np.frombuffer(raw, dtype=np.uint64).astype(np.int64)
             data = (delta + int(meta["base"])).astype(np.dtype(meta["dtype"]))
-        elif codec in ("zlib", "raw", "lz4"):
-            data = np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).copy()
         else:
-            raise CorruptSnapshotError(
-                source, f"column {name!r}: unknown codec {meta['codec']!r}",
-                offset=offset,
-            )
-    except CorruptSnapshotError:
-        raise
+            data = np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).copy()
     except (ValueError, TypeError, KeyError) as exc:
         raise CorruptSnapshotError(
             source, f"column {name!r}: undecodable block ({exc})", offset=offset
@@ -201,17 +168,15 @@ def _decode_column(
 
 
 def encode_column(
-    name: str, data: np.ndarray, format_version: int = 2, codec: str | None = None
+    name: str, data: np.ndarray, format_version: int = 2
 ) -> tuple[bytes, dict]:
     """Encode one numeric column into a ``(blob, meta)`` block.
 
     Public entry for external producers (the :mod:`repro.ingest` streaming
-    assembler); :func:`write_columnar` uses the same encoding internally.
-    ``codec`` picks the block codec explicitly (``raw`` / ``zlib`` /
-    ``lz4``); None defaults to ``raw`` for v3 and ``zlib`` (with
-    ``delta-zlib`` for time columns) for v2.
+    assembler); :func:`write_columnar` uses the same encoding internally:
+    ``raw`` for v3, ``zlib`` (with ``delta-zlib`` for time columns) for v2.
     """
-    return _encode_column(name, data, format_version=format_version, codec=codec)
+    return _encode_column(name, data, format_version=format_version)
 
 
 def column_block_meta(
@@ -334,7 +299,6 @@ def write_columnar(
     snapshot: Snapshot,
     dest: str | Path,
     format_version: int = DEFAULT_FORMAT_VERSION,
-    codec: str | None = None,
 ) -> dict:
     """Serialize a snapshot (atomically); returns size statistics.
 
@@ -343,11 +307,10 @@ def write_columnar(
     string index column.  The write goes through a same-directory temp file
     with fsync + atomic rename, so a crash never leaves a torn ``.rpq``.
 
-    ``format_version`` selects the container (2 = compact zlib, 3 = the
-    block-aligned zero-copy layout, the default for new archives); ``codec``
-    overrides the numeric-column codec (``raw``/``zlib``/``lz4``; None
-    picks the version's default).  The path string table is always
-    ``strtab-zlib``.
+    ``format_version`` selects the container and its numeric-column codec
+    (2 = compact zlib, 3 = the block-aligned zero-copy layout with ``raw``
+    blocks, the default for new archives).  The path string table is
+    always ``strtab-zlib``.
     """
     blocks: list[tuple[bytes, dict]] = []
     # numeric columns
@@ -356,8 +319,7 @@ def write_columnar(
             continue  # replaced by the local string-table index below
         blocks.append(
             _encode_column(
-                name, getattr(snapshot, name),
-                format_version=format_version, codec=codec,
+                name, getattr(snapshot, name), format_version=format_version
             )
         )
     # path strings: local dictionary (ids remapped to 0..k-1)

@@ -24,7 +24,6 @@ from repro.core.runcontrol import RunController, RunInterrupted
 from repro.fs.clock import SimClock
 from repro.fs.filesystem import FileSystem
 from repro.fs.purge import PurgePolicy, PurgeReport
-from repro.query.parallel import SnapshotExecutor
 from repro.scan.lustredu import LustreDuScanner
 from repro.scan.snapshot import SnapshotCollection
 from repro.synth.behavior import build_behaviors
@@ -346,8 +345,3 @@ def run_simulation(
 ) -> SimulationResult:
     """One-call convenience wrapper used by examples and benches."""
     return SimulationDriver(config).run(verbose=verbose, controller=controller)
-
-
-def default_executor(parallel: bool = False) -> SnapshotExecutor:
-    """Executor policy helper: serial by default, parallel for benches."""
-    return SnapshotExecutor(processes=None if parallel else 1)

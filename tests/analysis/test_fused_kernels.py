@@ -79,7 +79,7 @@ def _fused_values(sim_result, method):
         executor=executor,
     )
     opts = AnalyzeOptions(ctx=ctx, burstiness_min_files=MIN_FILES)
-    return run_analyses(opts, resolve_specs(None), fused=True)
+    return run_analyses(opts, resolve_specs(None))
 
 
 def _assert_burstiness_equal(a, b):
@@ -144,23 +144,6 @@ def test_fused_equals_legacy_every_analysis(sim_result, legacy, method):
     assert values["table1"] == legacy["table1"]
 
 
-def test_legacy_passes_mode_equals_fused(sim_result):
-    """The ablation path (one pass per analysis) agrees with fused."""
-    ctx = AnalysisContext(
-        collection=sim_result.collection,
-        population=sim_result.population,
-        executor=SnapshotExecutor(processes=1),
-    )
-    opts = AnalyzeOptions(ctx=ctx, burstiness_min_files=MIN_FILES)
-    fused = run_analyses(opts, resolve_specs(None), fused=True)
-    unfused = run_analyses(opts, resolve_specs(None), fused=False)
-    assert fused["fig7"] == unfused["fig7"]
-    assert fused["table2"] == unfused["table2"]
-    assert fused["table1"] == unfused["table1"]
-    assert np.array_equal(fused["fig15"].files, unfused["fig15"].files)
-    _assert_burstiness_equal(fused["fig17"], unfused["fig17"])
-
-
 def test_resolve_specs_expands_requirements():
     specs = resolve_specs("table1")
     names = [s.name for s in specs]
@@ -208,16 +191,3 @@ class TestDiskBackedFusion:
         assert stats.snapshot_loads == len(collection)
         assert report.table1 is not None and report.fig17 is not None
         assert "per-kernel" in stats.summary()
-
-    def test_legacy_passes_rescan_the_namespace(self, archived):
-        """fused=False reproduces the old cost: ~O(#analyses) more loads."""
-        pipeline, _ = analyze_archive(
-            archived,
-            config=SimulationConfig(seed=91),
-            burstiness_min_files=MIN_FILES,
-            fused=False,
-        )
-        collection = pipeline.context.collection
-        n = len(collection)
-        assert collection.cache_info().misses >= 5 * n
-        assert pipeline.context.execution_stats.snapshot_loads >= 5 * n

@@ -70,15 +70,6 @@ def baseline(simulated, tmp_path_factory):
     return report.text
 
 
-def test_incremental_requires_fused(simulated, tmp_path_factory):
-    directory = _fresh_archive(simulated, tmp_path_factory.mktemp("fused"))
-    with pytest.raises(ValueError, match="fused"):
-        analyze_archive(
-            directory, config=TINY, analyses=DELTA_ANALYSES,
-            fused=False, incremental=True,
-        )
-
-
 def test_bootstrap_run_matches_full_and_persists_state(
     simulated, baseline, tmp_path_factory
 ):

@@ -48,14 +48,6 @@ def baseline(archive):
     return report.text
 
 
-def test_checkpoint_requires_fused_pass(archive, tmp_path):
-    with pytest.raises(ValueError, match="fused"):
-        analyze_archive(
-            archive, config=TINY, analyses=ANALYSES, fused=False,
-            checkpoint=tmp_path / "ck.jsonl",
-        )
-
-
 def test_uninterrupted_run_cleans_up_journal(archive, baseline, tmp_path):
     journal = tmp_path / "ck.jsonl"
     _, report = analyze_archive(

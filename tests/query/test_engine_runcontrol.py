@@ -191,18 +191,25 @@ def _fail_on_small(snapshot):
     return len(snapshot)
 
 
-def test_breaker_quarantines_and_reduces_over_survivors():
+@pytest.mark.parametrize("route", ["serial"] + METHODS)
+def test_breaker_quarantines_and_reduces_over_survivors(route):
     base = _build_collection(weeks=4, files_per_week=20)  # week 0 has 21 rows
     coll = _BreakerCollection(base.paths)
     for snap in base:
         coll.append(snap)
-    engine = ExecutionEngine(EngineConfig(processes=1, retries=3))
+    if route == "serial":
+        config = EngineConfig(processes=1, retries=3)
+    else:
+        config = EngineConfig(processes=2, start_method=route, retries=3)
+    engine = ExecutionEngine(config)
     results, stats = engine.run_kernels(
         coll, [Kernel("rows", _fail_on_small, sum)], max_task_failures=2
     )
+    # every route records the same quarantine reason (it lands in the
+    # archive health report, which must not depend on the route)
+    assert coll.quarantined == [(0, "ValueError: rigged: too small")]
     assert stats.quarantined_snapshots == 1
-    assert [idx for idx, _ in coll.quarantined] == [0]
-    assert "rigged" in coll.quarantined[0][1]
+    assert stats.failures == 1
     # effective retries are capped by the breaker: 2 attempts, not 4
     assert stats.retries == 1
     # the reduce sees only the surviving snapshots

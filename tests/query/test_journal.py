@@ -247,5 +247,6 @@ def test_retry_backoff_recovers_transient_failures():
         return len(snapshot)
 
     ex = SnapshotExecutor(1, retries=1, retry_backoff=0.001)
-    assert ex.map(coll, flaky) == [len(s) for s in coll]
+    results = ex.run_kernels(coll, [Kernel("rows", flaky, list)])
+    assert results["rows"] == [len(s) for s in coll]
     assert ex.last_stats.retries == 1

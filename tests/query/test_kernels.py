@@ -1,8 +1,9 @@
 """Kernel-protocol suite for the fused execution path.
 
-run_kernels must agree with the per-analysis map/map_pairs path under every
-start method, share map evaluations between kernels that request the same
-function, and surface per-kernel timings in ExecutionStats.
+run_kernels must agree with evaluating each kernel directly over the
+snapshots under every start method, share map evaluations between kernels
+that request the same function, and surface per-kernel timings in
+ExecutionStats.
 """
 
 import multiprocessing as mp

@@ -1,7 +1,7 @@
 import numpy as np
 
 from repro.fs.filesystem import FileSystem
-from repro.query.parallel import SnapshotExecutor, snapshot_map
+from repro.query.parallel import Kernel, SnapshotExecutor
 from repro.scan.lustredu import LustreDuScanner
 from repro.scan.snapshot import SnapshotCollection
 
@@ -22,6 +22,12 @@ def _build_collection(weeks=4, files_per_week=20):
     return coll
 
 
+def _partials(coll, fn, processes=1, pairwise=False):
+    """Ordered partials of a one-kernel pass (``list`` reduce)."""
+    ex = SnapshotExecutor(processes=processes)
+    return ex.run_kernels(coll, [Kernel("k", fn, list, pairwise=pairwise)])["k"]
+
+
 def _count(snapshot):
     return len(snapshot)
 
@@ -32,27 +38,29 @@ def _file_count(snapshot):
 
 def test_serial_map():
     coll = _build_collection()
-    counts = snapshot_map(coll, _count, processes=1)
+    counts = _partials(coll, _count)
     assert len(counts) == 4
     assert counts == sorted(counts)  # growing file system
 
 
 def test_parallel_map_matches_serial():
     coll = _build_collection()
-    serial = snapshot_map(coll, _file_count, processes=1)
-    parallel = snapshot_map(coll, _file_count, processes=2)
+    serial = _partials(coll, _file_count)
+    parallel = _partials(coll, _file_count, processes=2)
     assert serial == parallel
 
 
 def test_empty_collection():
     coll = SnapshotCollection()
-    assert snapshot_map(coll, _count) == []
+    assert _partials(coll, _count, processes=None) == []
 
 
 def test_executor_map():
     coll = _build_collection()
     ex = SnapshotExecutor(processes=1)
-    assert ex.map(coll, _count) == snapshot_map(coll, _count, processes=1)
+    results = ex.run_kernels(coll, [Kernel("rows", _count, list)])
+    assert results == {"rows": [len(s) for s in coll]}
+    assert ex.last_stats.n_tasks == 4
 
 
 def _pair_diff(prev, cur):
@@ -61,21 +69,19 @@ def _pair_diff(prev, cur):
 
 def test_executor_map_pairs_serial():
     coll = _build_collection(weeks=3, files_per_week=10)
-    ex = SnapshotExecutor(processes=1)
-    diffs = ex.map_pairs(coll, _pair_diff)
-    assert diffs == [10, 10]
+    assert _partials(coll, _pair_diff, pairwise=True) == [10, 10]
 
 
 def test_executor_map_pairs_parallel_matches():
     coll = _build_collection(weeks=4, files_per_week=5)
-    serial = SnapshotExecutor(processes=1).map_pairs(coll, _pair_diff)
-    parallel = SnapshotExecutor(processes=2).map_pairs(coll, _pair_diff)
+    serial = _partials(coll, _pair_diff, pairwise=True)
+    parallel = _partials(coll, _pair_diff, processes=2, pairwise=True)
     assert serial == parallel
 
 
 def test_map_pairs_short_collection():
     coll = _build_collection(weeks=1)
-    assert SnapshotExecutor(processes=1).map_pairs(coll, _pair_diff) == []
+    assert _partials(coll, _pair_diff, pairwise=True) == []
 
 
 def test_closure_works_in_parallel():
@@ -85,6 +91,6 @@ def test_closure_works_in_parallel():
     def count_above(snapshot):
         return int(np.sum(snapshot.is_file) > threshold)
 
-    serial = snapshot_map(coll, count_above, processes=1)
-    parallel = snapshot_map(coll, count_above, processes=2)
+    serial = _partials(coll, count_above)
+    parallel = _partials(coll, count_above, processes=2)
     assert serial == parallel

@@ -23,9 +23,11 @@ from repro.scan.columnar import (
     _encode_column,
     describe_sections,
     open_columnar,
+    path_block_meta,
     read_columnar,
     read_columnar_header,
     write_columnar,
+    write_columnar_blocks,
 )
 from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
@@ -219,7 +221,8 @@ def test_header_level_faults_caught_before_data(valid_rpq, tmp_path):
 
 def test_empty_and_tiny_files_raise_typed(tmp_path):
     """Satellite: truncated/empty files give a typed error with the path,
-    not a struct-unpack or JSON traceback."""
+    not a struct-unpack or JSON traceback — and so does a well-formed file
+    whose block names a codec the reader does not know."""
     empty = tmp_path / "empty.rpq"
     empty.write_bytes(b"")
     with pytest.raises(CorruptSnapshotError) as err:
@@ -236,6 +239,34 @@ def test_empty_and_tiny_files_raise_typed(tmp_path):
     junk.write_bytes(b"not a snapshot at all, just some text padding")
     with pytest.raises(CorruptSnapshotError, match="magic"):
         read_columnar_header(junk)
+
+    # intact CRCs and layout, but the atime block is tagged "lz4": refused
+    # by codec name before any decompression, eagerly and on a lazy touch
+    snap = _make_snapshot()
+    blocks = [
+        _encode_column(name, getattr(snap, name))
+        for name in NUMERIC_COLUMNS
+        if name not in ("path_id", "atime")
+    ]
+    atime = snap.atime.tobytes()
+    blocks.append((atime, {
+        "name": "atime", "dtype": str(snap.atime.dtype), "codec": "lz4",
+        "rows": len(snap), "raw_bytes": len(atime),
+        "stored_bytes": len(atime), "crc32": zlib.crc32(atime),
+    }))
+    strings = "\n".join(snap.paths.paths[pid] for pid in snap.path_id)
+    str_blob = zlib.compress(strings.encode("utf-8"))
+    blocks.append((str_blob, path_block_meta(str_blob, len(snap), len(strings))))
+    for version in (2, 3):
+        foreign = tmp_path / f"lz4-v{version}.rpq"
+        write_columnar_blocks(
+            foreign, "w0", 1000, len(snap), blocks, format_version=version
+        )
+        with pytest.raises(CorruptSnapshotError, match="unknown codec 'lz4'"):
+            read_columnar(foreign, PathTable())
+        lazy = open_columnar(foreign, PathTable())
+        with pytest.raises(CorruptSnapshotError, match="unknown codec 'lz4'"):
+            lazy.atime
 
 
 def test_describe_sections_tile_the_file(valid_rpq):

@@ -176,11 +176,12 @@ def test_subset_has_fresh_counters_and_same_eviction(archived):
 
 def test_disk_collection_parallel_executor(archived):
     """The fork-based executor works over the disk-backed collection."""
-    from repro.query.parallel import SnapshotExecutor
+    from repro.query.parallel import Kernel, SnapshotExecutor
 
     directory, sim = archived
     disk = DiskSnapshotCollection(directory, cache_size=2)
-    serial = SnapshotExecutor(processes=1).map(disk, len)
-    parallel = SnapshotExecutor(processes=2).map(disk, len)
+    kernels = [Kernel("rows", len, list)]
+    serial = SnapshotExecutor(processes=1).run_kernels(disk, kernels)["rows"]
+    parallel = SnapshotExecutor(processes=2).run_kernels(disk, kernels)["rows"]
     assert serial == parallel
     assert serial == [len(s) for s in sim.collection]
