@@ -30,17 +30,11 @@ def test_scan_throughput(benchmark, sim_result, artifact_dir):
 
 
 def test_psv_to_columnar_reduction(benchmark, sim_result, tmp_path, artifact_dir):
-    """The paper's 119 GB PSV → 28 GB Parquet footprint argument.
-
-    Pinned to the v2 (fully compressed) container: this bench argues disk
-    footprint, which is exactly what `--format-version 2` optimizes.  The
-    v3 raw-column layout trades those bytes for decode CPU — that side of
-    the coin is ``bench_zerocopy.py`` (``BENCH_zerocopy.json``).
-    """
+    """The paper's 119 GB PSV → 28 GB Parquet footprint argument."""
     snap = sim_result.collection[-1]
 
     def convert():
-        return write_columnar(snap, tmp_path / "snap.rpq", format_version=2)
+        return write_columnar(snap, tmp_path / "snap.rpq")
 
     stats = benchmark.pedantic(convert, rounds=3, iterations=1)
     buf = io.StringIO()

@@ -61,16 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write PSV + columnar snapshot files here",
     )
     parser.add_argument(
-        "--format-version",
-        type=int,
-        choices=(2, 3),
-        default=None,
-        help="on-disk .rpq container written by --archive-dir: 3 (default) "
-        "block-aligns raw numeric columns for zero-copy mmap reads, 2 "
-        "compresses every column for the smallest footprint; readers "
-        "auto-detect either, so mixed-version archives analyze fine",
-    )
-    parser.add_argument(
         "--from-archive",
         default=None,
         help="skip simulation: analyze archived .rpq snapshots out-of-core "
@@ -515,10 +505,6 @@ def build_synth_parser() -> argparse.ArgumentParser:
         help="skip writing the per-interval .rpd delta sidecars",
     )
     parser.add_argument(
-        "--format-version", type=int, choices=(2, 3), default=None,
-        help="on-disk .rpq container for parts and the merged archive",
-    )
-    parser.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
         help="wall-clock budget for the whole run; on expiry outstanding "
         "workers are cancelled, the resume hint printed, and the exit "
@@ -639,7 +625,6 @@ def _run_synth(args: argparse.Namespace, controller: RunController) -> int:
             controller=controller,
             on_error=args.on_error,
             deltas=not args.no_deltas,
-            format_version=args.format_version,
         )
     except ShardFailedError as err:
         print(f"# shard failure: {err}", file=sys.stderr)
@@ -931,9 +916,7 @@ def _run(args: argparse.Namespace, controller: RunController) -> int:
         )
         if args.archive_dir:
             stats = pipeline.archive(
-                args.archive_dir,
-                deltas=not args.no_deltas,
-                format_version=args.format_version,
+                args.archive_dir, deltas=not args.no_deltas
             )
             print(
                 f"# archive: PSV {stats.psv_bytes:,} B → columnar "

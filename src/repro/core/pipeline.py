@@ -138,7 +138,6 @@ class ReproPipeline:
         directory: str | Path,
         max_snapshots: int | None = None,
         deltas: bool = True,
-        format_version: int | None = None,
         skip_existing: bool = False,
     ) -> ArchiveStats:
         """Write PSV + columnar snapshot files; returns footprint stats.
@@ -164,12 +163,6 @@ class ReproPipeline:
         its predecessor — enabling ``analyze_archive(incremental=True)`` to
         advance journaled kernel state in O(delta) instead of re-scanning
         the window (DESIGN.md §11).
-
-        ``format_version`` selects the ``.rpq`` container written (see
-        :data:`repro.scan.columnar.WRITE_FORMAT_VERSIONS`): v3 (the
-        default) block-aligns raw numeric columns so analysis reads them
-        zero-copy via mmap; v2 compresses every column, trading decode CPU
-        for the smallest footprint.  Readers auto-detect either.
         """
         if self.simulation is None:
             raise RuntimeError("simulate() first")
@@ -220,10 +213,7 @@ class ReproPipeline:
                 psv_total += write_psv(
                     snap, psv_path, ost_count=self.config.ost_count
                 )
-                if format_version is None:
-                    write_columnar(snap, col_path)
-                else:
-                    write_columnar(snap, col_path, format_version=format_version)
+                write_columnar(snap, col_path)
                 if dpath is not None:
                     write_delta(compute_delta(snaps[i - 1], snap), dpath)
             col_total += col_path.stat().st_size

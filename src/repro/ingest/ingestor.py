@@ -1,9 +1,9 @@
-"""Streaming trace ingestion: foreign PSV dumps → validated ``.rpq`` v2.
+"""Streaming trace ingestion: foreign PSV dumps → validated ``.rpq`` files.
 
 ``ingest_trace`` is the one entry point.  It takes a directory (or list) of
 plain/gzip LustreDU PSV dumps — huge, messy, untrusted — and produces an
 archive directory the existing fused analysis pipeline consumes unchanged:
-one ``.rpq`` v2 file per source dump, a ``manifest.json``, and (under the
+one ``.rpq`` file per source dump, a ``manifest.json``, and (under the
 ``quarantine`` policy) one machine-readable ``.bad`` sidecar per damaged
 source.
 
@@ -261,7 +261,7 @@ class _ColumnAccumulator:
     compressor per block.  Nothing uncompressed outlives its chunk, so
     resident state scales with the *compressed* output (typically a small
     fraction of the source text), not with total rows.  ``finish()``
-    flushes each stream and returns ready-to-write v2 blocks.
+    flushes each stream and returns ready-to-write zlib blocks.
 
     Writing validated values straight into the final dtypes is safe
     precisely because :class:`~repro.ingest.validate.RecordValidator`

@@ -142,7 +142,6 @@ class ShardSupervisor:
         controller: RunController | None = None,
         faults: list[ShardFault] | None = None,
         on_error: str = "raise",
-        format_version: int | None = None,
     ) -> None:
         if on_error not in ("raise", "skip", "quarantine"):
             raise ValueError(f"unknown on_error policy {on_error!r}")
@@ -152,7 +151,6 @@ class ShardSupervisor:
         self.controller = controller or RunController()
         self.faults = {f.shard: f for f in (faults or [])}
         self.on_error = on_error
-        self.format_version = format_version
         self.stats = SupervisorStats(n_shards=plan.n_shards)
         self.quarantines: list[ShardQuarantine] = []
         self._running: dict[int, _ShardTask] = {}
@@ -216,11 +214,10 @@ class ShardSupervisor:
                         self.parts_root,
                         attempt=attempt,
                         fault=self.faults.get(shard),
-                        format_version=self.format_version,
                         controller=self.controller,
                     )
-                except RunInterrupted:
-                    raise
+                except RunInterrupted as exc:
+                    raise self._interrupted(exc.reason) from exc
                 except Exception as exc:  # noqa: BLE001 - the failure model
                     if attempt >= self.config.max_attempts:
                         self._quarantine(shard, attempt, repr(exc))
@@ -246,17 +243,7 @@ class ShardSupervisor:
             while pending or waiting or self._running:
                 reason = self.controller.should_stop()
                 if reason is not None:
-                    raise RunInterrupted(
-                        f"sharded simulation interrupted ({reason}): "
-                        f"{self.stats.completed}/{self.plan.n_shards} "
-                        "shards completed",
-                        reason=reason,
-                        partial=self.stats,
-                        resume_hint=(
-                            "re-run the same command: per-shard journals "
-                            "resume each shard from its completed weeks"
-                        ),
-                    )
+                    raise self._interrupted(reason)
                 now = time.monotonic()
                 for task in [t for t in waiting if t.ready_at <= now]:
                     waiting.remove(task)
@@ -304,7 +291,6 @@ class ShardSupervisor:
                 str(self.parts_root),
                 task.attempts,
                 fault,
-                self.format_version,
             ),
             daemon=True,
             name=f"repro-shard-{task.shard:04d}",
@@ -353,6 +339,20 @@ class ShardSupervisor:
                 f"(--shard-max-seconds {self.config.shard_max_seconds:g})"
             )
         return None
+
+    def _interrupted(self, reason: str) -> RunInterrupted:
+        """The error a stopped run raises, whether shards run inline or in
+        worker processes: progress so far plus the per-shard resume hint."""
+        return RunInterrupted(
+            f"sharded simulation interrupted ({reason}): "
+            f"{self.stats.completed}/{self.plan.n_shards} shards completed",
+            reason=reason,
+            partial=self.stats,
+            resume_hint=(
+                "re-run the same command: per-shard journals "
+                "resume each shard from its completed weeks"
+            ),
+        )
 
     def _backoff(self, attempt: int) -> float:
         return min(

@@ -7,37 +7,35 @@ pipeline stage with a self-contained format:
 
 * numeric columns are stored one block each, so an analysis touching only
   ``atime``/``mtime`` never decompresses paths;
-* timestamps are delta-encoded against the column minimum before
-  compression (they cluster within the observation window);
 * path strings are stored as a newline-joined, zlib-compressed string table.
 
-Layout (version 2)::
-
-    magic "RPQ2" | u32 header_len | u32 header_crc32 | header JSON
-    | column blocks... | u64 total_file_len | end magic "RPQE"
-
-Layout (version 3, the zero-copy format)::
+Every writer emits one layout, ``RPQ3``::
 
     magic "RPQ3" | u32 header_len | u32 header_crc32 | header JSON
     | pad | block | pad | block | ... | u64 total_file_len | "RPQE"
 
-Version 3 keeps the v2 integrity contract verbatim (header CRC, per-block
-CRC32s, total-length trailer) and adds block alignment: every column block
-starts at a :data:`BLOCK_ALIGN`-byte boundary (zero padding in between) and
-records its offset — relative to the aligned data base — in the header, so
-hot numeric columns stored with the ``raw`` codec can be mapped straight
-out of the file (``mmap`` + ``np.frombuffer``) without any inflation.  Per
-block the codec is a flag: ``raw`` (the v3 default for numeric columns),
-``zlib``/``delta-zlib`` (the v2 codecs, still legal per block — the
-streaming ingest keeps zlib even inside a v3 container), and
-``strtab-zlib`` for the path table; a block tagged with any other codec is
-refused with a typed error naming it.  Versions 1 (``RPQ1``, no header CRC,
-no trailer) and 2 remain readable.
+Every column block starts at a :data:`BLOCK_ALIGN`-byte boundary (zero
+padding in between) and records its offset — relative to the aligned data
+base — in the header, so numeric columns stored with the ``raw`` codec can
+be mapped straight out of the file (``mmap`` + ``np.frombuffer``) without
+any inflation.  Per block the codec is a flag: ``raw`` (snapshot numeric
+columns), ``zlib``/``delta-zlib`` (compressed numeric columns — the
+streaming ingest and the ``.rpd`` delta sidecars write these), and
+``strtab-zlib`` for a path table; a block tagged with any other codec is
+refused with a typed error naming it.  Integrity is layered: a header
+CRC, per-block CRC32s, and the total-length trailer.
+
+``RPQ2`` — the same envelope with blocks back to back and no recorded
+offsets — stays readable: files written before ``RPQ3`` became the only
+written layout use it, every ingest output and ``.rpd`` sidecar among
+them.  ``RPQ1`` (no header CRC, no trailer) is refused.
+:func:`_read_header` is the only code that knows the two readable
+layouts; every reader walks the blocks it locates.
 
 Reading is either eager (:func:`read_columnar` — decode everything now) or
 lazy (:func:`open_columnar` — decode the path table eagerly so interning
 order matches an eager load, then decode each numeric block on first
-attribute touch; v3 ``raw`` blocks become read-only mmap-backed views).
+attribute touch; ``raw`` blocks become read-only mmap-backed views).
 Block CRCs are verified on first touch either way.
 
 Every integrity failure raises :class:`~repro.scan.errors.
@@ -64,22 +62,16 @@ from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
 from repro.scan.snapshot import COLUMN_DTYPES, NUMERIC_COLUMNS, Snapshot
 
-MAGIC_V1 = b"RPQ1"
 MAGIC_V2 = b"RPQ2"
 MAGIC_V3 = b"RPQ3"
 END_MAGIC = b"RPQE"
-#: Back-compat alias (pre-versioning code imported the single magic).
-MAGIC = MAGIC_V1
 
-#: Container versions :func:`write_columnar` / ``write_columnar_blocks`` accept.
-WRITE_FORMAT_VERSIONS = (2, 3)
-
-#: What new archives are written as (``pipeline.archive`` / ``--format-version``).
-DEFAULT_FORMAT_VERSION = 3
-
-#: v3 block alignment: every column block starts on this boundary so raw
+#: Block alignment: every column block starts on this boundary so raw
 #: numeric blocks can be mapped as page-cache-friendly aligned views.
 BLOCK_ALIGN = 64
+
+#: Preamble size: magic + u32 header length + u32 header CRC.
+_PREAMBLE_LEN = 12
 
 #: Trailer size: u64 total length + 4-byte end magic.
 _TRAILER_LEN = 12
@@ -90,43 +82,19 @@ _DELTA_COLUMNS = frozenset({"atime", "mtime", "ctime", "ino"})
 _COMPRESSION_LEVEL = 6
 
 _HEADER_KEYS = ("label", "timestamp", "rows", "columns")
-_META_KEYS = ("name", "codec", "rows", "stored_bytes", "crc32")
+_META_COUNTS = ("rows", "stored_bytes", "crc32")
 
 #: Codecs a numeric column block may carry (a tuple: membership compares
 #: with ``==``, so an unhashable codec in a crafted header stays typed).
 _NUMERIC_CODECS = ("raw", "zlib", "delta-zlib")
 
+#: Numeric columns a snapshot stores; ``path_id`` is rebuilt from the
+#: path table on read.
+_STORED_COLUMNS = tuple(n for n in NUMERIC_COLUMNS if n != "path_id")
+
 
 def _align_up(offset: int) -> int:
     return -(-offset // BLOCK_ALIGN) * BLOCK_ALIGN
-
-
-def _encode_column(
-    name: str, data: np.ndarray, format_version: int = 2
-) -> tuple[bytes, dict]:
-    """Encode one numeric column: ``raw`` for v3, ``zlib`` (``delta-zlib``
-    for time and inode columns) for v2."""
-    meta: dict = {"name": name, "dtype": str(data.dtype), "rows": int(data.size)}
-    if format_version >= 3:
-        blob = np.ascontiguousarray(data).tobytes()
-        meta["codec"] = "raw"
-        meta["raw_bytes"] = len(blob)
-    elif name in _DELTA_COLUMNS and data.size:
-        base = int(data.min())
-        delta = (data.astype(np.int64) - base).astype(np.uint64)
-        raw = delta.tobytes()
-        meta["codec"] = "delta-zlib"
-        meta["base"] = base
-        meta["raw_bytes"] = len(raw)
-        blob = zlib.compress(raw, _COMPRESSION_LEVEL)
-    else:
-        raw = np.ascontiguousarray(data).tobytes()
-        meta["raw_bytes"] = len(raw)
-        meta["codec"] = "zlib"
-        blob = zlib.compress(raw, _COMPRESSION_LEVEL)
-    meta["stored_bytes"] = len(blob)
-    meta["crc32"] = zlib.crc32(blob)
-    return blob, meta
 
 
 def _decode_column(
@@ -158,7 +126,7 @@ def _decode_column(
         raise CorruptSnapshotError(
             source, f"column {name!r}: undecodable block ({exc})", offset=offset
         ) from exc
-    if data.size != int(meta["rows"]):
+    if data.size != meta["rows"]:
         raise CorruptSnapshotError(
             source,
             f"column {name!r}: {data.size} values for {meta['rows']} rows",
@@ -167,16 +135,31 @@ def _decode_column(
     return data
 
 
-def encode_column(
-    name: str, data: np.ndarray, format_version: int = 2
-) -> tuple[bytes, dict]:
-    """Encode one numeric column into a ``(blob, meta)`` block.
+def encode_column(name: str, data: np.ndarray) -> tuple[bytes, dict]:
+    """Encode one numeric column into a compressed ``(blob, meta)`` block.
 
-    Public entry for external producers (the :mod:`repro.ingest` streaming
-    assembler); :func:`write_columnar` uses the same encoding internally:
-    ``raw`` for v3, ``zlib`` (with ``delta-zlib`` for time columns) for v2.
+    ``delta-zlib`` (delta-encoded against the column minimum) for the time
+    and inode columns, plain ``zlib`` otherwise.  The ``.rpd`` delta
+    sidecars store their columns this way; :func:`write_columnar` stores
+    snapshot columns ``raw`` instead, so the lazy reader can map them.
     """
-    return _encode_column(name, data, format_version=format_version)
+    meta: dict = {"name": name, "dtype": str(data.dtype), "rows": int(data.size)}
+    if name in _DELTA_COLUMNS and data.size:
+        base = int(data.min())
+        delta = (data.astype(np.int64) - base).astype(np.uint64)
+        raw = delta.tobytes()
+        meta["codec"] = "delta-zlib"
+        meta["base"] = base
+        meta["raw_bytes"] = len(raw)
+        blob = zlib.compress(raw, _COMPRESSION_LEVEL)
+    else:
+        raw = np.ascontiguousarray(data).tobytes()
+        meta["raw_bytes"] = len(raw)
+        meta["codec"] = "zlib"
+        blob = zlib.compress(raw, _COMPRESSION_LEVEL)
+    meta["stored_bytes"] = len(blob)
+    meta["crc32"] = zlib.crc32(blob)
+    return blob, meta
 
 
 def column_block_meta(
@@ -227,102 +210,73 @@ def write_columnar_blocks(
     timestamp: int,
     rows: int,
     blocks: list[tuple[bytes, dict]],
-    format_version: int = 2,
 ) -> int:
-    """Assemble an ``.rpq`` from pre-encoded blocks; returns stored bytes.
+    """Assemble an ``RPQ3`` file from pre-encoded blocks; returns its size.
 
-    The streaming-ingest path builds blocks incrementally (numeric columns
-    and the path table each fed chunk-by-chunk through an incremental
-    compressor) precisely so a multi-GB source file never has to exist in
-    memory as one :class:`~repro.scan.snapshot.Snapshot`.  The write is
-    atomic (tmp + fsync + rename); row order is preserved as given —
-    the readers re-sort by interned path id on load.
-
-    ``format_version=3`` writes the block-aligned container: each block is
-    placed on a :data:`BLOCK_ALIGN` boundary (zero padding between blocks)
-    and its offset relative to the aligned data base is recorded in the
-    header, enabling the lazy mmap read path.  The block *payloads* are
-    written verbatim either way — a zlib block is legal inside a v3 file.
+    Each block is placed on a :data:`BLOCK_ALIGN` boundary (zero padding
+    between blocks) and its offset relative to the aligned data base is
+    recorded in its meta, enabling the lazy mmap read path.  Block
+    payloads are written verbatim, whatever their codec.  The streaming
+    ingest builds its blocks incrementally (numeric columns and the path
+    table each fed chunk-by-chunk through an incremental compressor)
+    precisely so a multi-GB source file never has to exist in memory as
+    one :class:`~repro.scan.snapshot.Snapshot`.  The write is atomic
+    (tmp + fsync + rename); row order is preserved as given — the readers
+    re-sort by interned path id on load.
     """
-    if format_version not in WRITE_FORMAT_VERSIONS:
-        raise ValueError(
-            f"format_version must be one of {WRITE_FORMAT_VERSIONS}, "
-            f"got {format_version!r}"
-        )
-    metas = [meta for _, meta in blocks]
-    if format_version >= 3:
-        rel = 0
-        for _, meta in blocks:
-            meta["offset"] = rel
-            rel = _align_up(rel + int(meta["stored_bytes"]))
+    rel = 0
+    for _, meta in blocks:
+        meta["offset"] = rel
+        rel = _align_up(rel + int(meta["stored_bytes"]))
     header = {
         "label": label,
         "timestamp": int(timestamp),
         "rows": int(rows),
-        "columns": metas,
+        "columns": [meta for _, meta in blocks],
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    preamble = 4 + 4 + 4  # magic + header_len + header_crc
-    if format_version >= 3:
-        data_base = _align_up(preamble + len(header_bytes))
-        total_len = data_base + rel + _TRAILER_LEN
-    else:
-        total_len = (
-            preamble
-            + len(header_bytes)
-            + sum(len(blob) for blob, _ in blocks)
-            + _TRAILER_LEN
-        )
-    magic = MAGIC_V3 if format_version >= 3 else MAGIC_V2
+    data_base = _align_up(_PREAMBLE_LEN + len(header_bytes))
+    total_len = data_base + rel + _TRAILER_LEN
     with atomic_write(dest, "wb") as fh:
-        fh.write(magic)
+        fh.write(MAGIC_V3)
         fh.write(len(header_bytes).to_bytes(4, "little"))
         fh.write(zlib.crc32(header_bytes).to_bytes(4, "little"))
         fh.write(header_bytes)
-        if format_version >= 3:
-            pos = preamble + len(header_bytes)
-            for blob, meta in blocks:
-                start = data_base + int(meta["offset"])
-                fh.write(b"\0" * (start - pos))
-                fh.write(blob)
-                pos = start + len(blob)
-            fh.write(b"\0" * (data_base + rel - pos))
-        else:
-            for blob, _ in blocks:
-                fh.write(blob)
+        pos = _PREAMBLE_LEN + len(header_bytes)
+        for blob, meta in blocks:
+            start = data_base + meta["offset"]
+            fh.write(b"\0" * (start - pos))
+            fh.write(blob)
+            pos = start + len(blob)
+        fh.write(b"\0" * (data_base + rel - pos))
         fh.write(total_len.to_bytes(8, "little"))
         fh.write(END_MAGIC)
     return total_len
 
 
-def write_columnar(
-    snapshot: Snapshot,
-    dest: str | Path,
-    format_version: int = DEFAULT_FORMAT_VERSION,
-) -> dict:
+def write_columnar(snapshot: Snapshot, dest: str | Path) -> dict:
     """Serialize a snapshot (atomically); returns size statistics.
 
-    The snapshot's referenced path strings are embedded (the file must be
-    self-contained), dictionary-style: unique local strings plus the row →
-    string index column.  The write goes through a same-directory temp file
-    with fsync + atomic rename, so a crash never leaves a torn ``.rpq``.
-
-    ``format_version`` selects the container and its numeric-column codec
-    (2 = compact zlib, 3 = the block-aligned zero-copy layout with ``raw``
-    blocks, the default for new archives).  The path string table is
-    always ``strtab-zlib``.
+    Numeric columns are stored ``raw`` (the little-endian array bytes, so
+    :func:`open_columnar` maps them zero-copy).  The snapshot's referenced
+    path strings are embedded (the file must be self-contained) as one
+    ``strtab-zlib`` block in row order.  The write goes through a
+    same-directory temp file with fsync + atomic rename, so a crash never
+    leaves a torn ``.rpq``.
     """
     blocks: list[tuple[bytes, dict]] = []
-    # numeric columns
-    for name in NUMERIC_COLUMNS:
-        if name == "path_id":
-            continue  # replaced by the local string-table index below
-        blocks.append(
-            _encode_column(
-                name, getattr(snapshot, name), format_version=format_version
-            )
-        )
-    # path strings: local dictionary (ids remapped to 0..k-1)
+    for name in _STORED_COLUMNS:
+        data = getattr(snapshot, name)
+        blob = np.ascontiguousarray(data).tobytes()
+        blocks.append((blob, {
+            "name": name,
+            "dtype": str(data.dtype),
+            "rows": int(data.size),
+            "codec": "raw",
+            "raw_bytes": len(blob),
+            "stored_bytes": len(blob),
+            "crc32": zlib.crc32(blob),
+        }))
     pids = snapshot.path_id
     table = snapshot.paths.paths
     strings = "\n".join(table[pid] for pid in pids)
@@ -331,8 +285,7 @@ def write_columnar(
         (str_blob, path_block_meta(str_blob, int(pids.size), len(strings)))
     )
     stored_total = write_columnar_blocks(
-        dest, snapshot.label, snapshot.timestamp, len(snapshot), blocks,
-        format_version=format_version,
+        dest, snapshot.label, snapshot.timestamp, len(snapshot), blocks
     )
     raw_total = sum(meta["raw_bytes"] for _, meta in blocks)
     return {
@@ -357,210 +310,232 @@ def _read_exact(fh: BinaryIO, n: int, source: str | Path, what: str) -> bytes:
     return data
 
 
-def _read_header(fh: BinaryIO, source: str | Path) -> tuple[dict, int, int]:
-    """Validate magic/lengths/CRCs; returns (header, data_start, version).
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
 
-    ``data_start`` is where the block region begins: immediately after the
-    header for v1/v2, the :data:`BLOCK_ALIGN`-aligned data base for v3
-    (block metas record offsets relative to it).
+
+def _is_integer_dtype(value) -> bool:
+    try:
+        return isinstance(value, str) and np.dtype(value).kind in "iu"
+    except TypeError:
+        return False
+
+
+def _header_problem(header, aligned: bool) -> str | None:
+    """Why a decoded header is unusable, or None when it is well-formed.
+
+    Every field a reader indexes, compares or does arithmetic with is
+    type-checked here, so a crafted header with a valid CRC fails typed
+    instead of deep inside a decode with a ``ValueError``/``TypeError``.
+    """
+    if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
+        return f"missing required keys {_HEADER_KEYS}"
+    if not (
+        isinstance(header["label"], str)
+        and type(header["timestamp"]) is int
+        and _is_count(header["rows"])
+        and isinstance(header["columns"], list)
+    ):
+        return f"fields {_HEADER_KEYS} have wrong types"
+    counts = _META_COUNTS + ("offset",) if aligned else _META_COUNTS
+    for i, meta in enumerate(header["columns"]):
+        if not (
+            isinstance(meta, dict)
+            and isinstance(meta.get("name"), str)
+            and isinstance(meta.get("codec"), str)
+        ):
+            return f"block {i} lacks a string name and codec"
+        bad = [key for key in counts if not _is_count(meta.get(key))]
+        if bad:
+            return f"block {meta['name']!r}: {bad} must be non-negative integers"
+        dtype = meta.get("dtype")
+        if meta["codec"] in _NUMERIC_CODECS and not _is_integer_dtype(dtype):
+            return f"block {meta['name']!r}: dtype {dtype!r} is not an integer dtype"
+    return None
+
+
+def _read_header(fh: BinaryIO, source: str | Path) -> tuple[dict, list[int]]:
+    """Validate a file's envelope and block table; returns the header and
+    every block's absolute file offset, in header order.
+
+    The only code that knows the readable layouts: ``RPQ3`` blocks start on
+    :data:`BLOCK_ALIGN` boundaries past the aligned data base and record
+    that relative offset; ``RPQ2`` blocks follow the header back to back.
+    Either way the blocks must tile the data section exactly up to the
+    trailer.  Anything else — ``RPQ1`` included — is refused by magic.
     """
     magic = fh.read(4)
-    if magic == MAGIC_V3:
-        version = 3
-    elif magic == MAGIC_V2:
-        version = 2
-    elif magic == MAGIC_V1:
-        version = 1
-    else:
+    if magic not in (MAGIC_V2, MAGIC_V3):
         raise CorruptSnapshotError(
-            source, f"not a columnar snapshot (magic {magic!r})", offset=0
+            source,
+            f"not a readable columnar snapshot (magic {magic!r}; "
+            f"{MAGIC_V2!r} and {MAGIC_V3!r} are read)",
+            offset=0,
         )
-    fh.seek(0, 2)
-    file_len = fh.tell()
+    aligned = magic == MAGIC_V3
+    file_len = fh.seek(0, 2)
+    # the trailer must agree with the real file length before anything
+    # else is trusted — this catches every truncation with one stat
+    if file_len < _PREAMBLE_LEN + _TRAILER_LEN:
+        raise CorruptSnapshotError(
+            source, f"file too short ({file_len} bytes)", offset=file_len
+        )
+    fh.seek(file_len - _TRAILER_LEN)
+    recorded_len = int.from_bytes(
+        _read_exact(fh, 8, source, "length trailer"), "little"
+    )
+    end_magic = _read_exact(fh, 4, source, "end magic")
+    if end_magic != END_MAGIC or recorded_len != file_len:
+        raise CorruptSnapshotError(
+            source,
+            f"trailer mismatch: recorded length {recorded_len}, end magic "
+            f"{end_magic!r}, actual length {file_len} (truncated or torn write)",
+            offset=file_len - _TRAILER_LEN,
+        )
     fh.seek(4)
     header_len = int.from_bytes(_read_exact(fh, 4, source, "header length"), "little")
-    preamble = 8
-    header_crc = None
-    if version >= 2:
-        header_crc = int.from_bytes(
-            _read_exact(fh, 4, source, "header checksum"), "little"
-        )
-        preamble = 12
-        # the trailer must agree with the real file length before anything
-        # else is trusted — this catches every truncation with one stat
-        if file_len < preamble + _TRAILER_LEN:
-            raise CorruptSnapshotError(
-                source, f"file too short ({file_len} bytes)", offset=file_len
-            )
-        fh.seek(file_len - _TRAILER_LEN)
-        recorded_len = int.from_bytes(
-            _read_exact(fh, 8, source, "length trailer"), "little"
-        )
-        end_magic = _read_exact(fh, 4, source, "end magic")
-        if end_magic != END_MAGIC or recorded_len != file_len:
-            raise CorruptSnapshotError(
-                source,
-                f"trailer mismatch: recorded length {recorded_len}, end magic "
-                f"{end_magic!r}, actual length {file_len} (truncated or torn write)",
-                offset=file_len - _TRAILER_LEN,
-            )
-        fh.seek(preamble)
-    if header_len <= 0 or preamble + header_len > file_len:
+    header_crc = int.from_bytes(
+        _read_exact(fh, 4, source, "header checksum"), "little"
+    )
+    if header_len <= 0 or _PREAMBLE_LEN + header_len > file_len:
         raise CorruptSnapshotError(
             source,
             f"implausible header length {header_len} for a {file_len}-byte file",
             offset=4,
         )
     header_bytes = _read_exact(fh, header_len, source, "header")
-    if header_crc is not None and zlib.crc32(header_bytes) != header_crc:
+    if zlib.crc32(header_bytes) != header_crc:
         raise CorruptSnapshotError(
-            source, "header checksum mismatch", offset=preamble
+            source, "header checksum mismatch", offset=_PREAMBLE_LEN
         )
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise CorruptSnapshotError(
-            source, f"header is not valid JSON ({exc})", offset=preamble
+            source, f"header is not valid JSON ({exc})", offset=_PREAMBLE_LEN
         ) from exc
-    if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
+    problem = _header_problem(header, aligned)
+    if problem is not None:
         raise CorruptSnapshotError(
-            source, f"header missing required keys {_HEADER_KEYS}", offset=preamble
+            source, f"malformed header: {problem}", offset=_PREAMBLE_LEN
         )
-    metas = header["columns"]
-    required = _META_KEYS + ("offset",) if version >= 3 else _META_KEYS
-    if not isinstance(metas, list) or not all(
-        isinstance(m, dict) and all(k in m for k in required) for m in metas
-    ):
-        raise CorruptSnapshotError(
-            source, "header column table is malformed", offset=preamble
-        )
-    data_start = preamble + header_len
-    if version == 2:
-        data_end = file_len - _TRAILER_LEN
-        blocks_len = sum(int(m["stored_bytes"]) for m in metas)
-        if data_start + blocks_len != data_end:
-            raise CorruptSnapshotError(
-                source,
-                f"block lengths sum to {blocks_len} but data section is "
-                f"{data_end - data_start} bytes",
-                offset=data_start,
-            )
-    elif version >= 3:
-        data_start = _align_up(data_start)
-        data_end = file_len - _TRAILER_LEN
-        rel = 0
-        for m in metas:
-            if int(m["offset"]) != rel:
-                raise CorruptSnapshotError(
-                    source,
-                    f"column {m.get('name')!r}: recorded offset {m['offset']} "
-                    f"disagrees with the computed block layout ({rel})",
-                    offset=data_start + rel,
-                )
-            rel = _align_up(rel + int(m["stored_bytes"]))
-        if data_start + rel != data_end:
-            raise CorruptSnapshotError(
-                source,
-                f"aligned blocks span {rel} bytes but data section is "
-                f"{data_end - data_start} bytes",
-                offset=data_start,
-            )
-    return header, data_start, version
-
-
-def _block_offsets(header: dict, data_start: int, version: int) -> list[int]:
-    """Absolute file offset of every column block, in header order."""
-    if version >= 3:
-        return [data_start + int(m["offset"]) for m in header["columns"]]
+    base = _PREAMBLE_LEN + header_len
+    if aligned:
+        base = _align_up(base)
+    pos = base
     offsets = []
-    offset = data_start
-    for m in header["columns"]:
-        offsets.append(offset)
-        offset += int(m["stored_bytes"])
-    return offsets
+    for meta in header["columns"]:
+        if aligned and base + meta["offset"] != pos:
+            raise CorruptSnapshotError(
+                source,
+                f"column {meta['name']!r}: recorded offset {meta['offset']} "
+                f"disagrees with the computed block layout ({pos - base})",
+                offset=pos,
+            )
+        offsets.append(pos)
+        pos += meta["stored_bytes"]
+        if aligned:
+            pos = _align_up(pos)
+    data_end = file_len - _TRAILER_LEN
+    if pos != data_end:
+        raise CorruptSnapshotError(
+            source,
+            f"blocks span {pos - base} bytes but the data section is "
+            f"{data_end - base} bytes",
+            offset=base,
+        )
+    return header, offsets
+
+
+def _read_block(fh: BinaryIO, source: str | Path, meta: dict, offset: int) -> bytes:
+    """The stored bytes of one block located by :func:`_read_header`."""
+    fh.seek(offset)
+    return _read_exact(fh, meta["stored_bytes"], source, f"block {meta['name']!r}")
 
 
 def read_columnar_header(source: str | Path) -> dict:
     """Read and fully validate only the header (label, timestamp, rows).
 
     Cheap (no column block is decompressed) yet strict: magic, length
-    fields, the header CRC, the total-length trailer, and (v3) the aligned
-    block layout are all checked, so truncated and torn files are rejected
-    here — before a :class:`~repro.scan.store.DiskSnapshotCollection` ever
-    indexes them.
+    fields, the header CRC, the total-length trailer, the type of every
+    block-table field, and the block layout are all checked, so truncated,
+    torn and malformed files are rejected here — before a
+    :class:`~repro.scan.store.DiskSnapshotCollection` ever indexes them.
     """
     with open(source, "rb") as fh:
-        header, _, _ = _read_header(fh, source)
-    try:
-        return {
-            "label": str(header["label"]),
-            "timestamp": int(header["timestamp"]),
-            "rows": int(header["rows"]),
-        }
-    except (TypeError, ValueError) as exc:
-        raise CorruptSnapshotError(
-            source, f"header fields have wrong types ({exc})"
-        ) from exc
+        header, _ = _read_header(fh, source)
+    return {key: header[key] for key in ("label", "timestamp", "rows")}
 
 
 def _decode_strtab(
-    blob: bytes, meta: dict, header: dict, source: str | Path, offset: int
+    blob: bytes, meta: dict, rows: int, source: str | Path, offset: int
 ) -> list[str]:
+    """Decode a ``strtab-zlib`` path table that must hold ``rows`` strings."""
+    name = meta["name"]
     if zlib.crc32(blob) != meta["crc32"]:
         raise CorruptSnapshotError(
-            source, "path table: checksum mismatch", offset=offset
+            source, f"path table {name!r}: checksum mismatch", offset=offset
         )
     try:
         text = zlib.decompress(blob).decode("utf-8")
     except (zlib.error, UnicodeDecodeError) as exc:
         raise CorruptSnapshotError(
-            source, f"path table: undecodable ({exc})", offset=offset
+            source, f"path table {name!r}: undecodable ({exc})", offset=offset
         ) from exc
     strings = text.split("\n") if text else []
-    if len(strings) != int(header["rows"]):
+    if len(strings) != rows:
         raise CorruptSnapshotError(
-            source, f"{len(strings)} paths for {header['rows']} rows"
+            source, f"path table {name!r}: {len(strings)} paths for {rows} rows",
+            offset=offset,
         )
     return strings
+
+
+def _read_prologue(
+    fh: BinaryIO, source: str | Path
+) -> tuple[dict, list[str], dict[str, tuple[dict, int]]]:
+    """The front half every snapshot reader shares.
+
+    Validates the header, decodes the path table, and locates every other
+    block; returns ``(header, path strings, {name: (meta, offset)})``.  A
+    file without a path table or missing a stored numeric column is
+    refused here, before any column decodes or any path is interned.
+    """
+    header, offsets = _read_header(fh, source)
+    strings: list[str] | None = None
+    blocks: dict[str, tuple[dict, int]] = {}
+    for meta, offset in zip(header["columns"], offsets):
+        if meta["codec"] == "strtab-zlib":
+            blob = _read_block(fh, source, meta, offset)
+            strings = _decode_strtab(blob, meta, header["rows"], source, offset)
+        else:
+            blocks[meta["name"]] = (meta, offset)
+    if strings is None:
+        raise CorruptSnapshotError(source, "missing path table block")
+    missing = [name for name in _STORED_COLUMNS if name not in blocks]
+    if missing:
+        raise CorruptSnapshotError(source, f"missing column blocks {missing}")
+    return header, strings, blocks
 
 
 def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:
     """Load a columnar snapshot eagerly, re-interning its paths into ``paths``."""
     with open(source, "rb") as fh:
-        header, data_start, version = _read_header(fh, source)
-        offsets = _block_offsets(header, data_start, version)
-        columns: dict[str, np.ndarray] = {}
-        path_strings: list[str] | None = None
-        for meta, offset in zip(header["columns"], offsets):
-            fh.seek(offset)
-            blob = _read_exact(
-                fh, int(meta["stored_bytes"]), source, f"column {meta['name']!r}"
+        header, strings, blocks = _read_prologue(fh, source)
+        columns = {
+            name: _decode_column(
+                _read_block(fh, source, meta, offset), meta, source, offset
             )
-            if meta["codec"] == "strtab-zlib":
-                path_strings = _decode_strtab(blob, meta, header, source, offset)
-            else:
-                columns[meta["name"]] = _decode_column(blob, meta, source, offset)
-    if path_strings is None:
-        raise CorruptSnapshotError(source, "missing path table block")
-    missing = [
-        name for name in NUMERIC_COLUMNS if name != "path_id" and name not in columns
-    ]
-    if missing:
-        raise CorruptSnapshotError(source, f"missing column blocks {missing}")
-    columns["path_id"] = paths.intern_many(path_strings)
+            for name, (meta, offset) in blocks.items()
+        }
+    columns["path_id"] = paths.intern_many(strings)
     cast = {
         name: np.ascontiguousarray(columns[name], dtype=COLUMN_DTYPES[name])
         for name in NUMERIC_COLUMNS
     }
-    try:
-        timestamp = int(header["timestamp"])
-    except (TypeError, ValueError) as exc:
-        raise CorruptSnapshotError(
-            source, f"timestamp is not an integer ({exc})"
-        ) from exc
     return Snapshot(
         label=header["label"],
-        timestamp=timestamp,
+        timestamp=header["timestamp"],
         paths=paths,
         **cast,
     )
@@ -576,16 +551,8 @@ def read_columnar_paths(source: str | Path, paths: PathTable) -> np.ndarray:
     snapshots, keeping path ids consistent across a crash boundary.
     """
     with open(source, "rb") as fh:
-        header, data_start, version = _read_header(fh, source)
-        offsets = _block_offsets(header, data_start, version)
-        for meta, offset in zip(header["columns"], offsets):
-            if meta["codec"] != "strtab-zlib":
-                continue
-            fh.seek(offset)
-            blob = _read_exact(fh, int(meta["stored_bytes"]), source, "path table")
-            strings = _decode_strtab(blob, meta, header, source, offset)
-            return paths.intern_many(strings)
-    raise CorruptSnapshotError(source, "missing path table block")
+        _, strings, _ = _read_prologue(fh, source)
+    return paths.intern_many(strings)
 
 
 # -- lazy read path ---------------------------------------------------------
@@ -598,7 +565,7 @@ class LazySnapshot(Snapshot):
     eagerly (interning order must match an eager load exactly) and the
     row-sort permutation is captured once from ``path_id``; every other
     numeric column stays on disk until an analysis touches the attribute.
-    For v3 ``raw`` blocks the decoded array is a read-only view over a
+    For ``raw`` blocks the decoded array is a read-only view over a
     shared ``mmap`` of the file — zero-copy when the rows were already
     sorted (the archive writer's case), one gather otherwise.  Block CRCs
     are verified on first touch; a failed check raises
@@ -611,14 +578,11 @@ class LazySnapshot(Snapshot):
     :meth:`resident_nbytes` reports what is actually decoded.
     """
 
-    # not a dataclass field: plain attributes assigned in open_columnar
-    _LAZY_COLUMNS = tuple(n for n in NUMERIC_COLUMNS if n != "path_id")
-
     def __getattr__(self, name: str):
         # decoded columns live in _resident (not as instance attributes) so
         # every access passes through here — that is what lets the disk
         # store count block-level hits, not just first-touch misses
-        if name in type(self)._LAZY_COLUMNS:
+        if name in _STORED_COLUMNS:
             arr = self.__dict__["_resident"].get(name)
             if arr is not None:
                 hook = self.__dict__.get("_on_hit")
@@ -686,10 +650,20 @@ class LazySnapshot(Snapshot):
             return arr
 
     def _decode_block(self, name: str, meta: dict, offset: int) -> np.ndarray:
-        stored = int(meta["stored_bytes"])
-        if self._version >= 3 and meta["codec"] == "raw":
+        stored = meta["stored_bytes"]
+        if meta["codec"] == "raw":
+            dtype = np.dtype(meta["dtype"])
+            if stored != meta["rows"] * dtype.itemsize:
+                # frombuffer below reads rows * itemsize bytes: a mismatch
+                # would map bytes outside the checksummed block
+                raise CorruptSnapshotError(
+                    self._source,
+                    f"column {name!r}: {stored} bytes for {meta['rows']} "
+                    f"{dtype} rows",
+                    offset=offset,
+                )
             if stored == 0:
-                return np.empty(0, dtype=np.dtype(meta["dtype"]))
+                return np.empty(0, dtype=dtype)
             mm = self._mapped()
             blob = memoryview(mm)[offset : offset + stored]
             if zlib.crc32(blob) != meta["crc32"]:
@@ -697,18 +671,9 @@ class LazySnapshot(Snapshot):
                     self._source, f"column {name!r}: checksum mismatch",
                     offset=offset,
                 )
-            arr = np.frombuffer(mm, dtype=np.dtype(meta["dtype"]),
-                                count=int(meta["rows"]), offset=offset)
-            if arr.size != int(meta["rows"]):  # pragma: no cover - frombuffer raises first
-                raise CorruptSnapshotError(
-                    self._source,
-                    f"column {name!r}: {arr.size} values for {meta['rows']} rows",
-                    offset=offset,
-                )
-            return arr
+            return np.frombuffer(mm, dtype=dtype, count=meta["rows"], offset=offset)
         with open(self._source, "rb") as fh:
-            fh.seek(offset)
-            blob = _read_exact(fh, stored, self._source, f"column {name!r}")
+            blob = _read_block(fh, self._source, meta, offset)
         return _decode_column(blob, meta, self._source, offset)
 
     def column_nbytes(self) -> int:
@@ -727,7 +692,7 @@ class LazySnapshot(Snapshot):
     def resident_columns(self) -> tuple[str, ...]:
         """Names of the decoded numeric columns (observability/tests)."""
         return ("path_id",) + tuple(
-            n for n in type(self)._LAZY_COLUMNS if n in self.__dict__["_resident"]
+            n for n in _STORED_COLUMNS if n in self.__dict__["_resident"]
         )
 
     def __reduce__(self):  # pragma: no cover - exercised via pickle transport
@@ -757,7 +722,7 @@ def open_columnar(
     load), and the stable row-sort permutation is computed from the
     resulting ``path_id``.  Every *numeric* block decodes only when its
     attribute is first touched; results are bit-identical to
-    :func:`read_columnar` for all container versions.
+    :func:`read_columnar` for both readable layouts.
 
     ``on_decode(name, nbytes)`` fires after each block decode (the disk
     store's byte accounting), ``on_hit(name)`` on every access to an
@@ -773,34 +738,9 @@ def open_columnar(
     """
     src = Path(source)
     with open(src, "rb") as fh:
-        header, data_start, version = _read_header(fh, src)
-        offsets = _block_offsets(header, data_start, version)
-        blocks: dict[str, tuple[dict, int]] = {}
-        path_strings: list[str] | None = None
-        for meta, offset in zip(header["columns"], offsets):
-            if meta["codec"] == "strtab-zlib":
-                fh.seek(offset)
-                blob = _read_exact(
-                    fh, int(meta["stored_bytes"]), src, "path table"
-                )
-                path_strings = _decode_strtab(blob, meta, header, src, offset)
-            else:
-                blocks[meta["name"]] = (meta, offset)
-    if path_strings is None:
-        raise CorruptSnapshotError(src, "missing path table block")
-    missing = [
-        name for name in NUMERIC_COLUMNS if name != "path_id" and name not in blocks
-    ]
-    if missing:
-        raise CorruptSnapshotError(src, f"missing column blocks {missing}")
-    try:
-        timestamp = int(header["timestamp"])
-    except (TypeError, ValueError) as exc:
-        raise CorruptSnapshotError(
-            src, f"timestamp is not an integer ({exc})"
-        ) from exc
+        header, strings, blocks = _read_prologue(fh, src)
     pid = np.ascontiguousarray(
-        paths.intern_many(path_strings), dtype=COLUMN_DTYPES["path_id"]
+        paths.intern_many(strings), dtype=COLUMN_DTYPES["path_id"]
     )
     order: np.ndarray | None = None
     if pid.size and not bool(np.all(pid[1:] >= pid[:-1])):
@@ -810,12 +750,11 @@ def open_columnar(
         pid = pid[order]
     snap = LazySnapshot.__new__(LazySnapshot)
     d = snap.__dict__
-    d["label"] = str(header["label"])
-    d["timestamp"] = timestamp
+    d["label"] = header["label"]
+    d["timestamp"] = header["timestamp"]
     d["paths"] = paths
     d["path_id"] = pid
     d["_source"] = src
-    d["_version"] = version
     d["_blocks"] = blocks
     d["_order"] = order
     d["_resident"] = {}
@@ -834,30 +773,25 @@ def describe_sections(source: str | Path) -> list[tuple[str, int, int]]:
 
     The fault-injection harness uses this to enumerate truncation points
     and per-column corruption targets; it requires a readable file (run it
-    *before* corrupting).  For v1/v2 the sections tile the file; for v3 the
-    inter-block alignment padding is *not* listed — pad bytes carry no
-    data and no checksum, so they are not corruption targets (truncation
-    anywhere is still caught by the length trailer).
+    *before* corrupting).  Sections are ordered and non-overlapping; for
+    ``RPQ2`` they tile the file, for ``RPQ3`` the inter-block alignment
+    padding is *not* listed — pad bytes carry no data and no checksum, so
+    they are not corruption targets (truncation anywhere is still caught
+    by the length trailer).
     """
     with open(source, "rb") as fh:
-        header, data_start, version = _read_header(fh, source)
-        fh.seek(0, 2)
-        file_len = fh.tell()
+        header, offsets = _read_header(fh, source)
         fh.seek(4)
         header_len = int.from_bytes(fh.read(4), "little")
-    preamble_crc = 4 if version >= 2 else 0
-    sections = [
+        file_len = fh.seek(0, 2)
+    return [
         ("magic", 0, 4),
         ("header_len", 4, 4),
+        ("header_crc", 8, 4),
+        ("header", _PREAMBLE_LEN, header_len),
+        *(
+            (f"column:{meta['name']}", offset, meta["stored_bytes"])
+            for meta, offset in zip(header["columns"], offsets)
+        ),
+        ("trailer", file_len - _TRAILER_LEN, _TRAILER_LEN),
     ]
-    if version >= 2:
-        sections.append(("header_crc", 8, 4))
-    header_start = 8 + preamble_crc
-    sections.append(("header", header_start, header_len))
-    for meta, offset in zip(
-        header["columns"], _block_offsets(header, data_start, version)
-    ):
-        sections.append((f"column:{meta['name']}", offset, int(meta["stored_bytes"])))
-    if version >= 2:
-        sections.append(("trailer", file_len - _TRAILER_LEN, _TRAILER_LEN))
-    return sections

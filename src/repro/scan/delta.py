@@ -14,12 +14,12 @@ files created *and* deleted between two snapshots appear in neither side,
 so intra-interval churn still needs the changelog
 (:mod:`repro.fs.changelog`), not the sidecar.
 
-Container: the sidecar reuses the ``.rpq`` v2 block machinery verbatim —
+Container: the sidecar reuses the ``.rpq`` block machinery verbatim —
 the same per-block CRCs, the header CRC, the total-length trailer, the
 atomic write — so every truncation/corruption guarantee of
 :mod:`repro.scan.columnar` applies.  Sections (``added`` / ``removed`` /
-``changed``) are encoded as prefixed column blocks plus one ``__delta__``
-JSON block carrying the interval metadata.
+``changed``) are encoded as prefixed compressed column blocks plus one
+``__delta__`` JSON block carrying the interval metadata.
 
 Ordering contract (the byte-identity lynchpin): each section stores rows
 in ascending producer path-id order — a subsequence of the ``.rpq``'s own
@@ -39,7 +39,8 @@ import numpy as np
 from repro.scan.columnar import (
     _COMPRESSION_LEVEL,
     _decode_column,
-    _read_exact,
+    _decode_strtab,
+    _read_block,
     _read_header,
     encode_column,
     path_block_meta,
@@ -238,27 +239,6 @@ def write_delta(delta: SnapshotDelta, dest: str | Path) -> dict:
     return {"raw_bytes": raw_total, "stored_bytes": total}
 
 
-def _decode_strtab(
-    blob: bytes, meta: dict, source: str | Path, offset: int
-) -> list[str]:
-    if zlib.crc32(blob) != meta["crc32"]:
-        raise CorruptSnapshotError(
-            source, f"{meta['name']}: checksum mismatch", offset=offset
-        )
-    try:
-        text = zlib.decompress(blob).decode("utf-8")
-    except (zlib.error, UnicodeDecodeError) as exc:
-        raise CorruptSnapshotError(
-            source, f"{meta['name']}: undecodable ({exc})", offset=offset
-        ) from exc
-    strings = text.split("\n") if text else []
-    if len(strings) != int(meta["rows"]):
-        raise CorruptSnapshotError(
-            source, f"{meta['name']}: {len(strings)} paths for {meta['rows']} rows"
-        )
-    return strings
-
-
 def read_delta(source: str | Path, paths: PathTable) -> SnapshotDelta:
     """Load a delta sidecar, re-interning its paths into ``paths``.
 
@@ -268,14 +248,12 @@ def read_delta(source: str | Path, paths: PathTable) -> SnapshotDelta:
     the id-assignment a full snapshot load would have produced.
     """
     with open(source, "rb") as fh:
-        header, offset, _ = _read_header(fh, source)
+        header, offsets = _read_header(fh, source)
         info: dict | None = None
         strtabs: dict[str, list[str]] = {}
         columns: dict[str, np.ndarray] = {}
-        for meta in header["columns"]:
-            blob = _read_exact(
-                fh, int(meta["stored_bytes"]), source, f"block {meta['name']!r}"
-            )
+        for meta, offset in zip(header["columns"], offsets):
+            blob = _read_block(fh, source, meta, offset)
             name = meta["name"]
             if meta["codec"] == "json-zlib":
                 if zlib.crc32(blob) != meta["crc32"]:
@@ -291,10 +269,11 @@ def read_delta(source: str | Path, paths: PathTable) -> SnapshotDelta:
                         offset=offset,
                     ) from exc
             elif meta["codec"] == "strtab-zlib":
-                strtabs[name] = _decode_strtab(blob, meta, source, offset)
+                strtabs[name] = _decode_strtab(
+                    blob, meta, meta["rows"], source, offset
+                )
             else:
                 columns[name] = _decode_column(blob, meta, source, offset)
-            offset += int(meta["stored_bytes"])
     if not isinstance(info, dict) or any(k not in info for k in _DELTA_KEYS):
         raise CorruptSnapshotError(
             source, f"not a delta sidecar (missing {_DELTA_BLOCK} metadata)"

@@ -150,7 +150,6 @@ def merge_shard_parts(
     on_error: str = "raise",
     report: ArchiveHealthReport | None = None,
     deltas: bool = True,
-    format_version: int | None = None,
     sharding_meta: dict | None = None,
 ) -> list[dict]:
     """Probe, merge, and publish the shard parts under ``dest``.
@@ -174,14 +173,13 @@ def merge_shard_parts(
     table = PathTable()
     prev: Snapshot | None = None
     records: list[dict] = []
-    kwargs = {} if format_version is None else {"format_version": format_version}
     for i, label in enumerate(labels):
         parts = [
             read_columnar(shard_part_path(parts_root, shard, label), table)
             for shard in merged_shards
         ]
         merged = _merge_week(label, parts, merged_shards, table)
-        stats = write_columnar(merged, dest / f"{label}.rpq", **kwargs)
+        stats = write_columnar(merged, dest / f"{label}.rpq")
         if deltas and prev is not None:
             write_delta(compute_delta(prev, merged), sidecar_path(dest, label))
         records.append(

@@ -156,7 +156,6 @@ def simulate_shard(
     *,
     attempt: int = 1,
     fault: ShardFault | None = None,
-    format_version: int | None = None,
     controller: RunController | None = None,
 ) -> list[dict]:
     """Simulate one shard's full window, streaming scans to ``.rpq`` parts.
@@ -208,11 +207,7 @@ def simulate_shard(
             path = shard_part_path(parts_root, shard, outcome.label)
             record = done.get(scan_index)
             if record is None or not path.exists():
-                kwargs = (
-                    {} if format_version is None
-                    else {"format_version": format_version}
-                )
-                stats = write_columnar(outcome.snapshot, path, **kwargs)
+                stats = write_columnar(outcome.snapshot, path)
                 record = {
                     "label": outcome.label,
                     "file": path.name,
@@ -240,17 +235,9 @@ def shard_worker_entry(
     parts_root: str,
     attempt: int,
     fault: ShardFault | None,
-    format_version: int | None,
 ) -> None:
     """Picklable worker target for the spawn-capable supervisor."""
-    simulate_shard(
-        plan,
-        shard,
-        parts_root,
-        attempt=attempt,
-        fault=fault,
-        format_version=format_version,
-    )
+    simulate_shard(plan, shard, parts_root, attempt=attempt, fault=fault)
 
 
 @dataclass
@@ -279,7 +266,6 @@ def run_sharded(
     faults: list[ShardFault] | None = None,
     on_error: str = "raise",
     deltas: bool = True,
-    format_version: int | None = None,
     on_supervisor=None,
 ) -> ShardRunResult:
     """Simulate ``config`` over ``n_shards`` shards and merge the archive.
@@ -308,7 +294,6 @@ def run_sharded(
         controller=controller,
         faults=faults,
         on_error=on_error,
-        format_version=format_version,
     )
     if on_supervisor is not None:
         on_supervisor(sup)
@@ -338,7 +323,6 @@ def run_sharded(
         on_error=on_error,
         report=health,
         deltas=deltas,
-        format_version=format_version,
         sharding_meta={
             "n_shards": n_shards,
             "quarantined": sorted(quarantined),

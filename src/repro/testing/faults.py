@@ -91,7 +91,7 @@ def padding_spans(path: str | Path) -> list[tuple[int, int]]:
     and no CRC — the corruption sweep's only deliberate blind spots.
     Flipping a pad byte must leave every decoded array byte-identical
     (the pads are not data), while truncating inside one must still raise
-    typed (the trailer's total-length check).  Empty for v1/v2 files,
+    typed (the trailer's total-length check).  Empty for legacy v2 files,
     whose sections tile the file exactly.
     """
     size = os.path.getsize(path)

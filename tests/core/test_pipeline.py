@@ -50,34 +50,6 @@ def test_pipeline_archive_round_trip(pipeline_and_report, tmp_path):
     assert len(snap) > 0
 
 
-def test_archive_format_version_selects_container(pipeline_and_report, tmp_path):
-    from repro.scan.columnar import MAGIC_V2, MAGIC_V3
-
-    pipeline, _ = pipeline_and_report
-    pipeline.archive(tmp_path / "v3", max_snapshots=1)
-    pipeline.archive(tmp_path / "v2", max_snapshots=1, format_version=2)
-    [v3_file] = (tmp_path / "v3").glob("*.rpq")
-    [v2_file] = (tmp_path / "v2").glob("*.rpq")
-    assert v3_file.read_bytes()[:4] == MAGIC_V3
-    assert v2_file.read_bytes()[:4] == MAGIC_V2
-
-
-def test_cli_format_version_flag(tmp_path, capsys):
-    from repro.core.cli import main
-    from repro.scan.columnar import MAGIC_V2
-
-    arch = tmp_path / "arch"
-    rc = main(
-        ["--scale", "1.5e-6", "--weeks", "5", "--seed", "31",
-         "--burstiness-min-files", "3", "--analyses", "growth",
-         "--archive-dir", str(arch), "--format-version", "2"]
-    )
-    assert rc == 0
-    capsys.readouterr()
-    files = sorted(arch.glob("*.rpq"))
-    assert files and all(f.read_bytes()[:4] == MAGIC_V2 for f in files)
-
-
 def test_cli_main_runs(tmp_path, capsys):
     from repro.core.cli import main
 

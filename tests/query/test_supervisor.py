@@ -9,6 +9,8 @@ merged archive is byte-identical to the inline (workers=0) reference run.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing as mp
+import os
 import warnings
 from pathlib import Path
 
@@ -35,6 +37,20 @@ CONFIG = SimulationConfig(
 N_SHARDS = 3
 
 
+def _worker_start_method() -> str:
+    """A process start method for tests whose subject is a worker process.
+
+    ``SupervisorConfig.start_method`` outranks ``REPRO_START_METHOD``, so
+    pinning it keeps a real worker under the serial leg (which would run
+    shards inline — and SIGKILL the test process itself), while the spawn
+    leg keeps spawn coverage.
+    """
+    method = os.environ.get(START_METHOD_ENV, "").strip().lower()
+    if method in mp.get_all_start_methods():
+        return method
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
 def archive_digest(directory: Path) -> dict[str, str]:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -57,7 +73,9 @@ def test_sigkill_mid_shard_resumes_byte_identical(tmp_path, baseline) -> None:
         CONFIG,
         N_SHARDS,
         out,
-        workers=2,
+        supervisor=SupervisorConfig(
+            workers=2, start_method=_worker_start_method()
+        ),
         faults=[shard_kill(1, after_weeks=2)],
     )
     assert result.stats.restarts >= 1
@@ -76,9 +94,9 @@ def test_straggler_deadline_restart_byte_identical(tmp_path, baseline) -> None:
             CONFIG,
             N_SHARDS,
             out,
-            workers=2,
             supervisor=SupervisorConfig(
                 workers=2,
+                start_method=_worker_start_method(),
                 stall_timeout_seconds=0.3,
                 shard_max_seconds=2.0,
                 poll_seconds=0.02,
@@ -100,8 +118,9 @@ def test_persistent_crash_quarantines_under_skip(tmp_path, baseline) -> None:
             CONFIG,
             N_SHARDS,
             out,
-            workers=2,
-            supervisor=SupervisorConfig(workers=2, max_attempts=2),
+            supervisor=SupervisorConfig(
+                workers=2, start_method=_worker_start_method(), max_attempts=2
+            ),
             faults=[shard_kill(0, after_weeks=1, attempts=99)],
             on_error="skip",
         )
@@ -126,8 +145,9 @@ def test_persistent_crash_fails_fast_under_raise(tmp_path) -> None:
             CONFIG,
             N_SHARDS,
             tmp_path / "archive",
-            workers=2,
-            supervisor=SupervisorConfig(workers=2, max_attempts=2),
+            supervisor=SupervisorConfig(
+                workers=2, start_method=_worker_start_method(), max_attempts=2
+            ),
             faults=[shard_kill(1, after_weeks=1, attempts=99)],
         )
     assert excinfo.value.shard == 1
@@ -135,22 +155,28 @@ def test_persistent_crash_fails_fast_under_raise(tmp_path) -> None:
     assert "exit code -9" in excinfo.value.reason
 
 
-def test_global_deadline_interrupts_then_resumes(tmp_path, baseline) -> None:
+@pytest.mark.parametrize("workers", [0, 2])
+def test_global_deadline_interrupts_then_resumes(
+    tmp_path, baseline, workers
+) -> None:
     """An expired global deadline cancels the run with a resume hint; the
-    re-run picks up the journaled shards and lands on the baseline bytes."""
+    re-run picks up the journaled shards and lands on the baseline bytes.
+    Inline (workers=0) and process runs stop with the same error."""
     out = tmp_path / "archive"
     with pytest.raises(RunInterrupted) as excinfo:
         run_sharded(
             CONFIG,
             N_SHARDS,
             out,
-            workers=2,
+            workers=workers,
             controller=RunController(max_seconds=0),
         )
     assert "sharded simulation interrupted" in str(excinfo.value)
+    assert f"0/{N_SHARDS} shards completed" in str(excinfo.value)
+    assert excinfo.value.partial.n_shards == N_SHARDS
     assert excinfo.value.resume_hint
     assert "journals" in excinfo.value.resume_hint
-    result = run_sharded(CONFIG, N_SHARDS, out, workers=2)
+    result = run_sharded(CONFIG, N_SHARDS, out, workers=workers)
     assert result.stats.completed == N_SHARDS
     assert archive_digest(out) == baseline
 

@@ -1,11 +1,12 @@
-"""v1/v2/v3 compatibility matrix for the ``.rpq`` container.
+"""Compatibility matrix for the two readable ``.rpq`` layouts.
 
-One snapshot, written in every container version the codebase has ever
-produced (v1 hand-written — the writer no longer emits it), must round-trip
-to identical values through every reader entry point: ``read_columnar``
-(eager), ``open_columnar`` (lazy / mmap-backed for v3),
-``read_columnar_paths`` (interning replay), ``read_columnar_header``, and
-``describe_sections`` (the fault harness's map of the file).
+One snapshot, in the ``RPQ3`` layout every writer emits and in the legacy
+``RPQ2`` layout older archives hold (rewritten from the ``RPQ3`` file — no
+writer emits it any more), must round-trip to identical values through
+every reader entry point: ``read_columnar`` (eager), ``open_columnar``
+(lazy / mmap-backed for raw blocks), ``read_columnar_paths`` (interning
+replay), ``read_columnar_header``, and ``describe_sections`` (the fault
+harness's map of the file).  The pre-checksum ``RPQ1`` layout is refused.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 
 from repro.scan.columnar import (
     BLOCK_ALIGN,
-    MAGIC_V1,
     MAGIC_V2,
     MAGIC_V3,
     describe_sections,
@@ -23,34 +23,52 @@ from repro.scan.columnar import (
     read_columnar_paths,
     write_columnar,
 )
+from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
 from repro.scan.snapshot import NUMERIC_COLUMNS
 
-from tests.scan.test_faults import _make_snapshot, _write_v1
+from tests.scan.test_faults import _make_snapshot, _rewrite_as_rpq2
 
-VERSIONS = ("v1", "v2", "v3")
+VERSIONS = ("v2", "v3")
 
 
 @pytest.fixture(scope="module")
 def matrix(tmp_path_factory):
-    """The same snapshot serialized under every container version."""
+    """The same snapshot serialized in both readable layouts."""
     root = tmp_path_factory.mktemp("versions")
     snap = _make_snapshot(n_rows=9)
-    files = {}
-    _write_v1(snap, root / "v1.rpq")
-    files["v1"] = root / "v1.rpq"
-    for version in (2, 3):
-        dest = root / f"v{version}.rpq"
-        write_columnar(snap, dest, format_version=version)
-        files[f"v{version}"] = dest
+    files = {"v2": root / "v2.rpq", "v3": root / "v3.rpq"}
+    write_columnar(snap, files["v3"])
+    _rewrite_as_rpq2(files["v3"], files["v2"])
     return files, snap
 
 
 def test_magic_per_version(matrix):
     files, _ = matrix
-    assert files["v1"].read_bytes()[:4] == MAGIC_V1
     assert files["v2"].read_bytes()[:4] == MAGIC_V2
     assert files["v3"].read_bytes()[:4] == MAGIC_V3
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        read_columnar_header,
+        describe_sections,
+        lambda path: read_columnar(path, PathTable()),
+        lambda path: open_columnar(path, PathTable()),
+        lambda path: read_columnar_paths(path, PathTable()),
+    ],
+    ids=["header", "sections", "eager", "lazy", "paths"],
+)
+def test_rpq1_is_refused(matrix, tmp_path, read):
+    """``RPQ1`` (no header CRC, no trailer) is refused by magic, typed."""
+    files, _ = matrix
+    blob = files["v2"].read_bytes()
+    # RPQ1 was RPQ2 without the header CRC and the length trailer
+    legacy = tmp_path / "v1.rpq"
+    legacy.write_bytes(b"RPQ1" + blob[4:8] + blob[12:-12])
+    with pytest.raises(CorruptSnapshotError, match="RPQ1"):
+        read(legacy)
 
 
 @pytest.mark.parametrize("version", VERSIONS)

@@ -5,27 +5,31 @@ corruption of a ``.rpq`` file surfaces as a typed
 :class:`~repro.scan.errors.CorruptSnapshotError` carrying the file, offset,
 and reason — never a cryptic decoder exception, never silently wrong
 arrays.  This suite sweeps every section boundary (truncation) and every
-section (bit flips) enumerated by the fault harness, plus the legacy
-version-1 layout, which must stay readable.
+section (bit flips) enumerated by the fault harness, in both readable
+layouts: ``RPQ3``, which every writer emits, and the legacy ``RPQ2``,
+which older archives and sidecars hold.
 """
 
 import json
 import shutil
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.scan.columnar import (
-    MAGIC_V1,
+    BLOCK_ALIGN,
+    END_MAGIC,
     MAGIC_V2,
     MAGIC_V3,
-    _encode_column,
     describe_sections,
+    encode_column,
     open_columnar,
     path_block_meta,
     read_columnar,
     read_columnar_header,
+    read_columnar_paths,
     write_columnar,
     write_columnar_blocks,
 )
@@ -76,11 +80,63 @@ def _make_snapshot(n_rows: int = 5) -> Snapshot:
     return Snapshot(label="w0", timestamp=1000, paths=paths, **columns)
 
 
-@pytest.fixture(params=[2, 3], ids=["v2", "v3"])
+def _split(blob: bytes) -> tuple[dict, int]:
+    """The JSON header of a container and where its data section starts."""
+    header_len = int.from_bytes(blob[4:8], "little")
+    base = 12 + header_len
+    if blob[:4] == MAGIC_V3:
+        base = -(-base // BLOCK_ALIGN) * BLOCK_ALIGN
+    return json.loads(blob[12 : 12 + header_len]), base
+
+
+def _envelope(magic: bytes, header: dict, data: bytes) -> bytes:
+    """``data`` wrapped in a container: preamble with header CRC, header,
+    alignment padding for ``RPQ3``, and the total-length trailer."""
+    header_bytes = json.dumps(header).encode("utf-8")
+    head = (
+        magic
+        + len(header_bytes).to_bytes(4, "little")
+        + zlib.crc32(header_bytes).to_bytes(4, "little")
+        + header_bytes
+    )
+    if magic == MAGIC_V3:
+        head += b"\0" * (-len(head) % BLOCK_ALIGN)
+    total = len(head) + len(data) + 12
+    return head + data + total.to_bytes(8, "little") + END_MAGIC
+
+
+def _rewrite_as_rpq2(src, dest) -> None:
+    """Rewrite an ``RPQ3`` ``.rpq``/``.rpd`` in the legacy ``RPQ2`` layout.
+
+    ``RPQ2`` is what older writers emitted: blocks back to back after the
+    header, no ``offset`` keys, and snapshot numeric columns compressed with
+    :func:`encode_column` instead of stored ``raw``.  No writer emits it
+    any more, but archives written before ``RPQ3`` hold it, so the readers
+    must keep decoding it.
+    """
+    blob = Path(src).read_bytes()
+    assert blob[:4] == MAGIC_V3
+    header, base = _split(blob)
+    blocks, metas = [], []
+    for meta in header["columns"]:
+        start = base + meta.pop("offset")
+        data = blob[start : start + meta["stored_bytes"]]
+        if meta["codec"] == "raw":
+            values = np.frombuffer(data, dtype=np.dtype(meta["dtype"]))
+            data, meta = encode_column(meta["name"], values)
+        blocks.append(data)
+        metas.append(meta)
+    header["columns"] = metas
+    Path(dest).write_bytes(_envelope(MAGIC_V2, header, b"".join(blocks)))
+
+
+@pytest.fixture(params=["v2", "v3"])
 def valid_rpq(tmp_path, request):
     snap = _make_snapshot()
     dest = tmp_path / "w0.rpq"
-    write_columnar(snap, dest, format_version=request.param)
+    write_columnar(snap, dest)
+    if request.param == "v2":
+        _rewrite_as_rpq2(dest, dest)
     return dest, snap
 
 
@@ -244,7 +300,7 @@ def test_empty_and_tiny_files_raise_typed(tmp_path):
     # by codec name before any decompression, eagerly and on a lazy touch
     snap = _make_snapshot()
     blocks = [
-        _encode_column(name, getattr(snap, name))
+        encode_column(name, getattr(snap, name))
         for name in NUMERIC_COLUMNS
         if name not in ("path_id", "atime")
     ]
@@ -257,11 +313,10 @@ def test_empty_and_tiny_files_raise_typed(tmp_path):
     strings = "\n".join(snap.paths.paths[pid] for pid in snap.path_id)
     str_blob = zlib.compress(strings.encode("utf-8"))
     blocks.append((str_blob, path_block_meta(str_blob, len(snap), len(strings))))
-    for version in (2, 3):
-        foreign = tmp_path / f"lz4-v{version}.rpq"
-        write_columnar_blocks(
-            foreign, "w0", 1000, len(snap), blocks, format_version=version
-        )
+    v3, v2 = tmp_path / "lz4-v3.rpq", tmp_path / "lz4-v2.rpq"
+    write_columnar_blocks(v3, "w0", 1000, len(snap), blocks)
+    _rewrite_as_rpq2(v3, v2)
+    for foreign in (v2, v3):
         with pytest.raises(CorruptSnapshotError, match="unknown codec 'lz4'"):
             read_columnar(foreign, PathTable())
         lazy = open_columnar(foreign, PathTable())
@@ -291,86 +346,101 @@ def test_describe_sections_tile_the_file(valid_rpq):
         assert offset == dest.stat().st_size
 
 
-# -- legacy v1 files ---------------------------------------------------------
+def test_every_writer_emits_rpq3(tmp_path):
+    """Snapshots, delta sidecars and ingested dumps share one written
+    layout; ``RPQ2`` is only ever read."""
+    from repro.ingest import ingest_trace
 
-
-def _write_v1(snapshot: Snapshot, dest) -> None:
-    """Hand-write the pre-trailer RPQ1 layout (what old archives hold)."""
-    blocks, metas = [], []
-    for name in NUMERIC_COLUMNS:
-        if name == "path_id":
-            continue
-        blob, meta = _encode_column(name, getattr(snapshot, name))
-        blocks.append(blob)
-        metas.append(meta)
-    strings = "\n".join(
-        snapshot.paths.paths[pid] for pid in snapshot.path_id
-    )
-    str_blob = zlib.compress(strings.encode("utf-8"), 6)
-    metas.append(
-        {
-            "name": "__paths__", "codec": "strtab-zlib",
-            "rows": int(snapshot.path_id.size), "raw_bytes": len(strings),
-            "stored_bytes": len(str_blob), "crc32": zlib.crc32(str_blob),
-        }
-    )
-    blocks.append(str_blob)
-    header = json.dumps(
-        {
-            "label": snapshot.label, "timestamp": snapshot.timestamp,
-            "rows": len(snapshot), "columns": metas,
-        }
-    ).encode("utf-8")
-    with open(dest, "wb") as fh:
-        fh.write(MAGIC_V1)
-        fh.write(len(header).to_bytes(4, "little"))
-        fh.write(header)
-        for blob in blocks:
-            fh.write(blob)
-
-
-def test_legacy_v1_file_still_reads(tmp_path):
     snap = _make_snapshot()
-    dest = tmp_path / "legacy.rpq"
-    _write_v1(snap, dest)
-    header = read_columnar_header(dest)
-    assert header == {"label": "w0", "timestamp": 1000, "rows": len(snap)}
-    loaded = read_columnar(dest, PathTable())
-    assert len(loaded) == len(snap)
-    np.testing.assert_array_equal(loaded.atime, snap.atime)
-    assert loaded.path_strings() == [
-        snap.paths.paths[p] for p in snap.path_id
+    write_columnar(snap, tmp_path / "w0.rpq")
+    sidecar = _make_delta_sidecar(tmp_path)
+    src = tmp_path / "traces" / "20150105.psv"
+    src.parent.mkdir()
+    src.write_text(
+        "".join(
+            f"/s/p/u/f{i}.dat|1420000000|1419000000|1419500000|10|20|100644"
+            f"|{i + 1}|3:1a\n"
+            for i in range(3)
+        )
+    )
+    ingest_trace(src.parent, tmp_path / "ingested")
+    written = [
+        tmp_path / "w0.rpq", sidecar,
+        *sorted((tmp_path / "ingested").glob("*.rpq")),
+        *sorted((tmp_path / "ingested").glob("*.rpd")),
     ]
+    assert len(written) == 3
+    assert {path.read_bytes()[:4] for path in written} == {MAGIC_V3}
 
 
-def test_legacy_v1_block_corruption_still_detected(tmp_path):
-    """v1 has no trailer, but its per-block CRCs still catch bit flips."""
-    snap = _make_snapshot()
-    dest = tmp_path / "legacy.rpq"
-    _write_v1(snap, dest)
-    sections = describe_sections(dest)
-    col = next(s for s in sections if s[0].startswith("column:"))
-    bit_flip(dest, col[1] + col[2] // 2)
-    with pytest.raises(CorruptSnapshotError, match="checksum"):
-        read_columnar(dest, PathTable())
+# -- malformed block tables --------------------------------------------------
 
 
-def test_write_magic_per_format_version(tmp_path):
-    snap = _make_snapshot()
-    default = tmp_path / "default.rpq"
-    write_columnar(snap, default)
-    assert default.read_bytes()[:4] == MAGIC_V3  # new archives are v3
-    pinned = tmp_path / "pinned.rpq"
-    write_columnar(snap, pinned, format_version=2)
-    assert pinned.read_bytes()[:4] == MAGIC_V2
-    with pytest.raises(ValueError):
-        write_columnar(snap, tmp_path / "bad.rpq", format_version=4)
+def _with_block_field(src, dest, field: str, value) -> None:
+    """Copy a container, setting ``field`` of its first numeric block.
+
+    The header CRC and trailer are recomputed and the blocks keep their
+    place in the layout, so only the bad field can make a reader refuse it.
+    """
+    blob = Path(src).read_bytes()
+    header, base = _split(blob)
+    next(m for m in header["columns"] if "dtype" in m)[field] = value
+    Path(dest).write_bytes(_envelope(blob[:4], header, blob[base:-12]))
+
+
+def _touch_every_column(path):
+    snap = open_columnar(path, PathTable())
+    for col in NUMERIC_COLUMNS:
+        np.asarray(getattr(snap, col))
+
+
+def _read_sidecar(path):
+    from repro.scan.delta import read_delta
+
+    read_delta(path, PathTable())
+
+
+_ENTRY_POINTS = {
+    "header": read_columnar_header,
+    "eager": lambda path: read_columnar(path, PathTable()),
+    "paths": lambda path: read_columnar_paths(path, PathTable()),
+    "lazy": _touch_every_column,
+    "delta": _read_sidecar,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("offset", "x"),
+        ("stored_bytes", None),
+        ("rows", "x"),
+        ("name", ["x"]),
+        ("dtype", "object"),
+    ],
+    ids=["offset", "stored_bytes", "rows", "name", "dtype"],
+)
+def test_malformed_block_table_raises_typed(tmp_path, field, value, entry):
+    """A block-table entry of the wrong type — behind a valid header CRC —
+    is refused with CorruptSnapshotError by every entry point, so the
+    store's skip/quarantine policies catch it like any other corruption."""
+    if entry == "delta":
+        src = _make_delta_sidecar(tmp_path)
+    else:
+        src = tmp_path / "w0.rpq"
+        write_columnar(_make_snapshot(), src)
+    victim = tmp_path / f"bad{src.suffix}"
+    _with_block_field(src, victim, field, value)
+    with pytest.raises(CorruptSnapshotError) as err:
+        _ENTRY_POINTS[entry](victim)
+    assert err.value.path == str(victim)
 
 
 # -- sweep: .rpd delta sidecars ----------------------------------------------
 #
-# The sidecar reuses the .rpq v2 block machinery (per-block CRCs, header
-# CRC, total-length trailer), so the same harness enumerates its sections.
+# The sidecar is an .rpq container (per-block CRCs, header CRC, aligned
+# blocks, total-length trailer), so the same harness enumerates its sections.
 # Contract: any truncation or bit flip surfaces as a typed
 # CorruptSnapshotError from read_delta — never garbage rows handed to the
 # replay path — and find_delta_chain(validate=True) refuses the chain with

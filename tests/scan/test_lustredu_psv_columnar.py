@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fs.filesystem import FileSystem
-from repro.scan.columnar import read_columnar, write_columnar
+from repro.scan.columnar import describe_sections, read_columnar, write_columnar
 from repro.scan.lustredu import LustreDuScanner
 from repro.scan.paths import PathTable
 from repro.scan.psv import format_record, read_psv, write_psv
@@ -116,8 +116,16 @@ def test_columnar_round_trip(tmp_path, fs):
     scanner = LustreDuScanner()
     snap = scanner.scan(fs, label="w1")
     dest = tmp_path / "snap.rpq"
-    stats = write_columnar(snap, dest, format_version=2)
-    assert stats["raw_bytes"] > stats["stored_bytes"]  # it compresses
+    stats = write_columnar(snap, dest)
+    # numeric columns are stored raw (mmap-able), only the path table is
+    # compressed, and the reported size is the file's
+    assert stats["stored_bytes"] == dest.stat().st_size
+    stored = {name: length for name, _, length in describe_sections(dest)}
+    path_bytes = len("\n".join(snap.path_strings()).encode("utf-8"))
+    assert stored["column:__paths__"] < path_bytes
+    for name in NUMERIC_COLUMNS:
+        if name != "path_id":
+            assert stored[f"column:{name}"] == getattr(snap, name).nbytes
     table2 = PathTable()
     snap2 = read_columnar(dest, table2)
     assert snap2.label == "w1"
