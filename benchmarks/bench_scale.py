@@ -5,7 +5,9 @@ Measures how the supervised sharded synthesis path (``repro synth``,
 each point simulates the full weekly-scan window for N users on a fixed
 shard count, in its own subprocess so peak RSS is attributable, and
 reports users vs wall-clock vs peak RSS (supervisor process and worker
-children separately).  The namespace grows with the population
+children separately).  Wall-clock splits into ``synth_s`` (the
+supervised shard workers) and ``merge_s`` (the serial merge in the
+supervisor that follows them).  The namespace grows with the population
 (``scale = users * PER_USER_SCALE`` — a bigger center has both more
 users and more files), so wall-clock growing linearly with users is the
 expected shape; the contract is per-process memory staying inside the
@@ -67,6 +69,7 @@ def run_point_child(users: int) -> dict:
             bench_config(users), SHARDS, Path(tmp) / "archive", workers=WORKERS
         )
         wall = time.perf_counter() - t0
+    synth = result.stats.wall_seconds
     kb = 1024.0  # linux ru_maxrss is in KiB
     self_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / kb
     child_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / kb
@@ -77,6 +80,8 @@ def run_point_child(users: int) -> dict:
         "weeks": WEEKS,
         "rows": sum(rec["rows"] for rec in result.records),
         "wall_s": round(wall, 2),
+        "synth_s": round(synth, 2),
+        "merge_s": round(wall - synth, 2),
         "peak_rss_supervisor_mb": round(self_mb, 1),
         "peak_rss_worker_mb": round(child_mb, 1),
         "restarts": result.stats.restarts,
@@ -148,6 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         points.append(point)
         print(
             f"# users={users:>7,} wall={point['wall_s']:>7}s "
+            f"(synth={point['synth_s']}s merge={point['merge_s']}s) "
             f"rows={point['rows']:>9,} "
             f"rss sup={point['peak_rss_supervisor_mb']:>7}MB "
             f"worker={point['peak_rss_worker_mb']:>7}MB",

@@ -233,7 +233,6 @@ class SharedPathTable:
     def intern(self, path: str) -> int:
         raise TypeError("shared path table is read-only; intern in the parent")
 
-    intern_with_depth = intern
     intern_many = intern
 
     def __len__(self) -> int:

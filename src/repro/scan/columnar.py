@@ -36,7 +36,8 @@ Reading is either eager (:func:`read_columnar` — decode everything now) or
 lazy (:func:`open_columnar` — decode the path table eagerly so interning
 order matches an eager load, then decode each numeric block on first
 attribute touch; ``raw`` blocks become read-only mmap-backed views).
-Block CRCs are verified on first touch either way.
+Block CRCs are verified on first touch either way.  :func:`verify_columnar`
+runs every check of an eager read and interns nothing.
 
 Every integrity failure raises :class:`~repro.scan.errors.
 CorruptSnapshotError` carrying the file, byte offset, and reason — never a
@@ -278,8 +279,7 @@ def write_columnar(snapshot: Snapshot, dest: str | Path) -> dict:
             "crc32": zlib.crc32(blob),
         }))
     pids = snapshot.path_id
-    table = snapshot.paths.paths
-    strings = "\n".join(table[pid] for pid in pids)
+    strings = "\n".join(map(snapshot.paths.paths.__getitem__, pids.tolist()))
     str_blob = zlib.compress(strings.encode("utf-8"), _COMPRESSION_LEVEL)
     blocks.append(
         (str_blob, path_block_meta(str_blob, int(pids.size), len(strings)))
@@ -498,18 +498,27 @@ def _read_prologue(
 
     Validates the header, decodes the path table, and locates every other
     block; returns ``(header, path strings, {name: (meta, offset)})``.  A
-    file without a path table or missing a stored numeric column is
-    refused here, before any column decodes or any path is interned.
+    file without a path table, missing a stored numeric column, or with a
+    column block whose row count disagrees with the header's is refused
+    here, before any column decodes or any path is interned.
     """
     header, offsets = _read_header(fh, source)
+    rows = header["rows"]
     strings: list[str] | None = None
     blocks: dict[str, tuple[dict, int]] = {}
     for meta, offset in zip(header["columns"], offsets):
         if meta["codec"] == "strtab-zlib":
             blob = _read_block(fh, source, meta, offset)
-            strings = _decode_strtab(blob, meta, header["rows"], source, offset)
-        else:
-            blocks[meta["name"]] = (meta, offset)
+            strings = _decode_strtab(blob, meta, rows, source, offset)
+            continue
+        if meta["rows"] != rows:
+            raise CorruptSnapshotError(
+                source,
+                f"column {meta['name']!r}: block holds {meta['rows']} rows, "
+                f"header says {rows}",
+                offset=offset,
+            )
+        blocks[meta["name"]] = (meta, offset)
     if strings is None:
         raise CorruptSnapshotError(source, "missing path table block")
     missing = [name for name in _STORED_COLUMNS if name not in blocks]
@@ -518,8 +527,10 @@ def _read_prologue(
     return header, strings, blocks
 
 
-def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:
-    """Load a columnar snapshot eagerly, re-interning its paths into ``paths``."""
+def _decode_all(
+    source: str | Path,
+) -> tuple[dict, list[str], dict[str, np.ndarray]]:
+    """Validate the header and decode the path table and every column block."""
     with open(source, "rb") as fh:
         header, strings, blocks = _read_prologue(fh, source)
         columns = {
@@ -528,6 +539,25 @@ def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:
             )
             for name, (meta, offset) in blocks.items()
         }
+    return header, strings, columns
+
+
+def verify_columnar(source: str | Path) -> dict:
+    """Check every block of a snapshot; returns its label, timestamp, rows.
+
+    Runs every integrity check :func:`read_columnar` runs — the envelope,
+    the header, the path table and each column block's CRC, codec and row
+    count — but interns nothing, so no :class:`PathTable` is built and
+    thrown away.  The shard-merge probe and the disk store's
+    ``verify="deep"`` use this.
+    """
+    header, _, _ = _decode_all(source)
+    return {key: header[key] for key in ("label", "timestamp", "rows")}
+
+
+def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:
+    """Load a columnar snapshot eagerly, re-interning its paths into ``paths``."""
+    header, strings, columns = _decode_all(source)
     columns["path_id"] = paths.intern_many(strings)
     cast = {
         name: np.ascontiguousarray(columns[name], dtype=COLUMN_DTYPES[name])

@@ -176,7 +176,7 @@ def compute_delta(prev: Snapshot, cur: Snapshot) -> SnapshotDelta:
 def _path_strings_block(
     section: str, table: PathTable, path_ids: np.ndarray
 ) -> tuple[bytes, dict]:
-    strings = "\n".join(table.paths[pid] for pid in path_ids)
+    strings = "\n".join(map(table.paths.__getitem__, path_ids.tolist()))
     blob = zlib.compress(strings.encode("utf-8"), _COMPRESSION_LEVEL)
     meta = path_block_meta(blob, int(path_ids.size), len(strings))
     meta["name"] = f"{section}.__paths__"

@@ -45,17 +45,18 @@ class LustreDuScanner:
         ts = fs.clock.now if timestamp is None else int(timestamp)
         label = fs.clock.datestamp() if label is None else label
         inos: list[int] = []
-        pids: list[int] = []
-        psv_bytes = 0
-        intern = self.paths.intern_with_depth
-        for ino, path, depth in fs.namespace.walk():
+        paths: list[str] = []
+        # intern_many derives depth as the "/" count, which equals the
+        # walk's depth because names cannot contain "/"
+        for ino, path, _depth in fs.namespace.walk():
             inos.append(ino)
-            pids.append(intern(path, depth))
-            psv_bytes += len(path) + 64  # fixed-width numeric tail estimate
+            paths.append(path)
+        # fixed-width numeric tail estimate of 64 bytes per PSV line
+        psv_bytes = sum(map(len, paths)) + 64 * len(paths)
         ino_arr = np.asarray(inos, dtype=np.int64)
         table = fs.inodes
         columns = {
-            "path_id": np.asarray(pids, dtype=np.int64),
+            "path_id": self.paths.intern_many(paths),
             "ino": ino_arr,
             "mode": table.mode[ino_arr] if ino_arr.size else np.empty(0, np.uint32),
             "uid": table.uid[ino_arr] if ino_arr.size else np.empty(0, np.int32),

@@ -6,8 +6,9 @@ them into the archive the analyses consume, with the same fencing the rest
 of the pipeline uses:
 
 * **probe pass** — every part of every shard is fully CRC-validated
-  (header, per-block checksums, trailer) *before* any merged file is
-  written; a corrupt or missing part either raises the usual typed
+  (header, path table, every block decoded and checked, trailer — and no
+  path interned) *before* any merged file is written; a corrupt or
+  missing part either raises the usual typed
   :class:`~repro.scan.errors.CorruptSnapshotError` or, under
   ``skip``/``quarantine``, drops that whole shard from the merge and
   records the fault in the :class:`~repro.scan.store.ArchiveHealthReport`
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.manifest import write_manifest
-from repro.scan.columnar import read_columnar, write_columnar
+from repro.scan.columnar import read_columnar, verify_columnar, write_columnar
 from repro.scan.delta import compute_delta, delta_config, sidecar_path, write_delta
 from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
@@ -86,7 +87,7 @@ def probe_shard_parts(
             try:
                 if not path.exists():
                     raise CorruptSnapshotError(path, "missing shard part")
-                read_columnar(path, PathTable())
+                verify_columnar(path)
             except CorruptSnapshotError as exc:
                 if on_error == "raise":
                     raise
@@ -109,14 +110,15 @@ def probe_shard_parts(
 def _merge_week(
     label: str,
     parts: list[Snapshot],
+    sources: list[Path],
     shards: list[int],
     table: PathTable,
 ) -> Snapshot:
     timestamp = parts[0].timestamp
-    for shard, part in zip(shards, parts):
+    for source, part in zip(sources, parts):
         if part.label != label or part.timestamp != timestamp:
             raise CorruptSnapshotError(
-                shard_dir("parts", shard) / f"{label}.rpq",
+                source,
                 f"shard part disagrees with siblings "
                 f"(label={part.label!r}, timestamp={part.timestamp})",
             )
@@ -174,11 +176,11 @@ def merge_shard_parts(
     prev: Snapshot | None = None
     records: list[dict] = []
     for i, label in enumerate(labels):
-        parts = [
-            read_columnar(shard_part_path(parts_root, shard, label), table)
-            for shard in merged_shards
+        sources = [
+            shard_part_path(parts_root, shard, label) for shard in merged_shards
         ]
-        merged = _merge_week(label, parts, merged_shards, table)
+        parts = [read_columnar(source, table) for source in sources]
+        merged = _merge_week(label, parts, sources, merged_shards, table)
         stats = write_columnar(merged, dest / f"{label}.rpq")
         if deltas and prev is not None:
             write_delta(compute_delta(prev, merged), sidecar_path(dest, label))

@@ -8,6 +8,13 @@ sorted-integer operations and cuts memory by the snapshot count.
 Per-path *derived* attributes that never change for a given path string —
 component depth and file extension — are computed exactly once at intern
 time and stored in parallel NumPy arrays.
+
+:meth:`PathTable.intern_many` is the only code that assigns ids: one
+batched pass finds the batch's new paths in first-occurrence order, gives
+them the next dense ids, and fills their derived columns with one array
+store each.  Every reader and the scanner hand it a whole snapshot's
+strings at once, so interning costs a few C-level passes per batch rather
+than a Python call per row.
 """
 
 from __future__ import annotations
@@ -44,43 +51,35 @@ class PathTable:
 
     def intern(self, path: str) -> int:
         """Intern one absolute path; returns its dense id."""
-        pid = self._ids.get(path)
-        if pid is not None:
-            return pid
-        pid = len(self.paths)
-        self._ids[path] = pid
-        self.paths.append(path)
-        self._grow_to(pid + 1)
-        depth = path.count("/") - (1 if path.endswith("/") else 0)
-        self.depth[pid] = min(depth, np.iinfo(np.int16).max)
-        leaf = path.rsplit("/", 1)[-1]
-        self.ext_id[pid] = self.extensions.intern(split_extension(leaf))
-        return pid
-
-    def intern_with_depth(self, path: str, depth: int) -> int:
-        """Intern when the caller already knows the component depth.
-
-        The LustreDU scanner tracks depth during the tree walk, so this
-        avoids re-counting separators on the hot path.
-        """
-        pid = self._ids.get(path)
-        if pid is not None:
-            return pid
-        pid = len(self.paths)
-        self._ids[path] = pid
-        self.paths.append(path)
-        self._grow_to(pid + 1)
-        self.depth[pid] = min(depth, np.iinfo(np.int16).max)
-        leaf = path.rsplit("/", 1)[-1]
-        self.ext_id[pid] = self.extensions.intern(split_extension(leaf))
-        return pid
+        return int(self.intern_many([path])[0])
 
     def intern_many(self, paths: list[str]) -> np.ndarray:
-        """Intern a batch; returns the id array."""
-        out = np.empty(len(paths), dtype=np.int64)
-        for i, p in enumerate(paths):
-            out[i] = self.intern(p)
-        return out
+        """Intern a batch; returns the id array.
+
+        New paths get consecutive ids in first-occurrence order, and their
+        extensions are interned in that same order, so the ids, ``depth``,
+        ``ext_id`` and the :class:`ExtensionTable` come out exactly as
+        interning the paths one at a time would leave them.
+        """
+        ids = self._ids
+        new = list(dict.fromkeys([p for p in paths if p not in ids]))
+        if new:
+            start = len(self.paths)
+            end = start + len(new)
+            ids.update(zip(new, range(start, end)))
+            self.paths.extend(new)
+            self._grow_to(end)
+            depth = np.fromiter(
+                (p.count("/") - p.endswith("/") for p in new),
+                np.int64, count=len(new),
+            )
+            self.depth[start:end] = np.minimum(depth, np.iinfo(np.int16).max)
+            intern_ext = self.extensions.intern
+            self.ext_id[start:end] = np.fromiter(
+                (intern_ext(split_extension(p.rpartition("/")[2])) for p in new),
+                np.int32, count=len(new),
+            )
+        return np.fromiter(map(ids.__getitem__, paths), np.int64, count=len(paths))
 
     def id_of(self, path: str) -> int | None:
         return self._ids.get(path)

@@ -271,7 +271,7 @@ def read_psv(
     own = isinstance(source, (str, Path))
     fh: io.TextIOBase = open(source) if own else source  # type: ignore[assignment]
     source_name = str(source) if own else getattr(source, "name", "<stream>")
-    pids: list[int] = []
+    names: list[str] = []
     cols: dict[str, list[int]] = {
         name: [] for name in
         ("atime", "ctime", "mtime", "uid", "gid", "mode", "ino",
@@ -283,7 +283,7 @@ def read_psv(
             if not line:
                 continue
             rec = parse_record(line, source_name, lineno)
-            pids.append(paths.intern(rec.path))
+            names.append(rec.path)
             cols["atime"].append(rec.atime)
             cols["ctime"].append(rec.ctime)
             cols["mtime"].append(rec.mtime)
@@ -297,7 +297,7 @@ def read_psv(
         if own:
             fh.close()
     columns = {
-        "path_id": np.asarray(pids, dtype=np.int64),
+        "path_id": paths.intern_many(names),
         "ino": np.asarray(cols["ino"], dtype=np.int64),
         "mode": np.asarray(cols["mode"], dtype=np.uint32),
         "uid": np.asarray(cols["uid"], dtype=np.int32),

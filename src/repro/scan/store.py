@@ -44,9 +44,9 @@ import numpy as np
 
 from repro.scan.columnar import (
     open_columnar,
-    read_columnar,
     read_columnar_header,
     read_columnar_paths,
+    verify_columnar,
 )
 from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
@@ -219,11 +219,13 @@ class DiskSnapshotCollection:
                     raise CorruptSnapshotError(
                         f, "listed in the manifest but missing on disk"
                     )
-                header = read_columnar_header(f)
+                # deep verification decodes every block but interns
+                # nothing: paths of a file that may later be dropped never
+                # reach the shared table
                 if verify == "deep":
-                    # throwaway table: paths of a file that may later be
-                    # dropped must not pollute the shared interning
-                    read_columnar(f, PathTable())
+                    header = verify_columnar(f)
+                else:
+                    header = read_columnar_header(f)
             except CorruptSnapshotError as exc:
                 self._handle_fault(f, exc)
                 continue

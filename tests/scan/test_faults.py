@@ -30,6 +30,7 @@ from repro.scan.columnar import (
     read_columnar,
     read_columnar_header,
     read_columnar_paths,
+    verify_columnar,
     write_columnar,
     write_columnar_blocks,
 )
@@ -163,6 +164,8 @@ def test_truncation_sweep_every_boundary(valid_rpq, tmp_path):
         # the full read must fail identically-typed, never return data
         with pytest.raises(CorruptSnapshotError):
             read_columnar(victim, PathTable())
+        with pytest.raises(CorruptSnapshotError):
+            verify_columnar(victim)
 
 
 def test_bitflip_sweep_every_section(valid_rpq, tmp_path):
@@ -178,6 +181,9 @@ def test_bitflip_sweep_every_section(valid_rpq, tmp_path):
                 read_columnar(victim, PathTable())
             assert err.value.path == str(victim), f"section {name} @{point}"
             assert err.value.reason
+            # the intern-free check refuses exactly what the read refuses
+            with pytest.raises(CorruptSnapshotError):
+                verify_columnar(victim)
 
 
 def test_bitflip_sweep_lazy_reads(valid_rpq, tmp_path):
@@ -405,6 +411,7 @@ _ENTRY_POINTS = {
     "eager": lambda path: read_columnar(path, PathTable()),
     "paths": lambda path: read_columnar_paths(path, PathTable()),
     "lazy": _touch_every_column,
+    "verify": verify_columnar,
     "delta": _read_sidecar,
 }
 
@@ -433,6 +440,73 @@ def test_malformed_block_table_raises_typed(tmp_path, field, value, entry):
     victim = tmp_path / f"bad{src.suffix}"
     _with_block_field(src, victim, field, value)
     with pytest.raises(CorruptSnapshotError) as err:
+        _ENTRY_POINTS[entry](victim)
+    assert err.value.path == str(victim)
+
+
+def _with_short_block(src, dest, name: str) -> None:
+    """Copy a ``.rpq`` with column ``name`` one row shorter than the header.
+
+    The block's own meta, its CRC, the header CRC and the layout are all
+    rewritten to match, so only the row-count disagreement is wrong.
+    """
+    blob = Path(src).read_bytes()
+    header, base = _split(blob)
+    blocks = []
+    for meta in header["columns"]:
+        start = base + meta.pop("offset")
+        data = blob[start : start + meta["stored_bytes"]]
+        if meta["name"] == name:
+            data = data[: -np.dtype(meta["dtype"]).itemsize]
+            meta.update(
+                rows=meta["rows"] - 1, raw_bytes=len(data),
+                stored_bytes=len(data), crc32=zlib.crc32(data),
+            )
+        blocks.append((data, meta))
+    write_columnar_blocks(
+        dest, header["label"], header["timestamp"], header["rows"], blocks
+    )
+
+
+def _merge_drops_short_shard(victim):
+    """``merge_shard_parts(on_error="skip")`` over a healthy shard 0 and
+    ``victim`` as shard 1 drops shard 1 and merges shard 0 alone."""
+    from repro.scan.merge import merge_shard_parts, shard_part_path
+    from repro.scan.store import ArchiveHealthReport
+    from repro.synth.driver import SimulationConfig
+
+    root = victim.parent / "parts"
+    healthy, bad = (shard_part_path(root, s, "w0") for s in (0, 1))
+    for part in (healthy, bad):
+        part.parent.mkdir(parents=True)
+    write_columnar(_make_snapshot(6), healthy)
+    shutil.copy(victim, bad)
+    report = ArchiveHealthReport()
+    records = merge_shard_parts(
+        root, victim.parent / "merged", SimulationConfig(), ["w0"], [0, 1],
+        on_error="skip", report=report,
+    )
+    [fault] = report.faults
+    assert fault.path == str(bad)
+    assert "shard 1 dropped from merge" in fault.reason
+    assert "'uid'" in fault.reason
+    assert [rec["rows"] for rec in records] == [6]
+
+
+@pytest.mark.parametrize("entry", ["eager", "lazy", "paths", "verify", "merge"])
+def test_short_column_block_refused_typed(tmp_path, entry):
+    """A column block holding fewer rows than the header says — every CRC
+    valid — is refused with CorruptSnapshotError before any path is
+    interned: never a bare ValueError the store's policies miss, never a
+    lazy snapshot whose ``uid`` is shorter than its ``len``."""
+    src = tmp_path / "w0.rpq"
+    write_columnar(_make_snapshot(6), src)
+    victim = tmp_path / "short.rpq"
+    _with_short_block(src, victim, "uid")
+    if entry == "merge":
+        _merge_drops_short_shard(victim)
+        return
+    with pytest.raises(CorruptSnapshotError, match="'uid'.*5 rows.*6") as err:
         _ENTRY_POINTS[entry](victim)
     assert err.value.path == str(victim)
 

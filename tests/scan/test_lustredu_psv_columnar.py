@@ -44,6 +44,20 @@ def test_scan_columns_match_stat(fs):
     assert snap.paths.path_of(int(snap.path_id[row])) == st["path"]
 
 
+def test_scan_depth_equals_walk_depth(fs):
+    """The scanner interns by separator count; the walk tracks depth as it
+    descends — the two agree on every entry, since names hold no "/"."""
+    fs.create(fs.namespace.lookup("/lustre/atlas1/cli/cli001/user1"),
+              ".hidden", uid=100, gid=200)
+    scanner = LustreDuScanner()
+    snap = scanner.scan(fs)
+    table = scanner.paths
+    scanned = {table.path_of(int(pid)): int(table.depth[pid])
+               for pid in snap.path_id}
+    walked = {path: depth for _, path, depth in fs.namespace.walk()}
+    assert scanned == walked
+
+
 def test_scan_stats_recorded(fs):
     scanner = LustreDuScanner()
     scanner.scan(fs, label="w1")

@@ -132,12 +132,29 @@ def test_deep_verify_catches_midfile_bitflip(copy):
 
 
 def test_deep_verify_does_not_pollute_shared_paths(copy):
-    """Deep verification interns into a throwaway table: the shared table
-    starts empty, so dropped files never leak path ids into live loads."""
+    """Deep verification interns nothing: the shared table starts empty,
+    so dropped files never leak path ids into live loads."""
     disk = DiskSnapshotCollection(copy, verify="deep")
     assert len(disk.paths) == 0
     disk[0]
     assert len(disk.paths) > 0
+
+
+@pytest.mark.parametrize("kind", ["truncate", "bitflip"])
+def test_deep_verify_interns_nothing(copy, monkeypatch, kind):
+    """With interning disabled, deep verification still decodes every
+    block and drops the corrupt file under the skip policy."""
+    victim = _corrupt_one(copy, kind=kind)
+
+    def refuse(self, paths):
+        raise AssertionError("deep verification interned paths")
+
+    monkeypatch.setattr(store_mod.PathTable, "intern_many", refuse)
+    with pytest.warns(RuntimeWarning, match="corrupt snapshot"):
+        deep = DiskSnapshotCollection(copy, on_error="skip", verify="deep")
+    [fault] = deep.health_report().faults
+    assert fault.path == str(victim)
+    assert len(deep) == len(list(copy.glob("*.rpq"))) - 1
 
 
 def test_skip_policy_report_matches_clean_window(copy, archived, tmp_path):

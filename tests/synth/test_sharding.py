@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.pipeline import analyze_archive
 from repro.core.manifest import load_manifest
-from repro.scan.columnar import read_columnar
+from repro.scan.columnar import read_columnar, write_columnar
 from repro.scan.errors import CorruptSnapshotError
 from repro.scan.merge import (
     INO_STRIDE,
@@ -160,6 +160,16 @@ def test_merge_probe_raises_typed_on_corruption(tmp_path, baseline) -> None:
         victim.write_bytes(blob)
 
 
+def _damage_sweep(victim: Path, blob: bytes) -> list:
+    """``(name, damage)`` pairs, each corrupting ``victim`` (pristine
+    bytes ``blob``) one way."""
+    return [
+        ("bitflip-mid", lambda: bit_flip(victim, len(blob) // 2)),
+        ("truncate", lambda: truncate_at(victim, len(blob) // 3)),
+        ("missing", victim.unlink),
+    ]
+
+
 def test_merge_quarantines_corrupt_shard_never_garbage(
     tmp_path, baseline
 ) -> None:
@@ -173,13 +183,8 @@ def test_merge_quarantines_corrupt_shard_never_garbage(
     labels = scan_labels(CONFIG)
     victim = shard_part_path(parts_root, 2, labels[-1])
     blob = victim.read_bytes()
-    sweep = [
-        ("bitflip-mid", lambda: bit_flip(victim, len(blob) // 2)),
-        ("truncate", lambda: truncate_at(victim, len(blob) // 3)),
-        ("missing", victim.unlink),
-    ]
     try:
-        for name, damage in sweep:
+        for name, damage in _damage_sweep(victim, blob):
             victim.write_bytes(blob)
             damage()
             report = ArchiveHealthReport()
@@ -206,6 +211,58 @@ def test_merge_quarantines_corrupt_shard_never_garbage(
                 assert shards_seen == {0, 1}, name
             manifest = load_manifest(out)
             assert manifest["sharding"]["merged_shards"] == [0, 1], name
+    finally:
+        victim.write_bytes(blob)
+
+
+def test_probe_interns_nothing(baseline, monkeypatch) -> None:
+    """The probe checks every block without interning a single path: with
+    interning disabled, each damage in the corruption sweep still drops
+    shard 2 and keeps the others."""
+    src, _ = baseline
+    parts_root = src / "parts"
+    labels = scan_labels(CONFIG)
+    victim = shard_part_path(parts_root, 2, labels[-1])
+    blob = victim.read_bytes()
+
+    def refuse(self, paths):
+        raise AssertionError("the probe interned paths")
+
+    monkeypatch.setattr(PathTable, "intern_many", refuse)
+    try:
+        for name, damage in _damage_sweep(victim, blob):
+            victim.write_bytes(blob)
+            damage()
+            report = ArchiveHealthReport()
+            good = probe_shard_parts(
+                parts_root, labels, list(range(N_SHARDS)),
+                on_error="skip", report=report,
+            )
+            assert good == [0, 1], name
+            [fault] = report.faults
+            assert fault.path == str(victim), name
+    finally:
+        victim.write_bytes(blob)
+
+
+def test_merge_names_the_disagreeing_part(tmp_path, baseline) -> None:
+    """A part whose timestamp disagrees with its siblings is reported by
+    its own path under the parts root, not a cwd-relative guess."""
+    src, _ = baseline
+    parts_root = src / "parts"
+    labels = scan_labels(CONFIG)
+    victim = shard_part_path(parts_root, 1, labels[1])
+    blob = victim.read_bytes()
+    part = read_columnar(victim, PathTable())
+    part.timestamp += 1
+    try:
+        write_columnar(part, victim)
+        with pytest.raises(CorruptSnapshotError, match="disagrees") as err:
+            merge_shard_parts(
+                parts_root, tmp_path / "merged", CONFIG, labels,
+                list(range(N_SHARDS)),
+            )
+        assert err.value.path == str(victim)
     finally:
         victim.write_bytes(blob)
 
