@@ -1,7 +1,7 @@
 """``repro-pipeline`` / ``repro`` command-line entry point.
 
 Runs the full reproduction at a chosen scale and prints the paper-style
-report; optionally archives PSV/columnar snapshot files.  The ``ingest``
+report; optionally archives the columnar snapshot files.  The ``ingest``
 verb (``repro ingest TRACE... --out DIR``) instead imports foreign
 LustreDU/PSV trace dumps into an analyzable archive through the hardened
 :mod:`repro.ingest` path.
@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--archive-dir",
         default=None,
-        help="also write PSV + columnar snapshot files here",
+        help="also publish the window here as an archive (.rpq snapshots, "
+        ".rpd delta sidecars, accounts.json, manifest.json)",
     )
     parser.add_argument(
         "--from-archive",
@@ -919,8 +920,7 @@ def _run(args: argparse.Namespace, controller: RunController) -> int:
                 args.archive_dir, deltas=not args.no_deltas
             )
             print(
-                f"# archive: PSV {stats.psv_bytes:,} B → columnar "
-                f"{stats.columnar_bytes:,} B ({stats.reduction:.1f}x reduction)",
+                f"# archive: columnar {stats.columnar_bytes:,} B",
                 file=sys.stderr,
             )
         report = pipeline.analyze(analyses=args.analyses)

@@ -1,11 +1,13 @@
 """Atomic, durable file writes (tmp + fsync + rename).
 
-A crash mid-``archive()`` used to leave a half-written ``.rpq`` / ``.psv``
-/ manifest that poisoned the next run.  Every writer in the data path now
-goes through :func:`atomic_write`: content lands in a same-directory temp
-file, is fsynced, and is atomically renamed over the destination — readers
-see either the complete old file or the complete new file, never a torn
-one.  The directory entry is fsynced too (best-effort: some filesystems
+A crash mid-``archive()`` used to leave a half-written ``.rpq`` or
+manifest that poisoned the next run.  Every writer in the data path — the
+``.rpq`` snapshots, ``.rpd`` delta sidecars, the ``accounts.json`` member,
+``manifest.json``, ``kernel_state.bin``, and exported PSV and CSV files —
+now goes through :func:`atomic_write`: content lands in a same-directory
+temp file, is fsynced, and is atomically renamed over the destination —
+readers see either the complete old file or the complete new file, never
+a torn one.  The directory entry is fsynced too (best-effort: some filesystems
 refuse directory fsync) so the rename itself survives power loss.
 """
 

@@ -1,17 +1,23 @@
-"""Archive manifest: a config fingerprint written at ``archive()`` time.
+"""Archive manifest: inventory, accounts record and config fingerprint.
 
-``analyze_archive()`` regenerates the population deterministically from the
-caller's :class:`~repro.synth.driver.SimulationConfig`; if that seed (or
-``n_users``, or the purge window an age analysis is judged against) differs
-from the one that produced the archive, every per-domain join is silently
-wrong.  The manifest turns that silent wrong-results mode into a typed
+The manifest is the archive's commit point: JSON written atomically next
+to the snapshots, *last*, with a monotonically increasing ``generation``.
+It lists every published ``.rpq`` (``snapshots``) and the
+``accounts.json`` member (``accounts``: file, bytes, CRC32 and counts —
+see :mod:`repro.core.accounts`) that ``analyze_archive()`` joins the
+snapshots against.  Archives written before the member existed, and
+``repro ingest`` archives, list none; ``analyze_archive()`` then
+regenerates the population from the caller's
+:class:`~repro.synth.driver.SimulationConfig`.
+
+The manifest also records the config fingerprint (seed, ``n_users``, and
+the purge window an age analysis is judged against).  A caller whose
+fingerprint differs gets a typed
 :class:`~repro.scan.errors.ArchiveConfigError` — with an explicit override
 for intentional mismatches (e.g. re-judging ages against a different purge
-window on purpose).
-
-The manifest is JSON, written atomically next to the snapshots.  Archives
-produced before manifests existed simply have none; validation then warns
-and proceeds (there is nothing to validate against).
+window on purpose).  Archives produced before manifests existed simply
+have none; validation then warns and proceeds (there is nothing to
+validate against).
 """
 
 from __future__ import annotations
@@ -61,14 +67,18 @@ def write_manifest(
     snapshots: list[dict] | None = None,
     extra: dict | None = None,
     generation: int | None = None,
+    accounts: dict | None = None,
 ) -> Path:
     """Write (atomically) the archive manifest; returns its path.
 
     ``snapshots`` is an optional list of ``{"label", "file", "rows"}``
     records for operator-facing inventory; the fingerprint is what
-    validation consumes.  ``extra`` merges additional provenance sections
-    into the manifest (e.g. the ``ingest`` summary for archives built from
-    foreign traces); it may not shadow the reserved keys.
+    validation consumes.  ``accounts`` is the record
+    :func:`~repro.core.accounts.write_accounts` returned for the member
+    already on disk; the manifest lists it under ``accounts``.  ``extra``
+    merges additional provenance sections into the manifest (e.g. the
+    ``ingest`` summary for archives built from foreign traces); it may not
+    shadow the reserved keys.
 
     Every manifest carries a monotonically increasing ``generation``.  By
     default it is the prior manifest's generation + 1, so each publish —
@@ -88,8 +98,10 @@ def write_manifest(
         "snapshots": snapshots or [],
         "created_unix": int(time.time()),
     }
+    if accounts is not None:
+        manifest["accounts"] = accounts
     if extra:
-        clash = set(extra) & set(manifest)
+        clash = set(extra) & (set(manifest) | {"accounts"})
         if clash:
             raise ValueError(
                 f"manifest extra section(s) {sorted(clash)} shadow reserved keys"

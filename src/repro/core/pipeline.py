@@ -4,9 +4,11 @@
 
 1. **simulate** — generate the synthetic center and run the 500-day window
    (stands in for operating Spider II and collecting LustreDU snapshots);
-2. **archive** (optional) — write PSV snapshots and convert them to the
-   columnar format, measuring the footprint reduction the paper attributes
-   to Parquet;
+2. **archive** (optional) — publish the snapshots as columnar ``.rpq``
+   files (the paper's Parquet copy; the simulated route writes columnar
+   directly, the PSV text stage belongs to ``repro ingest``), their
+   ``.rpd`` delta sidecars, and the ``accounts.json`` member holding the
+   population every analysis joins against;
 3. **analyze** — run the selected §4 analyses in one fused kernel pass
    over the snapshot collection (each snapshot loads once, every kernel
    runs against it — see :mod:`repro.analysis.registry`);
@@ -25,28 +27,19 @@ from repro.analysis.registry import AnalyzeOptions, resolve_specs, run_analyses
 from repro.core.runcontrol import RunController, RunInterrupted
 from repro.query.parallel import SnapshotExecutor
 from repro.scan.columnar import write_columnar
-from repro.scan.psv import write_psv
 from repro.synth.driver import SimulationConfig, SimulationResult, run_simulation
 
 
 @dataclass
 class ArchiveStats:
-    """PSV vs columnar footprint (the paper's 119 GB → 28 GB stage)."""
+    """Columnar footprint of an archive: the ``.rpq`` bytes it lists.
 
-    psv_bytes: int
+    The paper's PSV → Parquet reduction is measured by
+    ``benchmarks/bench_pipeline.py``, which writes PSV to a buffer;
+    ``archive()`` itself writes no text.
+    """
+
     columnar_bytes: int
-
-    @property
-    def reduction(self) -> float:
-        """PSV/columnar footprint ratio.
-
-        An empty columnar archive is ``inf`` (or ``nan`` for the 0/0 case),
-        never ``0.0`` — an empty archive must not masquerade as "no
-        reduction".
-        """
-        if self.columnar_bytes:
-            return self.psv_bytes / self.columnar_bytes
-        return float("nan") if self.psv_bytes == 0 else float("inf")
 
 
 @dataclass
@@ -140,12 +133,16 @@ class ReproPipeline:
         deltas: bool = True,
         skip_existing: bool = False,
     ) -> ArchiveStats:
-        """Write PSV + columnar snapshot files; returns footprint stats.
+        """Publish the columnar snapshot files; returns footprint stats.
 
-        Every file (snapshots and the ``manifest.json`` config fingerprint)
-        is written atomically — tmp + fsync + rename — so a crash mid-
-        archive leaves only complete files plus, at worst, one stray temp
-        file, never a torn ``.rpq`` that poisons the next analysis run.
+        Writes one ``.rpq`` per snapshot, the ``accounts.json`` member
+        (the population the analyses join against, see
+        :mod:`repro.core.accounts`) and the ``manifest.json`` that lists
+        both.  Every file is written atomically — tmp + fsync + rename —
+        so a crash mid-archive leaves only complete files plus, at worst,
+        one stray temp file, never a torn ``.rpq`` that poisons the next
+        analysis run.  No PSV text is written: export a snapshot with
+        :func:`repro.scan.write_psv`.
 
         The manifest is committed *last* and carries a monotonically
         increasing ``generation``, which makes every archive() call an
@@ -153,10 +150,13 @@ class ReproPipeline:
         the new generation can trust every listed file to be complete,
         and a crash before the manifest rename leaves the previous
         generation fully intact.  ``skip_existing=True`` turns a re-run
-        into an append publish — snapshots whose files already exist are
-        not rewritten (atomic writes guarantee an existing file is whole),
-        so publishing week N+1 costs O(one snapshot), then the manifest
-        commit flips readers to the new window.
+        into an append publish — snapshots whose ``.rpq`` (and ``.rpd``,
+        with deltas on) already exist are not rewritten (atomic writes
+        guarantee an existing file is whole), nor is an accounts member
+        whose size and CRC32 match, so publishing week N+1 costs O(one
+        snapshot), then the manifest commit flips readers to the new
+        window.  Appending to an archive written before the accounts
+        member existed adds the member and rewrites no snapshot file.
 
         With ``deltas=True`` (the default) each snapshot after the first
         also gets a ``{label}.rpd`` sidecar — the exact change set since
@@ -166,6 +166,7 @@ class ReproPipeline:
         """
         if self.simulation is None:
             raise RuntimeError("simulate() first")
+        from repro.core.accounts import write_accounts
         from repro.core.manifest import write_manifest
         from repro.scan.delta import (
             compute_delta,
@@ -176,7 +177,6 @@ class ReproPipeline:
 
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        psv_total = 0
         col_total = 0
         snaps = list(self.simulation.collection)
         if max_snapshots is not None:
@@ -198,21 +198,14 @@ class ReproPipeline:
                             "in place"
                         ),
                     )
-            psv_path = directory / f"{snap.label}.psv"
             col_path = directory / f"{snap.label}.rpq"
             dpath = sidecar_path(directory, snap.label) if deltas and i > 0 else None
             published = (
                 skip_existing
-                and psv_path.exists()
                 and col_path.exists()
                 and (dpath is None or dpath.exists())
             )
-            if published:
-                psv_total += psv_path.stat().st_size
-            else:
-                psv_total += write_psv(
-                    snap, psv_path, ost_count=self.config.ost_count
-                )
+            if not published:
                 write_columnar(snap, col_path)
                 if dpath is not None:
                     write_delta(compute_delta(snaps[i - 1], snap), dpath)
@@ -220,9 +213,14 @@ class ReproPipeline:
             records.append(
                 {"label": snap.label, "file": col_path.name, "rows": len(snap)}
             )
+        reuse = _published_accounts(directory, self.config) if skip_existing else None
+        accounts = write_accounts(directory, self.simulation.population, reuse=reuse)
         extra = {"deltas": delta_config()} if deltas else None
-        write_manifest(directory, self.config, snapshots=records, extra=extra)
-        return ArchiveStats(psv_bytes=psv_total, columnar_bytes=col_total)
+        write_manifest(
+            directory, self.config, snapshots=records, extra=extra,
+            accounts=accounts,
+        )
+        return ArchiveStats(columnar_bytes=col_total)
 
     def analyze(
         self,
@@ -251,6 +249,22 @@ class ReproPipeline:
         ]
         text = "\n\n".join(f"== {title} ==\n{body}" for title, body in sections)
         return PaperReport(**values, text=text)
+
+
+def _published_accounts(directory: Path, config) -> dict | None:
+    """The accounts record the archive's manifest lists, when that manifest
+    was published under ``config``'s fingerprint — the population is a
+    function of it, so the member on disk holds this pipeline's accounts."""
+    from repro.core.manifest import config_fingerprint, load_manifest
+    from repro.scan.errors import ArchiveConfigError
+
+    try:
+        manifest = load_manifest(directory)
+    except ArchiveConfigError:
+        return None
+    if manifest is None or manifest["config"] != config_fingerprint(config):
+        return None
+    return manifest.get("accounts")
 
 
 #: Durable per-kernel state for ``analyze_archive(incremental=True)``,
@@ -407,12 +421,18 @@ def analyze_archive(
 
     Loads ``.rpq`` files lazily (two resident snapshots at a time), which is
     how a multi-terabyte window — the paper's situation — stays analyzable
-    on one node.  The population is regenerated deterministically from the
-    config's seed; the archive's ``manifest.json`` fingerprint is validated
-    against it, so a seed mismatch raises a typed
-    :class:`~repro.scan.errors.ArchiveConfigError` instead of silently
-    producing wrong per-domain joins (``allow_config_mismatch=True``
-    downgrades that to a warning for intentional mismatches).
+    on one node.  The snapshots join against the archive's own
+    ``accounts.json`` member (:mod:`repro.core.accounts`), which the
+    manifest lists with its size and CRC32; a damaged or missing member
+    raises :class:`~repro.scan.errors.CorruptSnapshotError` under every
+    ``on_error`` policy (it is not a snapshot a window can drop).  Only an
+    archive whose manifest lists no member — one written before the
+    member existed, or by ``repro ingest`` — regenerates the population
+    from the config's seed.  The archive's ``manifest.json`` fingerprint
+    is validated against the config either way, so a seed mismatch raises
+    a typed :class:`~repro.scan.errors.ArchiveConfigError`
+    (``allow_config_mismatch=True`` downgrades that to a warning, and the
+    joins then use the archive's own accounts when it has them).
 
     Failure tolerance:
 
@@ -475,10 +495,20 @@ def analyze_archive(
     from repro.analysis.context import AnalysisContext
     from repro.core.manifest import config_fingerprint, validate_manifest
     from repro.scan.store import DiskSnapshotCollection
-    from repro.synth.population import generate_population
 
     config = config if config is not None else SimulationConfig()
-    validate_manifest(directory, config, allow_mismatch=allow_config_mismatch)
+    manifest = validate_manifest(
+        directory, config, allow_mismatch=allow_config_mismatch
+    )
+    accounts = manifest.get("accounts") if manifest is not None else None
+    if accounts is not None:
+        from repro.core.accounts import read_accounts
+
+        population = read_accounts(directory, accounts)
+    else:
+        from repro.synth.population import generate_population
+
+        population = generate_population(seed=config.seed, n_users=config.n_users)
     pipeline = ReproPipeline(
         config=config, executor=executor,
         burstiness_min_files=burstiness_min_files,
@@ -504,7 +534,6 @@ def analyze_archive(
             RuntimeWarning,
             stacklevel=2,
         )
-    population = generate_population(seed=config.seed, n_users=config.n_users)
     if max_task_failures is None and on_error != "raise":
         # degraded-mode default: one full retry cycle, then quarantine
         max_task_failures = pipeline.executor.config.retries + 1

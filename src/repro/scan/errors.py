@@ -73,8 +73,9 @@ class ArchiveConfigError(ValueError):
     """The archive's recorded config fingerprint contradicts the caller's.
 
     Raised by :func:`repro.core.manifest.validate_manifest` when e.g. the
-    seed used to regenerate the population differs from the seed that
-    produced the archive — previously a silent wrong-results mode.
+    caller's seed differs from the seed that produced the archive — for
+    an archive without an accounts member, whose population is
+    regenerated from that seed, previously a silent wrong-results mode.
     """
 
     def __init__(self, path, mismatches: dict[str, tuple]) -> None:

@@ -24,7 +24,9 @@ of the pipeline uses:
 * **manifest fencing** — all merged ``.rpq`` files and ``.rpd`` delta
   sidecars are written (atomically) first, the generation-bumped manifest
   last, so a merge killed midway is invisible to generation-fenced
-  readers, exactly like a torn publish.
+  readers, exactly like a torn publish.  The caller writes the archive's
+  ``accounts.json`` member before the merge and passes its record in;
+  the merged manifest lists it (this module never builds a population).
 
 Everything here is deterministic in the part bytes, so the merged archive
 is byte-identical no matter how the parts were produced (worker count,
@@ -153,12 +155,14 @@ def merge_shard_parts(
     report: ArchiveHealthReport | None = None,
     deltas: bool = True,
     sharding_meta: dict | None = None,
+    accounts: dict | None = None,
 ) -> list[dict]:
     """Probe, merge, and publish the shard parts under ``dest``.
 
     Returns the manifest snapshot records.  The manifest (generation
     bumped by :func:`write_manifest`) commits last, after every merged
-    file is durably on disk.
+    file is durably on disk, and lists ``accounts`` — the record of the
+    ``accounts.json`` member the caller already wrote under ``dest``.
     """
     parts_root = Path(parts_root)
     dest = Path(dest)
@@ -200,5 +204,7 @@ def merge_shard_parts(
     meta["merged_shards"] = list(merged_shards)
     meta["ino_stride"] = INO_STRIDE
     extra["sharding"] = meta
-    write_manifest(dest, config, snapshots=records, extra=extra)
+    write_manifest(
+        dest, config, snapshots=records, extra=extra, accounts=accounts
+    )
     return records

@@ -24,7 +24,9 @@ Determinism is the load-bearing property:
 
 The merged archive (see :mod:`repro.scan.merge`) is therefore byte-identical
 for a fixed shard count regardless of worker count, scheduling order, or
-crash history.
+crash history.  After the shard phase the supervisor generates the
+population once more and writes it as the archive's ``accounts.json``
+member (:mod:`repro.core.accounts`), which the merged manifest lists.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.accounts import write_accounts
 from repro.core.manifest import config_fingerprint
 from repro.core.runcontrol import RunController
 from repro.query.journal import KernelJournal
@@ -279,6 +282,10 @@ def run_sharded(
     :class:`ArchiveHealthReport` and merge what survived.
     ``on_supervisor`` is a test hook called with the live supervisor
     before the run starts (the chaos harness uses it to aim SIGKILLs).
+
+    After the shard phase the population is generated once here and
+    written as the merged archive's ``accounts.json`` member, then
+    dropped; the merge lists the member in the manifest it commits.
     """
     from repro.query.supervisor import ShardSupervisor, SupervisorConfig
 
@@ -314,6 +321,10 @@ def run_sharded(
         )
     quarantined = set(stats.quarantined)
     merged_shards = [s for s in range(n_shards) if s not in quarantined]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    accounts = write_accounts(
+        out_dir, generate_population(seed=config.seed, n_users=config.n_users)
+    )
     records = merge_shard_parts(
         parts_root,
         out_dir,
@@ -328,6 +339,7 @@ def run_sharded(
             "quarantined": sorted(quarantined),
             "restarts": stats.restarts,
         },
+        accounts=accounts,
     )
     return ShardRunResult(
         directory=out_dir,

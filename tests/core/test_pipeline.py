@@ -35,12 +35,16 @@ def test_pipeline_produces_report(pipeline_and_report):
 def test_pipeline_archive_round_trip(pipeline_and_report, tmp_path):
     pipeline, _ = pipeline_and_report
     stats = pipeline.archive(tmp_path, max_snapshots=2)
-    assert stats.psv_bytes > 0
     assert stats.columnar_bytes > 0
-    assert stats.reduction > 1.0  # the paper's Parquet-style win
-    psv_files = list(tmp_path.glob("*.psv"))
-    rpq_files = list(tmp_path.glob("*.rpq"))
-    assert len(psv_files) == 2 and len(rpq_files) == 2
+    # the archive publishes columnar files only (PSV is an export format)
+    assert list(tmp_path.glob("*.psv")) == []
+    rpq_files = sorted(tmp_path.glob("*.rpq"))
+    assert len(rpq_files) == 2
+    from repro.core.accounts import ACCOUNTS_NAME
+    from repro.core.manifest import load_manifest
+
+    assert load_manifest(tmp_path)["accounts"]["file"] == ACCOUNTS_NAME
+    assert (tmp_path / ACCOUNTS_NAME).exists()
 
     # the columnar file re-loads into the same rows
     from repro.scan.columnar import read_columnar
@@ -87,17 +91,6 @@ def test_analyze_archive_matches_memory(tmp_path):
     mem_rows = {r.domain: (r.entries_k, r.depth_max) for r in mem.table1}
     disk_rows = {r.domain: (r.entries_k, r.depth_max) for r in disk.table1}
     assert mem_rows == disk_rows
-
-
-def test_archive_stats_reduction_edge_cases():
-    import math
-
-    from repro.core.pipeline import ArchiveStats
-
-    assert ArchiveStats(psv_bytes=40, columnar_bytes=10).reduction == 4.0
-    # empty columnar output must not report "no reduction" (the old 0.0 bug)
-    assert ArchiveStats(psv_bytes=40, columnar_bytes=0).reduction == float("inf")
-    assert math.isnan(ArchiveStats(psv_bytes=0, columnar_bytes=0).reduction)
 
 
 def test_analyze_selected_subset(pipeline_and_report):

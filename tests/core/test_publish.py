@@ -65,6 +65,8 @@ def test_generation_increments_per_publish(simulated, tmp_path):
 
 def test_skip_existing_appends_only_the_new_snapshot(simulated, tmp_path):
     simulated.archive(tmp_path, max_snapshots=3)
+    member = tmp_path / "accounts.json"
+    member_stamp = (member.stat().st_ino, member.stat().st_mtime_ns)
     before = {
         f.name: f.stat().st_mtime_ns for f in sorted(tmp_path.glob("*.rpq"))
     }
@@ -75,6 +77,8 @@ def test_skip_existing_appends_only_the_new_snapshot(simulated, tmp_path):
     assert len(after) == len(before) + 1
     for name, stamp in before.items():
         assert after[name] == stamp, f"{name} was rewritten"
+    # the accounts member did not change, so the append left it alone
+    assert (member.stat().st_ino, member.stat().st_mtime_ns) == member_stamp
     assert manifest_generation(tmp_path) == 2
     # the appended snapshot brought its delta sidecar
     new_label = _manifest_files(tmp_path)[-1].stem
@@ -101,6 +105,46 @@ def test_torn_publish_leaves_old_generation_intact(simulated, tmp_path):
     simulated.archive(tmp_path, max_snapshots=4, skip_existing=True)
     assert manifest_generation(tmp_path) == 2
     assert len(_manifest_files(tmp_path)) == 4
+
+
+def test_torn_append_leaves_previous_generation_and_member_analyzable(
+    simulated, tmp_path
+):
+    simulated.archive(tmp_path, max_snapshots=3)
+    _, before = analyze_archive(tmp_path, config=TINY, analyses=DELTA_ANALYSES)
+    record = load_manifest(tmp_path)["accounts"]
+    with torn_publish(tmp_path):
+        simulated.archive(tmp_path, max_snapshots=4, skip_existing=True)
+    assert manifest_generation(tmp_path) == 1
+    assert load_manifest(tmp_path)["accounts"] == record
+    _, after = analyze_archive(
+        tmp_path, config=TINY, analyses=DELTA_ANALYSES,
+        snapshot_files=_manifest_files(tmp_path),
+    )
+    assert after.text == before.text
+
+
+def test_rewarm_on_corrupt_member_keeps_last_good_figures(simulated, tmp_path):
+    from repro.core.accounts import ACCOUNTS_NAME
+    from repro.serve.service import ArchiveService
+
+    simulated.archive(tmp_path, max_snapshots=3)
+    service = ArchiveService(
+        tmp_path, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+    )
+    service.warm()
+    names = service.figure_names()
+    figures = {name: service.figure(name) for name in names}
+    text, etag = service.report_text(), service.etag
+    simulated.archive(tmp_path, max_snapshots=4, skip_existing=True)
+    member = tmp_path / ACCOUNTS_NAME
+    bit_flip(member, member.stat().st_size // 2, bit=2)
+    with pytest.warns(RuntimeWarning, match=ACCOUNTS_NAME):
+        assert not service.refresh()
+    assert service.breaker.snapshot()["consecutive_failures"] == 1
+    assert service.generation == 1
+    assert (service.report_text(), service.etag) == (text, etag)
+    assert {name: service.figure(name) for name in names} == figures
 
 
 def test_pinned_window_missing_file_is_typed(simulated, tmp_path):

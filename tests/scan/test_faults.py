@@ -7,7 +7,9 @@ and reason — never a cryptic decoder exception, never silently wrong
 arrays.  This suite sweeps every section boundary (truncation) and every
 section (bit flips) enumerated by the fault harness, in both readable
 layouts: ``RPQ3``, which every writer emits, and the legacy ``RPQ2``,
-which older archives and sidecars hold.
+which older archives and sidecars hold.  The archive's ``accounts.json``
+member is held to the same contract: any damage raises the typed error,
+naming the member, under every ``on_error`` policy.
 """
 
 import json
@@ -649,6 +651,82 @@ def test_find_delta_chain_missing_sidecar_reason(tmp_path):
     )
     assert files is None
     assert "missing delta sidecar" in reason
+
+
+# -- the accounts member -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def member_archive(tmp_path_factory):
+    """A tiny published archive carrying its ``accounts.json`` member."""
+    from repro.core.pipeline import ReproPipeline
+    from repro.synth.driver import SimulationConfig
+
+    config = SimulationConfig(
+        seed=47, scale=1.5e-6, weeks=2, min_project_files=4,
+        stress_depths=False,
+    )
+    pipeline = ReproPipeline(config)
+    pipeline.simulate()
+    directory = tmp_path_factory.mktemp("member-archive")
+    pipeline.archive(directory)
+    return directory, config
+
+
+def _rewrite_member(directory, edit) -> None:
+    """Apply ``edit`` to the member's rows and re-record size and CRC32,
+    so only the row checks can catch the damage."""
+    from repro.core.accounts import ACCOUNTS_NAME
+    from repro.core.manifest import MANIFEST_NAME
+
+    member = directory / ACCOUNTS_NAME
+    doc = json.loads(member.read_bytes())
+    edit(doc)
+    body = json.dumps(doc, separators=(",", ":")).encode()
+    member.write_bytes(body)
+    manifest_path = directory / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["accounts"].update(bytes=len(body), crc32=zlib.crc32(body))
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _short_user_row(doc) -> None:
+    doc["users"][0] = doc["users"][0][:4]
+
+
+def _string_uid(doc) -> None:
+    doc["users"][0][0] = str(doc["users"][0][0])
+
+
+_MEMBER_DAMAGE = {
+    "truncated": lambda d, m: truncate_at(m, m.stat().st_size // 2),
+    "bitflip": lambda d, m: bit_flip(m, m.stat().st_size // 2, bit=3),
+    "deleted": lambda d, m: m.unlink(),
+    "short-row": lambda d, m: _rewrite_member(d, _short_user_row),
+    "string-uid": lambda d, m: _rewrite_member(d, _string_uid),
+}
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip", "quarantine"])
+@pytest.mark.parametrize("damage", sorted(_MEMBER_DAMAGE))
+def test_damaged_accounts_member_raises_typed(
+    member_archive, tmp_path, damage, on_error
+):
+    """The member is not a snapshot: no ``on_error`` policy drops it."""
+    from repro.core.accounts import ACCOUNTS_NAME
+    from repro.core.pipeline import analyze_archive
+
+    source, config = member_archive
+    directory = tmp_path / "archive"
+    shutil.copytree(source, directory)
+    _MEMBER_DAMAGE[damage](directory, directory / ACCOUNTS_NAME)
+    with pytest.raises(CorruptSnapshotError, match=ACCOUNTS_NAME) as info:
+        analyze_archive(
+            directory, config=config, analyses="census", on_error=on_error
+        )
+    assert Path(info.value.path).name == ACCOUNTS_NAME
+    # nothing was quarantined on the member's account
+    assert not (directory / "quarantine").exists()
 
 
 # -- harness self-tests ------------------------------------------------------
