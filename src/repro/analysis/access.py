@@ -149,11 +149,10 @@ def access_kernel() -> Kernel:
     return Kernel(
         name="access",
         map_fn=_classify_pair,
-        reduce_fn=lambda weeks: AccessPatternResult(weeks=list(weeks)),
+        reduce_fn=list,
         pairwise=True,
+        finish_fn=lambda weeks: AccessPatternResult(weeks=list(weeks)),
         update_fn=lambda state, delta: state + [_classify_delta(delta)],
-        partials_to_state=list,
-        state_to_result=lambda weeks: AccessPatternResult(weeks=list(weeks)),
     )
 
 
@@ -212,7 +211,7 @@ def _age_of(
     """Map partial: the Figure 16 row plus the file rows that produced it.
 
     The trailing ``(path_id, atime, mtime)`` arrays cost one extra
-    worker→parent transfer per snapshot but let ``partials_to_state`` seed
+    worker→parent transfer per snapshot but let ``reduce_fn`` seed
     the delta-replay state with the *last* snapshot's file population —
     the only part of a snapshot the age series needs to advance.
     """
@@ -314,10 +313,9 @@ def ages_kernel(purge_window_days: int = 90) -> Kernel:
     return Kernel(
         name="ages",
         map_fn=_age_of,
-        reduce_fn=lambda partials: rows_to_result([p[0] for p in partials]),
+        reduce_fn=_reduce_age_state,
+        finish_fn=lambda state: rows_to_result(state.rows),
         update_fn=_update_ages,
-        partials_to_state=_reduce_age_state,
-        state_to_result=lambda state: rows_to_result(state.rows),
     )
 
 

@@ -85,10 +85,9 @@ def growth_kernel(scan_history: list[ScanStats] | None = None) -> Kernel:
     return Kernel(
         name="growth",
         map_fn=_map_growth,
-        reduce_fn=reduce_growth,
+        reduce_fn=list,
+        finish_fn=reduce_growth,
         update_fn=update_growth,
-        partials_to_state=list,
-        state_to_result=reduce_growth,
     )
 
 

@@ -2,14 +2,10 @@
 
 Each :class:`AnalysisSpec` names one paper artifact, the kernels it needs,
 and a parent-side ``finalize`` that turns kernel results into the report's
-result objects.  :func:`run_analyses` either
-
-* **fused** (the default): collects every selected spec's kernels, dedupes
-  them by name (six analyses share the ``rows`` census, and the engine
-  additionally shares map evaluations), and runs them all in **one**
-  pass over the snapshot collection; or
-* **legacy passes**: runs each spec's kernels in its own pass, reproducing
-  the old one-pass-per-analysis behavior for ablation.
+result objects.  :func:`run_analyses` collects every selected spec's
+kernels, dedupes them by name (six analyses share the ``rows`` census, and
+the engine additionally shares map evaluations), and runs them all in
+**one** pass over the snapshot collection.
 
 Population-only analyses (participation, the file generation network,
 collaboration) have no kernels — their finalizers never touch a snapshot.

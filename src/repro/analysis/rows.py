@@ -177,6 +177,4 @@ def rows_kernel() -> Kernel:
         map_fn=_map_rows,
         reduce_fn=_reduce_rows,
         update_fn=_update_rows,
-        partials_to_state=_reduce_rows,
-        state_to_result=lambda state: state,
     )

@@ -81,8 +81,6 @@ def active_ids_kernel() -> Kernel:
         map_fn=_map_active,
         reduce_fn=_reduce_active,
         update_fn=_update_active,
-        partials_to_state=_reduce_active,
-        state_to_result=lambda state: state,
     )
 
 

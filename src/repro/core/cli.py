@@ -91,14 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --from-archive: journal per-kernel reduced state in the "
         "archive and advance it through the .rpd delta sidecars on the "
         "next run, so appending one snapshot costs O(delta) instead of a "
-        "full re-scan (falls back to full maps, with a warning, whenever "
-        "the state or sidecar chain is unusable)",
-    )
-    parser.add_argument(
-        "--no-deltas",
-        action="store_true",
-        help="with --archive-dir: skip writing the per-interval .rpd delta "
-        "sidecars next to the .rpq snapshots",
+        "full re-scan (a missing or broken sidecar is recomputed from its "
+        "two snapshots; unusable state falls back to full maps; both warn)",
     )
     parser.add_argument(
         "--max-seconds",
@@ -219,13 +213,6 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         "byte-identical outputs (deleted after a successful run)",
     )
     parser.add_argument(
-        "--no-deltas",
-        action="store_true",
-        help="skip the post-pass that chains .rpd delta sidecars between "
-        "consecutive snapshots (sidecars enable incremental analysis of "
-        "the produced archive; written only when 2+ snapshots ingest)",
-    )
-    parser.add_argument(
         "--chunk-records",
         type=int,
         default=None,
@@ -308,7 +295,6 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         help="with --analyze: downgrade a manifest config mismatch to a "
         "warning",
     )
-    parser.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -425,12 +411,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="seconds between the follower's manifest-generation polls "
         "(with --follow)",
     )
-    parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="warm via journaled kernel state + .rpd delta replay even "
-        "without --follow (implied by --follow)",
-    )
     return parser
 
 
@@ -502,10 +482,6 @@ def build_synth_parser() -> argparse.ArgumentParser:
         "fold them into the archive health report and merge the rest",
     )
     parser.add_argument(
-        "--no-deltas", action="store_true",
-        help="skip writing the per-interval .rpd delta sidecars",
-    )
-    parser.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
         help="wall-clock budget for the whole run; on expiry outstanding "
         "workers are cancelled, the resume hint printed, and the exit "
@@ -543,56 +519,53 @@ def main(argv: list[str] | None = None) -> int:
         return synth_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        controller = RunController(
-            max_seconds=args.max_seconds,
-            memory_budget=args.memory_budget,
-            grace_seconds=args.grace_seconds,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    with controller.install_signal_handlers():
-        try:
-            return _run(args, controller)
-        except RunInterrupted as err:
-            print(f"# interrupted: {err}", file=sys.stderr)
-            return EXIT_SIGNAL if "SIG" in err.reason else EXIT_DEADLINE
+    return _run_controlled(
+        parser, _run, args,
+        max_seconds=args.max_seconds,
+        memory_budget=args.memory_budget,
+        grace_seconds=args.grace_seconds,
+    )
 
 
 def ingest_main(argv: list[str]) -> int:
     """The ``repro ingest`` verb (same signal/exit-code conventions)."""
     parser = build_ingest_parser()
     args = parser.parse_args(argv)
-    try:
-        controller = RunController(
-            max_seconds=args.max_seconds,
-            memory_budget=args.memory_budget,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    with controller.install_signal_handlers():
-        try:
-            return _run_ingest(args, controller)
-        except RunInterrupted as err:
-            print(f"# interrupted: {err}", file=sys.stderr)
-            return EXIT_SIGNAL if "SIG" in err.reason else EXIT_DEADLINE
+    return _run_controlled(
+        parser, _run_ingest, args,
+        max_seconds=args.max_seconds,
+        memory_budget=args.memory_budget,
+    )
 
 
 def synth_main(argv: list[str]) -> int:
     """The ``repro synth`` verb (same signal/exit-code conventions)."""
     parser = build_synth_parser()
     args = parser.parse_args(argv)
+    return _run_controlled(
+        parser, _run_synth, args,
+        max_seconds=args.max_seconds,
+        grace_seconds=args.grace_seconds,
+    )
+
+
+def _run_controlled(parser, run, args, **limits) -> int:
+    """Run ``run(args, controller)`` under a :class:`RunController` built
+    from ``limits``, with SIGINT/SIGTERM routed into it.
+
+    A graceful stop prints ``# interrupted: <message>`` and, when the
+    interrupted layer left one, ``# resume: <hint>`` once, then maps to the
+    conventional exit code (130 signal, 124 deadline).
+    """
     try:
-        controller = RunController(
-            max_seconds=args.max_seconds, grace_seconds=args.grace_seconds
-        )
+        controller = RunController(**limits)
     except ValueError as exc:
         parser.error(str(exc))
     with controller.install_signal_handlers():
         try:
-            return _run_synth(args, controller)
+            return run(args, controller)
         except RunInterrupted as err:
-            print(f"# interrupted: {err}", file=sys.stderr)
+            print(f"# interrupted: {err.args[0]}", file=sys.stderr)
             if err.resume_hint:
                 print(f"# resume: {err.resume_hint}", file=sys.stderr)
             return EXIT_SIGNAL if "SIG" in err.reason else EXIT_DEADLINE
@@ -625,7 +598,6 @@ def _run_synth(args: argparse.Namespace, controller: RunController) -> int:
             supervisor=supervisor,
             controller=controller,
             on_error=args.on_error,
-            deltas=not args.no_deltas,
         )
     except ShardFailedError as err:
         print(f"# shard failure: {err}", file=sys.stderr)
@@ -719,7 +691,7 @@ def serve_main(argv: list[str]) -> int:
             cooldown_s=args.breaker_cooldown,
         ),
         allow_config_mismatch=args.allow_config_mismatch,
-        incremental=args.follow or args.incremental,
+        incremental=args.follow,
     )
     t0 = time.time()
     service.warm()
@@ -830,7 +802,6 @@ def _run_ingest(args: argparse.Namespace, controller: RunController) -> int:
         checkpoint=args.checkpoint,
         controller=controller,
         manifest_config=manifest_config,
-        deltas=not args.no_deltas,
     )
     report = result.report
     print(
@@ -916,9 +887,7 @@ def _run(args: argparse.Namespace, controller: RunController) -> int:
             file=sys.stderr,
         )
         if args.archive_dir:
-            stats = pipeline.archive(
-                args.archive_dir, deltas=not args.no_deltas
-            )
+            stats = pipeline.archive(args.archive_dir)
             print(
                 f"# archive: columnar {stats.columnar_bytes:,} B",
                 file=sys.stderr,

@@ -130,12 +130,15 @@ class ReproPipeline:
         self,
         directory: str | Path,
         max_snapshots: int | None = None,
-        deltas: bool = True,
         skip_existing: bool = False,
     ) -> ArchiveStats:
         """Publish the columnar snapshot files; returns footprint stats.
 
-        Writes one ``.rpq`` per snapshot, the ``accounts.json`` member
+        Writes one ``.rpq`` per snapshot, a ``{label}.rpd`` sidecar for
+        each snapshot after the first — the exact change set since its
+        predecessor, which lets ``analyze_archive(incremental=True)``
+        advance journaled kernel state in O(delta) instead of re-scanning
+        the window (DESIGN.md §11) — the ``accounts.json`` member
         (the population the analyses join against, see
         :mod:`repro.core.accounts`) and the ``manifest.json`` that lists
         both.  Every file is written atomically — tmp + fsync + rename —
@@ -150,19 +153,13 @@ class ReproPipeline:
         the new generation can trust every listed file to be complete,
         and a crash before the manifest rename leaves the previous
         generation fully intact.  ``skip_existing=True`` turns a re-run
-        into an append publish — snapshots whose ``.rpq`` (and ``.rpd``,
-        with deltas on) already exist are not rewritten (atomic writes
-        guarantee an existing file is whole), nor is an accounts member
-        whose size and CRC32 match, so publishing week N+1 costs O(one
-        snapshot), then the manifest commit flips readers to the new
-        window.  Appending to an archive written before the accounts
-        member existed adds the member and rewrites no snapshot file.
-
-        With ``deltas=True`` (the default) each snapshot after the first
-        also gets a ``{label}.rpd`` sidecar — the exact change set since
-        its predecessor — enabling ``analyze_archive(incremental=True)`` to
-        advance journaled kernel state in O(delta) instead of re-scanning
-        the window (DESIGN.md §11).
+        into an append publish — snapshots whose ``.rpq`` (and ``.rpd``)
+        already exist are not rewritten (atomic writes guarantee an
+        existing file is whole), nor is an accounts member whose size and
+        CRC32 match, so publishing week N+1 costs O(one snapshot), then
+        the manifest commit flips readers to the new window.  Appending to
+        an archive written before the accounts member existed adds the
+        member and rewrites no snapshot file.
         """
         if self.simulation is None:
             raise RuntimeError("simulate() first")
@@ -199,7 +196,7 @@ class ReproPipeline:
                         ),
                     )
             col_path = directory / f"{snap.label}.rpq"
-            dpath = sidecar_path(directory, snap.label) if deltas and i > 0 else None
+            dpath = sidecar_path(directory, snap.label) if i > 0 else None
             published = (
                 skip_existing
                 and col_path.exists()
@@ -215,10 +212,9 @@ class ReproPipeline:
             )
         reuse = _published_accounts(directory, self.config) if skip_existing else None
         accounts = write_accounts(directory, self.simulation.population, reuse=reuse)
-        extra = {"deltas": delta_config()} if deltas else None
         write_manifest(
-            directory, self.config, snapshots=records, extra=extra,
-            accounts=accounts,
+            directory, self.config, snapshots=records,
+            extra={"deltas": delta_config()}, accounts=accounts,
         )
         return ArchiveStats(columnar_bytes=col_total)
 
@@ -272,34 +268,28 @@ def _published_accounts(directory: Path, config) -> dict | None:
 KERNEL_STATE_FILENAME = "kernel_state.bin"
 
 
-def _load_delta_plan(directory, store, collection, labels, repair=False):
+def _load_delta_plan(directory, store, collection, labels):
     """Build the run's DeltaPlan from journaled state + the sidecar chain.
 
-    Returns a plan whose ``states``/``deltas`` drive replay when the chain
-    is intact, or an empty-but-capturing plan (with a RuntimeWarning naming
-    the reason) when it is not — degraded incremental runs are loud, never
-    silent, mirroring the serial-downgrade convention.
+    Every appended label's ``.rpd`` is probed on a scratch table, so a
+    bogus sidecar never touches the journaled interning table.  A missing,
+    corrupt or mislinked link is recomputed from its two adjacent
+    snapshots instead — O(broken links) snapshot loads, still
+    byte-identical, and loudly warned with the file and the reason.  The
+    recompute is id-safe because the journaled table already covers every
+    prefix path and a full snapshot load interns new paths in row order,
+    exactly the order the sidecar's added-first contract would have used.
 
-    ``repair=True`` (the serving follower's mode) bounds the blast radius
-    of a broken link: instead of abandoning replay for a full window
-    re-scan, each missing/corrupt/mislinked sidecar is replaced by a delta
-    recomputed from its two adjacent snapshots — O(suffix) snapshot loads,
-    still byte-identical, still loudly warned.  The recompute is id-safe
-    because the journaled table already covers every prefix path and a
-    full snapshot load interns new paths in row order, exactly the order
-    the sidecar's added-first contract would have used.
+    Returns an empty plan — the run maps every snapshot and journals fresh
+    state — on the first run or when the store discarded its state, and
+    (with a RuntimeWarning naming the reason) when the window is degraded
+    or a recompute hits a corrupt snapshot: degraded incremental runs are
+    loud, never silent, mirroring the serial-downgrade convention.
     """
     from repro.query.engine import DeltaPlan
-    from repro.scan.delta import (
-        compute_delta,
-        find_delta_chain,
-        read_delta,
-        sidecar_path,
-    )
+    from repro.scan.delta import compute_delta, read_delta, sidecar_path
     from repro.scan.errors import CorruptSnapshotError
     from repro.scan.paths import PathTable
-
-    plan = DeltaPlan()
 
     def _fallback(reason: str) -> "DeltaPlan":
         warnings.warn(
@@ -312,47 +302,12 @@ def _load_delta_plan(directory, store, collection, labels, repair=False):
 
     states, stored_labels, table = store.load(labels, collection.content_ids())
     if not states:
-        return plan  # first run (or discarded state): bootstrap via capture
+        return DeltaPlan()  # first run (or discarded state): bootstrap
     if collection.health.degraded:
         return _fallback("the archive window is degraded")
-    if len(stored_labels) == len(labels):
-        # nothing appended: replay is a no-op state readout; share the
-        # journaled interning table so any full-map kernels agree on ids
-        collection.paths = table
-        plan.states = states
-        return plan
-    start = len(stored_labels)
-    if not repair:
-        files, reason = find_delta_chain(directory, labels, start)
-        if files is None:
-            return _fallback(reason)
-        # validation pass against scratch tables: the shared table must stay
-        # pristine unless the whole chain checks out (a bogus sidecar must
-        # not poison id assignment for the full-map fallback)
-        expected_prev = stored_labels[-1]
-        for path, label in zip(files, labels[start:]):
-            try:
-                probe = read_delta(path, PathTable())
-            except CorruptSnapshotError as exc:
-                return _fallback(f"sidecar {path.name} is corrupt ({exc})")
-            if probe.prev_label != expected_prev or probe.cur_label != label:
-                return _fallback(
-                    f"sidecar {path.name} links {probe.prev_label!r}->"
-                    f"{probe.cur_label!r}, expected {expected_prev!r}->{label!r}"
-                )
-            expected_prev = probe.cur_label
-        # commit: intern the chain into the journaled table, in order, and
-        # make it the collection's table — replay and full loads then
-        # allocate path ids against one object
-        collection.paths = table
-        plan.states = states
-        plan.deltas = [read_delta(path, table) for path in files]
-        return plan
-    # repair mode: probe each link on a scratch table; a bad link becomes a
-    # recompute from its two snapshots rather than sinking the whole chain
     links: list[tuple[str, object]] = []
     expected_prev = stored_labels[-1]
-    for idx in range(start, len(labels)):
+    for idx in range(len(stored_labels), len(labels)):
         label = labels[idx]
         path = sidecar_path(directory, label)
         entry = None
@@ -383,6 +338,9 @@ def _load_delta_plan(directory, store, collection, labels, repair=False):
             entry = ("recompute", idx)
         links.append(entry)
         expected_prev = label
+    # commit: intern the chain into the journaled table, in order, and make
+    # it the collection's table — replay and full loads then allocate path
+    # ids against one object
     collection.paths = table
     deltas = []
     try:
@@ -395,9 +353,7 @@ def _load_delta_plan(directory, store, collection, labels, repair=False):
         # a snapshot itself is bad: the table only ever saw real paths in
         # chain order, so full maps against it remain id-consistent
         return _fallback(f"recomputing a delta failed ({exc})")
-    plan.states = states
-    plan.deltas = deltas
-    return plan
+    return DeltaPlan(states=states, deltas=deltas)
 
 
 def analyze_archive(
@@ -414,7 +370,6 @@ def analyze_archive(
     max_task_failures: int | None = None,
     ingest_report=None,
     incremental: bool = False,
-    repair_deltas: bool = False,
     snapshot_files: list | None = None,
 ) -> tuple[ReproPipeline, PaperReport]:
     """Out-of-core analysis: run every §4 analysis from archived snapshots.
@@ -475,14 +430,11 @@ def analyze_archive(
       N+1 to an analyzed archive costs O(delta) for converted kernels
       instead of an O(namespace) re-scan, with byte-identical results.
       The state is fingerprint-bound (archive config + delta layout) and
-      label-prefix-checked; any mismatch, missing sidecar, or broken
-      chain falls back to full maps with a RuntimeWarning, never a wrong
-      answer.  State is never persisted from a degraded or
-      quarantine-marred run.
-    * ``repair_deltas=True`` (the serving follower's mode) narrows that
-      fallback: a missing/corrupt/mislinked sidecar is replaced by a
-      delta recomputed from its two adjacent snapshots — a bounded
-      re-analysis of just the broken suffix link, warned, byte-identical.
+      label-prefix-checked; a mismatch falls back to full maps with a
+      RuntimeWarning, never a wrong answer.  A missing, corrupt or
+      mislinked sidecar is recomputed from its two adjacent snapshots — a
+      bounded re-analysis of just that link, warned, byte-identical.
+      State is never persisted from a degraded or quarantine-marred run.
 
     Serving/publish fencing:
 
@@ -551,8 +503,7 @@ def analyze_archive(
             },
         )
         delta_plan = _load_delta_plan(
-            directory, state_store, collection, collection.labels,
-            repair=repair_deltas,
+            directory, state_store, collection, collection.labels
         )
     pipeline.context = AnalysisContext(
         collection=collection,  # type: ignore[arg-type]

@@ -525,7 +525,6 @@ def ingest_trace(
     checkpoint: str | Path | None = None,
     controller=None,
     manifest_config=None,
-    deltas: bool = True,
 ) -> IngestResult:
     """Ingest foreign trace dump(s) into an analyzable archive directory.
 
@@ -537,7 +536,11 @@ def ingest_trace(
     out_dir:
         Archive directory; created if needed.  Gets one ``.rpq`` per
         source, a ``manifest.json``, and ``.bad`` sidecars under the
-        quarantine policy.
+        quarantine policy.  When two or more snapshots ingest, a post-pass
+        also chains ``.rpd`` delta sidecars between consecutive snapshots
+        (archive timestamp order, two snapshots resident at a time), so a
+        foreign archive supports ``analyze_archive(incremental=True)``
+        exactly like a simulated one.
     config:
         :class:`IngestConfig` (policy, chunking, validation limits).
     checkpoint:
@@ -553,12 +556,6 @@ def ingest_trace(
         :class:`~repro.synth.driver.SimulationConfig` whose fingerprint
         is written to the archive manifest (defaults to a default-config
         fingerprint, letting ``analyze_archive`` validate trivially).
-    deltas:
-        With ``True`` (the default) a post-pass chains ``.rpd`` delta
-        sidecars between consecutive ingested snapshots (archive
-        timestamp order, two snapshots resident at a time), so a foreign
-        archive supports ``analyze_archive(incremental=True)`` exactly
-        like a simulated one.  Needs at least two usable snapshots.
     """
     from repro.core.manifest import write_manifest
     from repro.query.journal import KernelJournal
@@ -720,7 +717,7 @@ def ingest_trace(
             "on_error": effective.on_error,
         }
     }
-    if deltas and len(outputs) > 1:
+    if len(outputs) > 1:
         from repro.scan.delta import delta_config
 
         _write_delta_sidecars(out_dir, report.files, controller=controller)

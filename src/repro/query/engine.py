@@ -89,6 +89,10 @@ START_METHOD_ENV = "REPRO_START_METHOD"
 SERIAL = "serial"
 
 
+def _identity(state: Any) -> Any:
+    return state
+
+
 @dataclass(frozen=True)
 class Kernel:
     """One analysis expressed as a map/reduce pair over a snapshot series.
@@ -105,45 +109,32 @@ class Kernel:
         function object share a single evaluation per snapshot, and the
         shared partial must therefore not be mutated by any reducer.
     reduce_fn:
-        ``list[partial] -> result`` over the partials in snapshot order
+        ``list[partial] -> state`` over the partials in snapshot order
         (pair kernels receive one partial per adjacent pair).  Runs in the
         parent, so closures — e.g. over an analysis context — are fine.
     pairwise:
         When True, ``map_fn`` sees adjacent ``(prev, cur)`` snapshot pairs
         riding the same sliding two-snapshot window the per-snapshot
         kernels keep resident.
-    update_fn / partials_to_state / state_to_result:
-        The optional incremental protocol (DESIGN.md §11).  A kernel that
-        defines all three can advance a journaled *state* by one
-        :class:`~repro.scan.delta.SnapshotDelta` at a time
-        (``update_fn(state, delta) -> state``) instead of re-mapping every
-        snapshot.  ``partials_to_state`` folds a full pass's ordered
-        partials into that state (the bootstrap capture), and
-        ``state_to_result`` turns a state into the kernel's final result.
-        Equivalence contract: ``reduce_fn(partials)`` must equal
-        ``state_to_result(partials_to_state(partials))``, and one
-        ``update_fn`` step must equal re-reducing with the new snapshot's
-        partial appended — the delta path is byte-identical or it is wrong.
-        Kernels without the protocol fall back to a full ``map`` pass,
-        warned-not-silent.
+    finish_fn:
+        ``state -> result``; the kernel's result on every route is
+        ``finish_fn`` of its state (the identity by default).
+    update_fn:
+        The optional incremental hook (DESIGN.md §11):
+        ``update_fn(state, delta) -> state`` advances a journaled state by
+        one :class:`~repro.scan.delta.SnapshotDelta` instead of re-mapping
+        every snapshot.  Contract: one step must equal re-reducing with the
+        new snapshot's partial appended — the delta route is
+        byte-identical or it is wrong.  Kernels without it fall back to a
+        full map pass, warned-not-silent.
     """
 
     name: str
     map_fn: Callable[..., Any]
     reduce_fn: Callable[[list[Any]], Any]
     pairwise: bool = False
+    finish_fn: Callable[[Any], Any] = _identity
     update_fn: Callable[[Any, Any], Any] | None = None
-    partials_to_state: Callable[[list[Any]], Any] | None = None
-    state_to_result: Callable[[Any], Any] | None = None
-
-    @property
-    def supports_delta(self) -> bool:
-        """True when the kernel implements the full incremental protocol."""
-        return (
-            self.update_fn is not None
-            and self.partials_to_state is not None
-            and self.state_to_result is not None
-        )
 
 
 @dataclass
@@ -154,16 +145,15 @@ class DeltaPlan:
     prefix; ``deltas`` is the contiguous
     :class:`~repro.scan.delta.SnapshotDelta` chain from that prefix to the
     collection's end (empty when nothing new was appended).  Kernels with a
-    state and the incremental protocol replay deltas; everything else runs
-    the normal full pass — and, when ``capture`` is set, protocol-capable
-    kernels deposit their freshly reduced state into ``updated_states`` so
-    the *next* run can go incremental.  ``replayed`` / ``fallbacks`` record
-    which path each kernel took (the equivalence suite asserts on them).
+    state and an ``update_fn`` replay deltas; everything else runs the
+    normal full pass.  Every kernel with an ``update_fn`` deposits its
+    state into ``updated_states`` either way, so the *next* run can go
+    incremental.  ``replayed`` / ``fallbacks`` record which route each
+    kernel took (the equivalence suite asserts on them).
     """
 
     states: dict[str, Any] = field(default_factory=dict)
     deltas: list[Any] = field(default_factory=list)
-    capture: bool = True
     #: outputs — filled in by the engine
     updated_states: dict[str, Any] = field(default_factory=dict)
     replayed: list[str] = field(default_factory=list)
@@ -662,14 +652,15 @@ class ExecutionEngine:
         non-``raise`` policy on the collection; otherwise failures raise a
         :class:`TaskError` exactly as before.
 
-        ``delta_plan`` (a :class:`DeltaPlan`) switches kernels carrying the
-        incremental protocol *and* a journaled state onto delta replay:
-        their results come from folding ``update_fn`` over the plan's delta
-        chain — no snapshot is loaded for them.  Every other kernel runs
-        the full fused pass exactly as before (warned, never silent, when
-        an incremental attempt degrades), and — when ``plan.capture`` —
-        protocol-capable kernels deposit their freshly reduced state into
-        ``plan.updated_states`` for the next run.
+        Every kernel reduces once, ``state = reduce_fn(partials)``, and
+        its result is ``finish_fn(state)``.  ``delta_plan`` (a
+        :class:`DeltaPlan`) switches kernels carrying an ``update_fn`` *and*
+        a journaled state onto delta replay: their states come from folding
+        ``update_fn`` over the plan's delta chain — no snapshot is loaded
+        for them.  Every other kernel runs the full fused pass exactly as
+        before (warned, never silent, when an incremental attempt
+        degrades), and kernels with an ``update_fn`` deposit their freshly
+        reduced state into ``plan.updated_states`` for the next run.
         """
         kernels = list(kernels)
         names = [k.name for k in kernels]
@@ -680,7 +671,7 @@ class ExecutionEngine:
         if n == 0 or not kernels:
             stats = ExecutionStats(runs=1)
             _note_deadline(stats, controller)
-            return {k.name: k.reduce_fn([]) for k in kernels}, stats
+            return {k.name: k.finish_fn(k.reduce_fn([])) for k in kernels}, stats
         replay: list[Kernel] = []
         if delta_plan is not None:
             replay, kernels = self._split_delta_plan(kernels, delta_plan)
@@ -772,19 +763,12 @@ class ExecutionEngine:
                 if i not in quarantined_idx
             ]
             t0 = time.perf_counter()
-            if (
-                delta_plan is not None
-                and delta_plan.capture
-                and kernel.supports_delta
-            ):
-                # bootstrap capture: same result as reduce_fn, but the
-                # intermediate state is kept so the next run can replay
-                # deltas instead of re-mapping every snapshot
-                state = kernel.partials_to_state(partials)
+            state = kernel.reduce_fn(partials)
+            if delta_plan is not None and kernel.update_fn is not None:
+                # keep the state so the next run can replay deltas instead
+                # of re-mapping every snapshot
                 delta_plan.updated_states[kernel.name] = state
-                results[kernel.name] = kernel.state_to_result(state)
-            else:
-                results[kernel.name] = kernel.reduce_fn(partials)
+            results[kernel.name] = kernel.finish_fn(state)
             stats.kernel_reduce_seconds[kernel.name] = time.perf_counter() - t0
         results.update(replay_results)
         stats.delta_kernels = replay_stats.delta_kernels
@@ -821,15 +805,15 @@ class ExecutionEngine:
     ) -> tuple[list[Kernel], list[Kernel]]:
         """Partition into (replayable, full-pass) under the plan.
 
-        A kernel replays only when it implements the incremental protocol
-        *and* the plan carries its journaled state.  Degrading from a real
-        incremental attempt (the plan had states) is warned, mirroring the
+        A kernel replays only when it has an ``update_fn`` *and* the plan
+        carries its journaled state.  Degrading from a real incremental
+        attempt (the plan had states) is warned, mirroring the
         serial-downgrade convention — never a silent full re-scan.
         """
         replay: list[Kernel] = []
         fused: list[Kernel] = []
         for kernel in kernels:
-            if not kernel.supports_delta:
+            if kernel.update_fn is None:
                 plan.fallbacks[kernel.name] = (
                     "kernel does not implement the incremental protocol"
                 )
@@ -885,7 +869,7 @@ class ExecutionEngine:
                     state = kernel.update_fn(state, delta)
                     stats.delta_updates += 1
                 plan.updated_states[kernel.name] = state
-                results[kernel.name] = kernel.state_to_result(state)
+                results[kernel.name] = kernel.finish_fn(state)
                 plan.replayed.append(kernel.name)
                 stats.kernel_update_seconds[kernel.name] = (
                     time.perf_counter() - t_kernel

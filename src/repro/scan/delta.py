@@ -329,47 +329,6 @@ def read_delta(source: str | Path, paths: PathTable) -> SnapshotDelta:
     )
 
 
-def find_delta_chain(
-    directory: str | Path, labels: list[str], start_index: int,
-    validate: bool = False,
-) -> tuple[list[Path] | None, str]:
-    """Sidecar files covering snapshots ``start_index .. len(labels)-1``.
-
-    A usable chain needs one ``.rpd`` per appended snapshot, each linking
-    its predecessor label contiguously.  Returns ``(files, "")`` when the
-    chain exists, else ``(None, reason)`` — the caller warns and falls back
-    to full maps (warned-not-silent, like the serial downgrade).
-
-    ``validate=True`` additionally decodes every candidate sidecar against
-    a scratch table and checks its prev/cur linkage, so a truncated or
-    bit-flipped ``.rpd`` is a typed refusal here — ``(None, reason)``,
-    never garbage rows handed to replay.  Corruption stays contained: the
-    decode never touches the caller's shared path table.
-    """
-    if start_index < 1:
-        return None, "no analyzed prefix to advance from"
-    files: list[Path] = []
-    for idx in range(start_index, len(labels)):
-        path = sidecar_path(directory, labels[idx])
-        if not path.exists():
-            return None, f"missing delta sidecar {path.name}"
-        files.append(path)
-    if validate:
-        expected_prev = labels[start_index - 1]
-        for path, label in zip(files, labels[start_index:]):
-            try:
-                probe = read_delta(path, PathTable())
-            except CorruptSnapshotError as exc:
-                return None, f"sidecar {path.name} is corrupt ({exc.reason})"
-            if probe.prev_label != expected_prev or probe.cur_label != label:
-                return None, (
-                    f"sidecar {path.name} links {probe.prev_label!r}->"
-                    f"{probe.cur_label!r}, expected {expected_prev!r}->{label!r}"
-                )
-            expected_prev = label
-    return files, ""
-
-
 def apply_delta(prev: Snapshot, delta: SnapshotDelta) -> Snapshot:
     """Reconstruct the current snapshot from ``prev`` + one delta.
 

@@ -153,7 +153,6 @@ def merge_shard_parts(
     *,
     on_error: str = "raise",
     report: ArchiveHealthReport | None = None,
-    deltas: bool = True,
     sharding_meta: dict | None = None,
     accounts: dict | None = None,
 ) -> list[dict]:
@@ -186,7 +185,7 @@ def merge_shard_parts(
         parts = [read_columnar(source, table) for source in sources]
         merged = _merge_week(label, parts, sources, merged_shards, table)
         stats = write_columnar(merged, dest / f"{label}.rpq")
-        if deltas and prev is not None:
+        if prev is not None:
             write_delta(compute_delta(prev, merged), sidecar_path(dest, label))
         records.append(
             {
@@ -197,14 +196,11 @@ def merge_shard_parts(
             }
         )
         prev = merged
-    extra: dict = {}
-    if deltas:
-        extra["deltas"] = delta_config()
     meta = dict(sharding_meta or {})
     meta["merged_shards"] = list(merged_shards)
     meta["ino_stride"] = INO_STRIDE
-    extra["sharding"] = meta
     write_manifest(
-        dest, config, snapshots=records, extra=extra, accounts=accounts
+        dest, config, snapshots=records,
+        extra={"deltas": delta_config(), "sharding": meta}, accounts=accounts,
     )
     return records

@@ -15,8 +15,9 @@ generation:
   reading last-good throughout.
 * **torn publish** (writer crashed before the manifest commit) → the
   generation never moved, the stray files are invisible, nothing happens.
-* **corrupt/missing sidecar** → the warm's repair mode recomputes just
-  that interval's delta from its two snapshots (bounded, warned).
+* **corrupt/missing/mislinked sidecar** → the incremental loader
+  recomputes just that interval's delta from its two snapshots (bounded,
+  warned).
 * **repeated failures** → the archive's :class:`CircuitBreaker` gates the
   retries; figures keep serving stale behind ``X-Degraded`` until a
   refresh succeeds.

@@ -211,9 +211,9 @@ class ArchiveService:
         default: serving must not silently mutate the archive).
     incremental:
         ``True`` makes every warm journal/replay kernel state through the
-        archive's ``kernel_state.bin`` (with sidecar repair), so re-warms
-        after an append cost O(delta) with zero snapshot loads for
-        converted kernels — the ``--follow`` mode.
+        archive's ``kernel_state.bin``, so re-warms after an append cost
+        O(delta) with zero snapshot loads for converted kernels (a broken
+        sidecar link costs its two snapshots) — the ``--follow`` mode.
     processes:
         Worker processes for the warm's fused pass (1 = serial).  A fresh
         executor is built per warm so ``warm_info()`` reports per-swap
@@ -311,10 +311,10 @@ class ArchiveService:
 
         Reads the manifest once (generation fencing: the window is exactly
         the files that generation lists), runs the analysis — incremental
-        delta replay with sidecar repair when ``incremental=True``, full
-        batch otherwise — then swaps pipeline/figures/ETag under the lock.
-        In-flight requests keep reading the previous (last-good) cache
-        until the swap lands.  Thread-safe: concurrent warms serialize.
+        delta replay when ``incremental=True``, full batch otherwise —
+        then swaps pipeline/figures/ETag under the lock.  In-flight
+        requests keep reading the previous (last-good) cache until the
+        swap lands.  Thread-safe: concurrent warms serialize.
         """
         with self._warm_mutex:
             self._warm_locked()
@@ -342,7 +342,6 @@ class ArchiveService:
                 controller=self.controller,
                 allow_config_mismatch=self.allow_config_mismatch,
                 incremental=self.incremental,
-                repair_deltas=self.incremental,
                 snapshot_files=files,
             )
             figures: dict[str, bytes] = {}

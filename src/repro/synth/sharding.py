@@ -268,7 +268,6 @@ def run_sharded(
     controller: RunController | None = None,
     faults: list[ShardFault] | None = None,
     on_error: str = "raise",
-    deltas: bool = True,
     on_supervisor=None,
 ) -> ShardRunResult:
     """Simulate ``config`` over ``n_shards`` shards and merge the archive.
@@ -333,7 +332,6 @@ def run_sharded(
         merged_shards,
         on_error=on_error,
         report=health,
-        deltas=deltas,
         sharding_meta={
             "n_shards": n_shards,
             "quarantined": sorted(quarantined),

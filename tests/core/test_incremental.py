@@ -3,15 +3,20 @@
 Acceptance criterion: appending one snapshot to an already-analyzed archive
 and re-running in incremental mode produces a report *byte-identical* to a
 full re-analysis, while the converted kernels execute ``update`` (not
-``map``) — and every unusable-state situation (missing sidecar, corrupt
-state file, foreign fingerprint, SIGKILL mid-replay) falls back or reruns
-to the same bytes, loudly.
+``map``) — and every unusable-state situation (corrupt state file, foreign
+fingerprint, SIGKILL mid-replay) falls back or reruns to the same bytes,
+loudly.  A broken sidecar link (missing, corrupt or mislinked) is
+recomputed from its two snapshots: same bytes, two snapshot loads.
 """
 
+import dataclasses
 import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,7 +27,10 @@ from repro.core.pipeline import (
     analyze_archive,
 )
 from repro.query.parallel import SnapshotExecutor
+from repro.scan.delta import sidecar_path
+from repro.serve.encode import dumps, to_jsonable
 from repro.synth.driver import SimulationConfig
+from repro.testing.faults import bit_flip
 
 TINY = SimulationConfig(
     seed=47, scale=1.5e-6, weeks=6, min_project_files=4, stress_depths=False
@@ -63,11 +71,26 @@ def _bootstrap_then_append(pipeline, directory):
     return directory
 
 
+def _figure_bodies(report):
+    """Every figure body, encoded exactly as ``ArchiveService.warm`` serves it."""
+    bodies = {}
+    for f in dataclasses.fields(type(report)):
+        value = getattr(report, f.name)
+        if f.name != "text" and value is not None:
+            bodies[f.name] = dumps({"figure": f.name, "data": to_jsonable(value)})
+    return bodies
+
+
 @pytest.fixture(scope="module")
-def baseline(simulated, tmp_path_factory):
+def cold_report(simulated, tmp_path_factory):
     directory = _fresh_archive(simulated, tmp_path_factory.mktemp("base"))
     _, report = analyze_archive(directory, config=TINY, analyses=DELTA_ANALYSES)
-    return report.text
+    return report
+
+
+@pytest.fixture(scope="module")
+def baseline(cold_report):
+    return cold_report.text
 
 
 def test_bootstrap_run_matches_full_and_persists_state(
@@ -88,8 +111,6 @@ def test_append_snapshot_replays_deltas_byte_identically(
         simulated, tmp_path_factory.mktemp("append")
     )
     executor = SnapshotExecutor(1)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a clean replay must not warn
         pipeline, report = analyze_archive(
@@ -168,11 +189,76 @@ def test_missing_sidecar_falls_back_loudly(
     )
     last = sorted(directory.glob("*.rpd"))[-1]
     last.unlink()
+    executor = SnapshotExecutor(1)
     with pytest.warns(RuntimeWarning, match="missing delta sidecar"):
-        _, report = analyze_archive(
-            directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+        pipeline, report = analyze_archive(
+            directory, config=TINY, executor=executor,
+            analyses=DELTA_ANALYSES, incremental=True,
         )
     assert report.text == baseline
+    # bounded: the missing interval's two snapshots, then pure replay
+    assert pipeline.context.collection.cache_info().misses == 2
+    assert executor.stats.delta_kernels == len(DELTA_KERNELS)
+
+
+#: the ways one sidecar link breaks, each with the reason its warning names
+LINK_DAMAGE = {
+    "missing": "missing delta sidecar",
+    "corrupt": "is corrupt",
+    "mislinked": "links .* expected",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(LINK_DAMAGE))
+@pytest.mark.parametrize("link", [0, 1, 2], ids=["first", "middle", "last"])
+def test_broken_link_of_a_multi_link_append_is_recomputed(
+    simulated, cold_report, tmp_path, link, damage
+):
+    """Three weeks appended past the journaled prefix, one link broken:
+    the loader recomputes just that interval from its two snapshots and
+    replays the other two sidecars — the same report and figure bodies as
+    a cold full analysis, from exactly two snapshot loads."""
+    labels = [s.label for s in simulated.simulation.collection]
+    simulated.archive(tmp_path, max_snapshots=len(labels) - 3)
+    analyze_archive(
+        tmp_path, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+    )
+    simulated.archive(tmp_path, skip_existing=True)
+    appended = labels[-3:]
+    victim = sidecar_path(tmp_path, appended[link])
+    if damage == "missing":
+        victim.unlink()
+    elif damage == "corrupt":
+        bit_flip(victim, victim.stat().st_size // 2, bit=4)
+    else:  # another interval's sidecar copied over this one
+        shutil.copyfile(sidecar_path(tmp_path, appended[(link + 1) % 3]), victim)
+
+    executor = SnapshotExecutor(1)
+    with pytest.warns(RuntimeWarning) as caught:
+        pipeline, report = analyze_archive(
+            tmp_path, config=TINY, executor=executor,
+            analyses=DELTA_ANALYSES, incremental=True,
+        )
+    messages = [
+        str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+    ]
+    assert len(messages) == 1, messages
+    assert victim.name in messages[0]
+    assert re.search(LINK_DAMAGE[damage], messages[0]), messages[0]
+    assert report.text == cold_report.text
+    assert _figure_bodies(report) == _figure_bodies(cold_report)
+    assert pipeline.context.collection.cache_info().misses == 2
+    assert executor.stats.delta_kernels == len(DELTA_KERNELS)
+
+    # the recomputed chain was journaled: the next run is silent and loads
+    # nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipeline, report = analyze_archive(
+            tmp_path, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+        )
+    assert report.text == cold_report.text
+    assert pipeline.context.collection.cache_info().misses == 0
 
 
 def test_corrupt_state_file_falls_back_and_reheals(
@@ -308,22 +394,34 @@ def test_sigkill_mid_replay_leaves_state_reusable(
     assert executor.stats.delta_kernels == len(DELTA_KERNELS)
 
 
-def test_archive_without_deltas_bootstraps_but_cannot_replay(
+def _unlink_sidecars(directory):
+    for sidecar in directory.glob("*.rpd"):
+        sidecar.unlink()
+
+
+def test_archive_without_deltas_recomputes_the_missing_link(
     simulated, baseline, tmp_path_factory
 ):
+    """An archive without sidecars (older archives, deleted files) still
+    bootstraps, and its appended link is recomputed, not re-scanned."""
     directory = tmp_path_factory.mktemp("nodeltas")
     n = len(list(simulated.simulation.collection))
-    simulated.archive(directory, max_snapshots=n - 1, deltas=False)
+    simulated.archive(directory, max_snapshots=n - 1)
+    _unlink_sidecars(directory)
     analyze_archive(
         directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
     )
-    simulated.archive(directory, deltas=False)
-    assert not list(directory.glob("*.rpd"))
+    simulated.archive(directory)
+    _unlink_sidecars(directory)
+    executor = SnapshotExecutor(1)
     with pytest.warns(RuntimeWarning, match="missing delta sidecar"):
-        _, report = analyze_archive(
-            directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+        pipeline, report = analyze_archive(
+            directory, config=TINY, executor=executor,
+            analyses=DELTA_ANALYSES, incremental=True,
         )
     assert report.text == baseline
+    assert pipeline.context.collection.cache_info().misses == 2
+    assert executor.stats.delta_kernels == len(DELTA_KERNELS)
 
 
 def test_cli_incremental_flag(simulated, tmp_path_factory, capsys):

@@ -141,6 +141,23 @@ def test_deadline_remaining_recorded_in_stats(archive):
     assert 0 < executor.last_stats.deadline_remaining_s <= 10_000
 
 
+def test_cli_deadline_prints_the_resume_hint_once(tmp_path, capsys):
+    """Every CLI verb reports a graceful stop the same way: one
+    ``# interrupted:`` line and, when there is a hint, one ``# resume:``
+    line — no stderr line without the ``# `` prefix."""
+    from repro.core.cli import EXIT_DEADLINE, main
+
+    rc = main([
+        "synth", "--out", str(tmp_path / "arch"), "--scale", "1e-6",
+        "--weeks", "2", "--max-seconds", "0",
+    ])
+    assert rc == EXIT_DEADLINE == 124
+    lines = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("# interrupted:") for line in lines) == 1
+    assert sum(line.startswith("# resume:") for line in lines) == 1
+    assert not any(line.startswith("resume:") for line in lines)
+
+
 # -- SIGTERM acceptance (real signal, real subprocess, every start method) ----
 
 

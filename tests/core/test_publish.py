@@ -3,8 +3,8 @@
 The live-follower contract's writer half: ``pipeline.archive`` fsyncs
 data + sidecars first and commits a generation-bumped ``manifest.json``
 last, so a reader that pins its window to the manifest can never observe
-a half-published snapshot.  The reader half: ``repair_deltas`` turns a
-broken chain link into a recompute of just that interval — bounded,
+a half-published snapshot.  The reader half: the incremental loader turns
+a broken chain link into a recompute of just that interval — bounded,
 warned, byte-identical.
 """
 
@@ -188,8 +188,7 @@ def test_repair_recomputes_broken_link_byte_identically(
         bit_flip(victim, victim.stat().st_size // 2, bit=4)
     with pytest.warns(RuntimeWarning, match="recomputing"):
         pipeline, report = analyze_archive(
-            directory, config=TINY, analyses=DELTA_ANALYSES,
-            incremental=True, repair_deltas=True,
+            directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
         )
     assert report.text == baseline
     # bounded: only the broken interval's two snapshots were loaded —
@@ -200,21 +199,7 @@ def test_repair_recomputes_broken_link_byte_identically(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pipeline, report = analyze_archive(
-            directory, config=TINY, analyses=DELTA_ANALYSES,
-            incremental=True, repair_deltas=True,
-        )
-    assert report.text == baseline
-    assert pipeline.context.collection.cache_info().misses == 0
-
-
-def test_without_repair_broken_link_still_falls_back_loudly(
-    simulated, baseline, tmp_path
-):
-    directory = _bootstrap_then_append(simulated, tmp_path)
-    victim = _last_sidecar(simulated, directory)
-    bit_flip(victim, victim.stat().st_size // 2, bit=4)
-    with pytest.warns(RuntimeWarning, match="corrupt"):
-        _, report = analyze_archive(
             directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
         )
     assert report.text == baseline
+    assert pipeline.context.collection.cache_info().misses == 0

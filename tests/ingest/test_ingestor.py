@@ -114,14 +114,6 @@ def test_ingest_writes_delta_sidecar_chain(traces, tmp_path):
     assert "deltas" in manifest
 
 
-def test_ingest_deltas_false_skips_sidecars(traces, tmp_path):
-    out = tmp_path / "arch"
-    ingest_trace(traces, out, deltas=False)
-    assert not list(out.glob("*.rpd"))
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert "deltas" not in manifest
-
-
 def test_ingested_archive_supports_incremental_analysis(traces, tmp_path):
     """The sidecar chain is good enough for analyze_archive(incremental):
     bootstrap journals state, the second run replays deltas with zero

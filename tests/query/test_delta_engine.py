@@ -1,7 +1,7 @@
 """DeltaPlan suite for the fused execution path.
 
 run_kernels must replay journaled state through deltas for kernels that
-implement the incremental protocol, capture bootstrap state for the rest,
+carry an ``update_fn``, capture bootstrap state for the rest,
 warn (never silently degrade) when an incremental run falls back to full
 maps, and leave journaled state untouched on interruption.
 """
@@ -24,8 +24,6 @@ def _rowsum_kernel():
         _row_count,
         sum,
         update_fn=lambda state, delta: state + delta.cur_rows,
-        partials_to_state=sum,
-        state_to_result=lambda state: state,
     )
 
 
@@ -42,15 +40,6 @@ def _plan_for(coll, split):
         for i in range(split, len(snaps))
     ]
     return DeltaPlan(states=states, deltas=deltas)
-
-
-def test_supports_delta_requires_all_three_hooks():
-    assert _rowsum_kernel().supports_delta
-    assert not _depths_kernel().supports_delta
-    partial = Kernel(
-        "p", _row_count, sum, update_fn=lambda s, d: s
-    )
-    assert not partial.supports_delta
 
 
 def test_replay_matches_full_pass():
@@ -107,14 +96,6 @@ def test_bootstrap_capture_without_states_is_silent():
     assert stats.delta_kernels == 0
 
 
-def test_capture_disabled():
-    coll = _build_collection()
-    engine = ExecutionEngine(EngineConfig(processes=1))
-    plan = DeltaPlan(capture=False)
-    engine.run_kernels(coll, [_rowsum_kernel()], delta_plan=plan)
-    assert plan.updated_states == {}
-
-
 def test_interrupt_mid_replay_leaves_states_untouched():
     coll = _build_collection()
     engine = ExecutionEngine(EngineConfig(processes=1))
@@ -127,40 +108,3 @@ def test_interrupt_mid_replay_leaves_states_untouched():
     # nothing recorded: the journaled state on disk stays valid for a rerun
     assert plan.updated_states == {}
     assert plan.replayed == []
-
-
-def test_equivalence_contract_of_converted_kernels():
-    """reduce(partials) == state_to_result(partials_to_state(partials)) for
-    every shipped delta-capable kernel, on real snapshot partials."""
-    import numpy as np
-
-    from repro.analysis.access import access_kernel
-    from repro.analysis.growth import growth_kernel
-    from repro.analysis.rows import rows_kernel
-    from repro.analysis.users import active_ids_kernel
-
-    coll = _build_collection()
-    snaps = list(coll)
-    for kernel in (rows_kernel(), growth_kernel(), active_ids_kernel()):
-        partials = [kernel.map_fn(s) for s in snaps]
-        via_reduce = kernel.reduce_fn(list(partials))
-        via_state = kernel.state_to_result(kernel.partials_to_state(partials))
-        assert type(via_reduce) is type(via_state)
-        if isinstance(via_reduce, tuple):
-            for a, b in zip(via_reduce, via_state):
-                assert np.array_equal(a, b)
-        else:
-            for name in via_reduce.__dataclass_fields__:
-                a = getattr(via_reduce, name)
-                b = getattr(via_state, name)
-                if isinstance(a, np.ndarray):
-                    assert np.array_equal(a, b), name
-                else:
-                    assert a == b, name
-    kernel = access_kernel()
-    partials = [
-        kernel.map_fn(snaps[i - 1], snaps[i]) for i in range(1, len(snaps))
-    ]
-    assert kernel.reduce_fn(list(partials)).weeks == (
-        kernel.state_to_result(kernel.partials_to_state(partials)).weeks
-    )

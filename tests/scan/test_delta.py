@@ -1,4 +1,4 @@
-"""Delta sidecar (.rpd): exactness, roundtrip, interning order, chains."""
+"""Delta sidecar (.rpd): exactness, roundtrip, interning order."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.scan.columnar import read_columnar, write_columnar
 from repro.scan.delta import (
     apply_delta,
     compute_delta,
-    find_delta_chain,
     read_delta,
     sidecar_path,
     write_delta,
@@ -126,15 +125,3 @@ def test_read_delta_rejects_plain_snapshot(two_weeks, tmp_path):
     write_columnar(prev, tmp_path / "w1.rpq")
     with pytest.raises(CorruptSnapshotError, match="delta"):
         read_delta(tmp_path / "w1.rpq", PathTable())
-
-
-def test_find_delta_chain(tmp_path, two_weeks):
-    _, _, prev, cur = two_weeks
-    labels = ["w1", "w2", "w3"]
-    write_delta(compute_delta(prev, cur), sidecar_path(tmp_path, "w2"))
-    files, reason = find_delta_chain(tmp_path, labels, 1)
-    assert files is None and "w3" in reason
-    write_delta(compute_delta(prev, cur), sidecar_path(tmp_path, "w3"))
-    files, reason = find_delta_chain(tmp_path, labels, 1)
-    assert [f.name for f in files] == ["w2.rpd", "w3.rpd"] and reason == ""
-    assert find_delta_chain(tmp_path, labels, 0)[0] is None

@@ -519,8 +519,7 @@ def test_short_column_block_refused_typed(tmp_path, entry):
 # blocks, total-length trailer), so the same harness enumerates its sections.
 # Contract: any truncation or bit flip surfaces as a typed
 # CorruptSnapshotError from read_delta — never garbage rows handed to the
-# replay path — and find_delta_chain(validate=True) refuses the chain with
-# a reason instead of returning a poisoned file list.
+# replay path, which then recomputes that interval from its two snapshots.
 
 
 def _make_delta_sidecar(tmp_path):
@@ -612,45 +611,6 @@ def test_rpd_corruption_never_pollutes_the_table(tmp_path):
     with pytest.raises(CorruptSnapshotError):
         read_delta(dest, table)
     assert len(table) == baseline, "corrupt sidecar interned paths"
-
-
-def test_find_delta_chain_validate_refuses_corrupt(tmp_path):
-    from repro.scan.delta import find_delta_chain
-
-    dest = _make_delta_sidecar(tmp_path)
-    labels = ["w0", "w1"]
-    files, reason = find_delta_chain(tmp_path, labels, 1, validate=True)
-    assert files == [dest] and reason == ""
-    _, offset, length = corruption_points(dest)[1]
-    bit_flip(dest, offset + max(1, length) // 2, bit=2)
-    files, reason = find_delta_chain(tmp_path, labels, 1, validate=True)
-    assert files is None
-    assert "corrupt" in reason
-    # without validation the existence check still passes — the contract
-    # is that *some* probe (here or the caller's) runs before replay
-    files, _ = find_delta_chain(tmp_path, labels, 1)
-    assert files == [dest]
-
-
-def test_find_delta_chain_validate_refuses_mislink(tmp_path):
-    from repro.scan.delta import find_delta_chain
-
-    _make_delta_sidecar(tmp_path)
-    # the sidecar links w0->w1; claim the prefix ended at 'wX' instead
-    files, reason = find_delta_chain(tmp_path, ["wX", "w1"], 1, validate=True)
-    assert files is None
-    assert "links" in reason and "wX" in reason
-
-
-def test_find_delta_chain_missing_sidecar_reason(tmp_path):
-    from repro.scan.delta import find_delta_chain
-
-    _make_delta_sidecar(tmp_path)
-    files, reason = find_delta_chain(
-        tmp_path, ["w0", "w1", "w2"], 1, validate=True
-    )
-    assert files is None
-    assert "missing delta sidecar" in reason
 
 
 # -- the accounts member -----------------------------------------------------
