@@ -34,9 +34,6 @@ class AnalysisContext:
     #: optional :class:`~repro.core.runcontrol.RunController` — threaded
     #: into every kernel pass so deadlines/signals interrupt gracefully
     controller: object | None = None
-    #: per-snapshot circuit-breaker threshold (see
-    #: :meth:`~repro.query.engine.ExecutionEngine.run_kernels`)
-    max_task_failures: int | None = None
     #: optional :class:`~repro.query.engine.DeltaPlan` (set by
     #: ``analyze_archive``'s incremental mode): consumed one-shot by the
     #: first kernel-bearing pass, like ``checkpoint`` — only the fused pass
@@ -74,7 +71,6 @@ class AnalysisContext:
             kernels,
             journal=journal,
             controller=self.controller,
-            max_task_failures=self.max_task_failures,
             delta_plan=plan,
         )
 

@@ -24,6 +24,74 @@ EXIT_SIGNAL = 130
 EXIT_DEADLINE = 124
 
 
+#: Run-control flags: one type, default, metavar and choices per flag.  Each
+#: verb passes its own help, because each verb means something different by
+#: them (see :func:`_add_run_flags`).
+_RUN_FLAGS = {
+    "start_method": {
+        "choices": ("fork", "spawn", "forkserver", "serial"),
+        "default": None,
+    },
+    "max_seconds": {"type": float, "default": None, "metavar": "S"},
+    "memory_budget": {"default": None, "metavar": "BYTES"},
+    "grace_seconds": {"type": float, "default": 5.0, "metavar": "S"},
+}
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, **helps: str) -> None:
+    """Add the run-control flags named by ``helps`` (dest → help text)."""
+    for dest, text in helps.items():
+        parser.add_argument(
+            "--" + dest.replace("_", "-"), help=text, **_RUN_FLAGS[dest]
+        )
+
+
+def _simulation_flags(window: bool = True) -> argparse.ArgumentParser:
+    """Parent parser for the ``SimulationConfig`` flags a verb takes.
+
+    ``repro``, ``repro serve`` and ``repro synth`` take all four; ``repro
+    ingest`` simulates no window (``window=False``) and records only
+    ``--seed`` and ``--purge-window`` in its manifest.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--seed", type=int, default=2015)
+    if window:
+        parent.add_argument(
+            "--scale",
+            type=float,
+            default=2.5e-5,
+            help="fraction of the paper's per-domain entry counts to simulate",
+        )
+        parent.add_argument("--weeks", type=int, default=72)
+    parent.add_argument(
+        "--purge-window", type=int, default=90, help="purge window in days"
+    )
+    return parent
+
+
+def _analysis_flags() -> argparse.ArgumentParser:
+    """Parent parser for the verbs that analyze an archive: ``repro``,
+    ``repro ingest`` (with ``--analyze``) and ``repro serve``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--analyses",
+        default="all",
+        help="comma-separated analysis names to run (default: all; "
+        "repro ingest runs them with --analyze, repro serve warms them); "
+        "requirements are pulled in automatically.  Available: "
+        "users, participation, census, cdfs, depth, extensions, "
+        "ext_trend, languages, access, ost, growth, ages, burstiness, "
+        "network, collaboration, table1",
+    )
+    parent.add_argument(
+        "--allow-config-mismatch",
+        action="store_true",
+        help="downgrade an archive-manifest config mismatch (seed, "
+        "n_users, purge window) from a hard error to a warning",
+    )
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-pipeline",
@@ -31,29 +99,26 @@ def build_parser() -> argparse.ArgumentParser:
             "Reproduce 'Scientific User Behavior and Data-Sharing Trends in "
             "a Petascale File System' (SC'17) on a synthetic OLCF."
         ),
-    )
-    parser.add_argument("--seed", type=int, default=2015)
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=2.5e-5,
-        help="fraction of the paper's per-domain entry counts to simulate",
-    )
-    parser.add_argument("--weeks", type=int, default=72)
-    parser.add_argument(
-        "--purge-window", type=int, default=90, help="purge window in days"
+        parents=[_simulation_flags(), _analysis_flags()],
     )
     parser.add_argument(
         "--parallel",
         action="store_true",
         help="use a process pool for per-snapshot analyses",
     )
-    parser.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver", "serial"),
-        default=None,
-        help="process start method for --parallel (default: platform "
-        "default; REPRO_START_METHOD overrides both)",
+    _add_run_flags(
+        parser,
+        start_method="process start method for --parallel (default: "
+        "platform default; REPRO_START_METHOD overrides both)",
+        max_seconds="wall-clock budget for the whole run; on expiry the "
+        "pipeline stops gracefully at the next boundary (week / snapshot / "
+        "dispatch wave), flushes any --checkpoint journal, prints the "
+        f"resume hint, and exits {EXIT_DEADLINE}",
+        memory_budget="byte ceiling for the run's working set (accepts "
+        "512M / 2G / plain bytes); half caps the snapshot cache "
+        "(byte-denominated eviction), the rest caps in-flight dispatch waves",
+        grace_seconds="how long in-flight workers may drain after a stop is "
+        "requested before the pool is terminated (default: 5)",
     )
     parser.add_argument(
         "--archive-dir",
@@ -72,10 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--on-error",
         choices=("raise", "skip", "quarantine"),
         default="raise",
-        help="degradation policy for corrupt .rpq files under "
-        "--from-archive: raise a typed error (default), skip them, or "
-        "move them to the archive's quarantine/ subdirectory; non-raise "
-        "policies deep-verify every file and analyze the surviving window",
+        help="failure policy under --from-archive: raise a typed error "
+        "(default) on a corrupt .rpq file or a failed analysis task, skip "
+        "them, or also move them to the archive's quarantine/ "
+        "subdirectory; non-raise policies deep-verify every file and "
+        "analyze the surviving window",
     )
     parser.add_argument(
         "--checkpoint",
@@ -95,60 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
         "two snapshots; unusable state falls back to full maps; both warn)",
     )
     parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="wall-clock budget for the whole run; on expiry the pipeline "
-        "stops gracefully at the next boundary (week / snapshot / dispatch "
-        "wave), flushes any --checkpoint journal, prints the resume hint, "
-        f"and exits {EXIT_DEADLINE}",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        default=None,
-        metavar="BYTES",
-        help="byte ceiling for the run's working set (accepts 512M / 2G / "
-        "plain bytes); half caps the snapshot cache (byte-denominated "
-        "eviction), the rest caps in-flight dispatch waves",
-    )
-    parser.add_argument(
-        "--max-task-failures",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-snapshot circuit breaker: a snapshot whose analysis task "
-        "fails N times across retries is quarantined into the archive "
-        "health report instead of failing the run (requires a non-raise "
-        "--on-error policy; defaults to retries+1 under skip/quarantine)",
-    )
-    parser.add_argument(
-        "--grace-seconds",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="how long in-flight workers may drain after a stop is "
-        "requested before the pool is terminated (default: 5)",
-    )
-    parser.add_argument(
-        "--allow-config-mismatch",
-        action="store_true",
-        help="downgrade an archive-manifest config mismatch (seed, "
-        "n_users, purge window) from a hard error to a warning",
-    )
-    parser.add_argument(
         "--export-dir",
         default=None,
         help="write plotting-ready CSVs for every figure series here",
-    )
-    parser.add_argument(
-        "--analyses",
-        default="all",
-        help="comma-separated analysis names to run (default: all); "
-        "requirements are pulled in automatically.  Available: "
-        "users, participation, census, cdfs, depth, extensions, "
-        "ext_trend, languages, access, ost, growth, ages, burstiness, "
-        "network, collaboration, table1",
     )
     parser.add_argument(
         "--engine-stats",
@@ -179,6 +194,7 @@ def build_ingest_parser() -> argparse.ArgumentParser:
             "size, untrusted content) into a validated .rpq archive "
             "directory that analyze/--from-archive consumes unchanged."
         ),
+        parents=[_simulation_flags(window=False), _analysis_flags()],
     )
     parser.add_argument(
         "sources",
@@ -256,22 +272,14 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         "(default: duplicates are rejected — they break the analyses' "
         "unique-path set algebra)",
     )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="wall-clock budget; on expiry the ingest stops gracefully "
-        "between chunks, prints the resume hint, and exits "
+    _add_run_flags(
+        parser,
+        max_seconds="wall-clock budget; on expiry the ingest stops "
+        "gracefully between chunks, prints the resume hint, and exits "
         f"{EXIT_DEADLINE}",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        default=None,
-        metavar="BYTES",
-        help="byte ceiling for resident ingest state (accepts 512M / 2G "
-        "/ plain bytes); the record chunk size is shrunk to fit, so a "
-        "multi-GB dump ingests in far less memory than its size",
+        memory_budget="byte ceiling for resident ingest state (accepts "
+        "512M / 2G / plain bytes); the record chunk size is shrunk to fit, "
+        "so a multi-GB dump ingests in far less memory than its size",
     )
     parser.add_argument(
         "--analyze",
@@ -279,21 +287,6 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         help="after ingesting, run the paper analyses over the produced "
         "archive (the ingest health report is folded into the archive "
         "health report)",
-    )
-    parser.add_argument(
-        "--analyses",
-        default="all",
-        help="analyses to run with --analyze (comma-separated; default all)",
-    )
-    parser.add_argument("--seed", type=int, default=2015)
-    parser.add_argument(
-        "--purge-window", type=int, default=90, help="purge window in days"
-    )
-    parser.add_argument(
-        "--allow-config-mismatch",
-        action="store_true",
-        help="with --analyze: downgrade a manifest config mismatch to a "
-        "warning",
     )
     return parser
 
@@ -307,6 +300,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "(/v1/slice/<dim>/<key>) with deadlines, load shedding, "
             "circuit breaking, and graceful SIGTERM drain."
         ),
+        parents=[_simulation_flags(), _analysis_flags()],
     )
     parser.add_argument(
         "archive", metavar="DIR", help=".rpq archive directory to serve"
@@ -342,21 +336,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "at the next snapshot boundary and the response carries the "
         "covered prefix plus a typed degraded marker",
     )
-    parser.add_argument(
-        "--grace-seconds",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="SIGTERM drain budget: stop accepting, let in-flight "
+    _add_run_flags(
+        parser,
+        grace_seconds="SIGTERM drain budget: stop accepting, let in-flight "
         "requests finish for S seconds, then cancel them and exit 0 "
         "(a second signal hard-aborts immediately)",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        default=None,
-        metavar="BYTES",
-        help="byte ceiling for admission (512M / 2G / bytes): requests "
-        "whose projected working set exceeds it shed with 429",
+        memory_budget="byte ceiling for admission (512M / 2G / bytes): "
+        "requests whose projected working set exceeds it shed with 429",
     )
     parser.add_argument(
         "--tenant-limit",
@@ -381,21 +367,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--breaker-cooldown", type=float, default=2.0, metavar="S",
         help="seconds the breaker stays open before a half-open probe",
-    )
-    parser.add_argument(
-        "--analyses", default="all",
-        help="analyses to warm (comma-separated; default all)",
-    )
-    parser.add_argument("--seed", type=int, default=2015)
-    parser.add_argument("--scale", type=float, default=2.5e-5)
-    parser.add_argument("--weeks", type=int, default=72)
-    parser.add_argument(
-        "--purge-window", type=int, default=90, help="purge window in days"
-    )
-    parser.add_argument(
-        "--allow-config-mismatch",
-        action="store_true",
-        help="downgrade a manifest config mismatch to a warning",
     )
     parser.add_argument(
         "--follow",
@@ -425,6 +396,7 @@ def build_synth_parser() -> argparse.ArgumentParser:
             "The merged archive is byte-identical for a fixed --shards "
             "regardless of --workers, scheduling order, or worker crashes."
         ),
+        parents=[_simulation_flags()],
     )
     parser.add_argument(
         "--out", required=True, metavar="DIR",
@@ -440,25 +412,9 @@ def build_synth_parser() -> argparse.ArgumentParser:
         help="concurrent worker processes (0 = run shards inline, the "
         "reference execution every worker count reproduces exactly)",
     )
-    parser.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver", "serial"),
-        default=None,
-        help="worker start method (default: platform default; "
-        "REPRO_START_METHOD overrides; serial forces inline)",
-    )
-    parser.add_argument("--seed", type=int, default=2015)
-    parser.add_argument(
-        "--scale", type=float, default=2.5e-5,
-        help="fraction of the paper's per-domain entry counts to simulate",
-    )
-    parser.add_argument("--weeks", type=int, default=72)
     parser.add_argument("--users", type=int, default=1362, metavar="N",
                         help="population size (the hot loop is vectorized; "
                         "millions are fine)")
-    parser.add_argument(
-        "--purge-window", type=int, default=90, help="purge window in days"
-    )
     parser.add_argument(
         "--max-attempts", type=int, default=3, metavar="N",
         help="per-shard attempt ceiling before quarantine (default: 3)",
@@ -481,16 +437,15 @@ def build_synth_parser() -> argparse.ArgumentParser:
         "quarantined shard or corrupt part (default); skip/quarantine "
         "fold them into the archive health report and merge the rest",
     )
-    parser.add_argument(
-        "--max-seconds", type=float, default=None, metavar="S",
-        help="wall-clock budget for the whole run; on expiry outstanding "
-        "workers are cancelled, the resume hint printed, and the exit "
-        f"code is {EXIT_DEADLINE} (re-running resumes from the per-shard "
-        "journals)",
-    )
-    parser.add_argument(
-        "--grace-seconds", type=float, default=5.0, metavar="S",
-        help="drain budget after a stop is requested (default: 5)",
+    _add_run_flags(
+        parser,
+        start_method="worker start method (default: platform default; "
+        "REPRO_START_METHOD overrides; serial forces inline)",
+        max_seconds="wall-clock budget for the whole run; on expiry "
+        "outstanding workers are cancelled, the resume hint printed, and "
+        f"the exit code is {EXIT_DEADLINE} (re-running resumes from the "
+        "per-shard journals)",
+        grace_seconds="drain budget after a stop is requested (default: 5)",
     )
     parser.add_argument("--verbose", action="store_true")
     return parser
@@ -518,45 +473,34 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["synth"]:
         return synth_main(argv[1:])
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return _run_controlled(
-        parser, _run, args,
-        max_seconds=args.max_seconds,
-        memory_budget=args.memory_budget,
-        grace_seconds=args.grace_seconds,
-    )
+    return _run_controlled(parser, _run, parser.parse_args(argv))
 
 
 def ingest_main(argv: list[str]) -> int:
     """The ``repro ingest`` verb (same signal/exit-code conventions)."""
     parser = build_ingest_parser()
-    args = parser.parse_args(argv)
-    return _run_controlled(
-        parser, _run_ingest, args,
-        max_seconds=args.max_seconds,
-        memory_budget=args.memory_budget,
-    )
+    return _run_controlled(parser, _run_ingest, parser.parse_args(argv))
 
 
 def synth_main(argv: list[str]) -> int:
     """The ``repro synth`` verb (same signal/exit-code conventions)."""
     parser = build_synth_parser()
-    args = parser.parse_args(argv)
-    return _run_controlled(
-        parser, _run_synth, args,
-        max_seconds=args.max_seconds,
-        grace_seconds=args.grace_seconds,
-    )
+    return _run_controlled(parser, _run_synth, parser.parse_args(argv))
 
 
-def _run_controlled(parser, run, args, **limits) -> int:
+def _run_controlled(parser, run, args) -> int:
     """Run ``run(args, controller)`` under a :class:`RunController` built
-    from ``limits``, with SIGINT/SIGTERM routed into it.
+    from the verb's run-control flags, with SIGINT/SIGTERM routed into it.
 
     A graceful stop prints ``# interrupted: <message>`` and, when the
     interrupted layer left one, ``# resume: <hint>`` once, then maps to the
     conventional exit code (130 signal, 124 deadline).
     """
+    limits = {
+        name: value
+        for name, value in vars(args).items()
+        if name in ("max_seconds", "memory_budget", "grace_seconds")
+    }
     try:
         controller = RunController(**limits)
     except ValueError as exc:
@@ -571,17 +515,29 @@ def _run_controlled(parser, run, args, **limits) -> int:
             return EXIT_SIGNAL if "SIG" in err.reason else EXIT_DEADLINE
 
 
+def _simulation_config(args: argparse.Namespace, **fields) -> SimulationConfig:
+    """The :class:`SimulationConfig` of the simulation flags the verb
+    declares (see :func:`_simulation_flags`), plus ``fields``."""
+    window = {k: v for k, v in vars(args).items() if k in ("scale", "weeks")}
+    return SimulationConfig(
+        seed=args.seed, purge_window_days=args.purge_window, **window, **fields
+    )
+
+
+def _print_degraded(title: str, report) -> None:
+    """Print a degraded health report to stderr, one ``#``-prefixed line
+    each; a healthy report prints nothing."""
+    if report.degraded:
+        print(f"# {title} DEGRADED:", file=sys.stderr)
+        for line in report.summary().splitlines():
+            print(f"#   {line}", file=sys.stderr)
+
+
 def _run_synth(args: argparse.Namespace, controller: RunController) -> int:
     from repro.query.supervisor import ShardFailedError, SupervisorConfig
     from repro.synth.sharding import run_sharded
 
-    config = SimulationConfig(
-        seed=args.seed,
-        scale=args.scale,
-        weeks=args.weeks,
-        n_users=args.users,
-        purge_window_days=args.purge_window,
-    )
+    config = _simulation_config(args, n_users=args.users)
     supervisor = SupervisorConfig(
         workers=args.workers,
         start_method=args.start_method,
@@ -617,10 +573,7 @@ def _run_synth(args: argparse.Namespace, controller: RunController) -> int:
         f"({rows:,} rows) into {result.directory} ({time.time() - t0:.1f}s)",
         file=sys.stderr,
     )
-    if result.health.degraded:
-        print("# ARCHIVE DEGRADED:", file=sys.stderr)
-        for line in result.health.summary().splitlines():
-            print(f"#   {line}", file=sys.stderr)
+    _print_degraded("ARCHIVE", result.health)
     if args.verbose:
         for rec in result.records:
             print(
@@ -675,15 +628,9 @@ def serve_main(argv: list[str]) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    config = SimulationConfig(
-        seed=args.seed,
-        scale=args.scale,
-        weeks=args.weeks,
-        purge_window_days=args.purge_window,
-    )
     service = ArchiveService(
         args.archive,
-        config=config,
+        config=_simulation_config(args),
         analyses=args.analyses,
         controller=controller,
         breaker=CircuitBreaker(
@@ -790,9 +737,7 @@ def _run_ingest(args: argparse.Namespace, controller: RunController) -> int:
         max_bad_ratio=args.max_bad_ratio,
         **kwargs,
     )
-    manifest_config = SimulationConfig(
-        seed=args.seed, purge_window_days=args.purge_window
-    )
+    manifest_config = _simulation_config(args)
     sources = args.sources[0] if len(args.sources) == 1 else args.sources
     t0 = time.time()
     result = ingest_trace(
@@ -810,10 +755,7 @@ def _run_ingest(args: argparse.Namespace, controller: RunController) -> int:
         f"snapshot(s) ({time.time() - t0:.1f}s)",
         file=sys.stderr,
     )
-    if report.degraded:
-        print("# INGEST DEGRADED:", file=sys.stderr)
-        for line in report.summary().splitlines():
-            print(f"#   {line}", file=sys.stderr)
+    _print_degraded("INGEST", report)
     if args.analyze:
         from repro.core.pipeline import analyze_archive
 
@@ -826,21 +768,12 @@ def _run_ingest(args: argparse.Namespace, controller: RunController) -> int:
             ingest_report=report,
         )
         print(paper.text)
-        health = pipeline.context.collection.health_report()
-        if health.degraded:
-            print("# ARCHIVE DEGRADED:", file=sys.stderr)
-            for line in health.summary().splitlines():
-                print(f"#   {line}", file=sys.stderr)
+        _print_degraded("ARCHIVE", pipeline.context.collection.health_report())
     return 0
 
 
 def _run(args: argparse.Namespace, controller: RunController) -> int:
-    config = SimulationConfig(
-        seed=args.seed,
-        scale=args.scale,
-        weeks=args.weeks,
-        purge_window_days=args.purge_window,
-    )
+    config = _simulation_config(args)
     executor = SnapshotExecutor(
         processes=None if args.parallel else 1,
         start_method=args.start_method,
@@ -859,7 +792,6 @@ def _run(args: argparse.Namespace, controller: RunController) -> int:
             checkpoint=args.checkpoint,
             allow_config_mismatch=args.allow_config_mismatch,
             controller=controller,
-            max_task_failures=args.max_task_failures,
             incremental=args.incremental,
         )
         print(
@@ -867,11 +799,7 @@ def _run(args: argparse.Namespace, controller: RunController) -> int:
             f"snapshots out-of-core ({time.time() - t0:.1f}s)",
             file=sys.stderr,
         )
-        health = pipeline.context.collection.health_report()
-        if health.degraded:
-            print("# ARCHIVE DEGRADED:", file=sys.stderr)
-            for line in health.summary().splitlines():
-                print(f"#   {line}", file=sys.stderr)
+        _print_degraded("ARCHIVE", pipeline.context.collection.health_report())
     else:
         pipeline = ReproPipeline(
             config=config,

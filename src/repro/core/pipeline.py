@@ -363,11 +363,9 @@ def analyze_archive(
     burstiness_min_files: int = 10,
     analyses: list[str] | str | None = None,
     on_error: str = "raise",
-    verify: str | None = None,
     checkpoint: str | Path | None = None,
     allow_config_mismatch: bool = False,
     controller: RunController | None = None,
-    max_task_failures: int | None = None,
     ingest_report=None,
     incremental: bool = False,
     snapshot_files: list | None = None,
@@ -391,16 +389,16 @@ def analyze_archive(
 
     Failure tolerance:
 
-    * ``on_error`` — degradation policy for corrupt ``.rpq`` files
-      (``"raise"`` / ``"skip"`` / ``"quarantine"``, see
-      :class:`~repro.scan.store.DiskSnapshotCollection`); with a
-      non-raise policy the fused pass runs over the surviving window and
-      the collection's :class:`~repro.scan.store.ArchiveHealthReport` is
-      surfaced with a loud warning;
-    * ``verify`` — ``"header"`` or ``"deep"``; defaults to ``"deep"``
-      whenever a non-raise policy is chosen (a skipped window must be
-      *known* good, so every column block is checked up front) and
-      ``"header"`` otherwise;
+    * ``on_error`` — the one failure policy (``"raise"`` / ``"skip"`` /
+      ``"quarantine"``, see :class:`~repro.scan.store.DiskSnapshotCollection`).
+      ``"raise"`` header-verifies each file and fails the run on the first
+      corrupt file or failed task.  A non-raise policy deep-verifies every
+      file up front (a skipped window must be *known* good), drops the
+      corrupt ones, and arms the engine's per-snapshot circuit breaker: a
+      snapshot whose analysis task fails is quarantined into the
+      :class:`~repro.scan.store.ArchiveHealthReport` on that first
+      failure.  The fused pass then runs over the surviving window and
+      the health report is surfaced with a loud warning;
     * ``checkpoint`` — path of a resume journal: completed snapshots are
       checkpointed durably, a killed run resumes at the first unprocessed
       snapshot, and the journal is deleted after a successful run.
@@ -413,13 +411,7 @@ def analyze_archive(
       with a resume hint), and its
       :class:`~repro.core.runcontrol.MemoryBudget` caps the snapshot
       cache (``cache_bytes`` share, byte-denominated eviction) and the
-      engine's dispatch waves (``wave_bytes`` share);
-    * ``max_task_failures`` — per-snapshot circuit breaker: a snapshot
-      whose task fails this many times across retries is quarantined into
-      the :class:`~repro.scan.store.ArchiveHealthReport` instead of
-      sinking the run.  Defaults to ``executor retries + 1`` whenever a
-      non-raise ``on_error`` policy is chosen (degraded-mode runs keep
-      going); under ``on_error="raise"`` the breaker stays disarmed.
+      engine's dispatch waves (``wave_bytes`` share).
 
     Incremental analysis (DESIGN.md §11):
 
@@ -466,14 +458,13 @@ def analyze_archive(
         burstiness_min_files=burstiness_min_files,
     )
     pipeline.controller = controller
-    if verify is None:
-        verify = "deep" if on_error != "raise" else "header"
     cache_bytes = None
     if controller is not None and controller.memory_budget is not None:
         cache_bytes = controller.memory_budget.cache_bytes
     collection = DiskSnapshotCollection(
-        directory, on_error=on_error, verify=verify, cache_bytes=cache_bytes,
-        files=snapshot_files,
+        directory, on_error=on_error,
+        verify="header" if on_error == "raise" else "deep",
+        cache_bytes=cache_bytes, files=snapshot_files,
     )
     if ingest_report is not None:
         # archive built from foreign traces: one health report spans the
@@ -486,9 +477,6 @@ def analyze_archive(
             RuntimeWarning,
             stacklevel=2,
         )
-    if max_task_failures is None and on_error != "raise":
-        # degraded-mode default: one full retry cycle, then quarantine
-        max_task_failures = pipeline.executor.config.retries + 1
     state_store = None
     delta_plan = None
     if incremental:
@@ -512,7 +500,6 @@ def analyze_archive(
         checkpoint=Path(checkpoint) if checkpoint is not None else None,
         checkpoint_meta={"config": config_fingerprint(config)},
         controller=controller,
-        max_task_failures=max_task_failures,
         delta_plan=delta_plan,
     )
 
@@ -529,6 +516,9 @@ def analyze_archive(
         purge_reports=[],
         week_stats=[],
     )
+    # the executor's stats are a lifetime aggregate: only this run's
+    # quarantines may keep its kernel state out of the journal
+    quarantined_before = pipeline.executor.stats.quarantined_snapshots
     report = pipeline.analyze(analyses=analyses)
     if checkpoint is not None:
         # the run completed: the journal has served its purpose
@@ -536,7 +526,7 @@ def analyze_archive(
     if state_store is not None and delta_plan is not None:
         healthy = (
             not collection.health.degraded
-            and pipeline.executor.stats.quarantined_snapshots == 0
+            and pipeline.executor.stats.quarantined_snapshots == quarantined_before
         )
         if healthy and delta_plan.updated_states:
             # the engine interned every snapshot parent-side in index order

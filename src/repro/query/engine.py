@@ -11,7 +11,7 @@ production:
   through a shared-memory segment (:mod:`repro.query.shm`) and only a small
   handle is pickled.  The engine works the same either way.
 * **one task loop** — serial and pooled runs execute every snapshot task
-  through the same retry loop and hand its entry to the same parent-side
+  through the same function and hand its entry to the same parent-side
   result handler (stats, journaling, quarantine, failure capture), so a
   run's results, stats and quarantine records do not depend on the route.
 * **re-entrant scheduling** — tasks are integer indices batched into chunks
@@ -20,16 +20,17 @@ production:
   context, so concurrent or nested passes never trample each other (the old
   module-global handoff could).  A pass issued *inside* a worker (daemonic
   processes cannot fork) transparently runs serial.
-* **fault handling** — a task that raises is retried up to
-  ``EngineConfig.retries`` times; when retries are exhausted a structured
-  :class:`TaskError` carrying the snapshot index and the task traceback is
-  raised in the parent — never a hang, never a silent partial result.  A
-  worker that dies outright is caught by the optional ``task_timeout``
-  watchdog.  Any *downgrade* to serial execution (no usable start method,
-  unpicklable work under spawn) is warned about and recorded in the stats,
-  never silent.
+* **fault handling** — a task runs once.  Transient I/O is retried below
+  it, at the block layer (the disk store's ``io_retries``).  A task that
+  raises either quarantines its snapshot (the circuit breaker, below) or
+  fails the run with a structured :class:`TaskError` carrying the snapshot
+  index and the task traceback — never a hang, never a silent partial
+  result.  A worker that dies outright trips the ``task_timeout``
+  watchdog on every pooled pass.  Any *downgrade* to serial execution (no
+  usable start method, unpicklable work under spawn) is warned about and
+  recorded in the stats, never silent.
 * **observability** — every run accumulates per-task wall time, bytes
-  touched, retry/failure counts, and pool utilization into an
+  touched, I/O retry/failure counts, and pool utilization into an
   :class:`ExecutionStats`, exposed by
   :class:`~repro.query.parallel.SnapshotExecutor` and printed by the bench
   harness.
@@ -54,12 +55,14 @@ production:
   exact ``--checkpoint`` invocation that resumes byte-identically.  A
   :class:`~repro.core.runcontrol.MemoryBudget` caps the wave size so the
   decoded snapshots resident in workers never exceed the byte ceiling,
-  and a per-snapshot **circuit breaker** (``max_task_failures``) can
-  quarantine a persistently failing snapshot into the collection's
+  and a per-snapshot **circuit breaker** — armed by a collection with a
+  ``quarantine_task_failure`` hook and a non-``raise`` ``on_error``
+  policy — quarantines a snapshot whose task fails into the collection's
   :class:`~repro.scan.store.ArchiveHealthReport` instead of sinking the
   whole run.
 
-The chosen start method defaults to ``$REPRO_START_METHOD`` when set
+The start method comes from :func:`resolve_start_method`, which the shard
+supervisor shares: the configured name, else ``$REPRO_START_METHOD``
 (``fork`` / ``spawn`` / ``forkserver`` / ``serial``), else ``fork`` where
 available, else ``spawn``.
 """
@@ -82,7 +85,8 @@ from repro.core.runcontrol import RunController, RunInterrupted
 from repro.query import shm as shm_transport
 from repro.scan.snapshot import SnapshotCollection
 
-#: Environment variable consulted when ``EngineConfig.start_method`` is None.
+#: Environment variable :func:`resolve_start_method` consults when no start
+#: method is configured.
 START_METHOD_ENV = "REPRO_START_METHOD"
 
 #: Pseudo start method: run everything inline in the calling process.
@@ -206,6 +210,9 @@ class ExecutionStats:
     wall_seconds: float = 0.0
     task_seconds: float = 0.0
     bytes_touched: int = 0
+    #: transient-I/O retries the collection's ``health`` report recorded
+    #: in the parent process during the run (block layer; worker-side
+    #: retries under fork/spawn are not visible here, like loads)
     retries: int = 0
     failures: int = 0
     #: fused runs: tasks restored from a checkpoint journal instead of run
@@ -312,7 +319,7 @@ class ExecutionStats:
             f"utilization {self.utilization:.0%}",
             f"per-task mean {mean_task * 1e3:.1f}ms  max {max_task * 1e3:.1f}ms  "
             f"bytes touched {self.bytes_touched / 1e6:.1f}MB",
-            f"retries {self.retries}  failures {self.failures}",
+            f"I/O retries {self.retries}  failures {self.failures}",
         ]
         if self.restored_tasks:
             lines.append(
@@ -364,6 +371,11 @@ class ExecutionStats:
 class EngineConfig:
     """Execution policy for :class:`ExecutionEngine`.
 
+    A task runs once.  Transient I/O is retried below it, by the collection
+    (the disk store's ``io_retries``); whether a failed task quarantines
+    its snapshot or raises is the collection's ``on_error`` policy (see
+    :meth:`ExecutionEngine.run_kernels`).
+
     Parameters
     ----------
     processes:
@@ -372,18 +384,9 @@ class EngineConfig:
     start_method:
         ``fork`` / ``spawn`` / ``forkserver`` / ``serial``; None defers to
         ``$REPRO_START_METHOD``, then the platform default (fork where
-        available).
+        available) — see :func:`resolve_start_method`.
     chunk_size:
         Tasks per scheduling unit; None targets ~4 chunks per worker.
-    retries:
-        Per-task retry count for raising tasks (in the worker, or inline
-        on the serial route).
-    retry_backoff:
-        Base seconds for exponential backoff between task retries
-        (sleep ``retry_backoff * 2**attempt``); 0 retries immediately.
-        Transient-I/O failures (EIO under load) are the target: an
-        immediate retry usually hits the same condition, a backed-off one
-        usually clears it.
     task_timeout:
         Watchdog seconds to wait for the *next* chunk result before
         declaring the pool dead (catches hard-crashed workers, which a
@@ -396,8 +399,6 @@ class EngineConfig:
     processes: int | None = None
     start_method: str | None = None
     chunk_size: int | None = None
-    retries: int = 0
-    retry_backoff: float = 0.0
     task_timeout: float | None = 300.0
 
 
@@ -436,8 +437,6 @@ class _WorkerContext:
     collection: Any
     #: the shipped ``(name, map_fn, pairwise)`` kernel triples
     specs: tuple
-    retries: int
-    retry_backoff: float = 0.0
     segment: Any = None  # keeps the shm mapping alive for the views
 
 
@@ -455,19 +454,13 @@ def _init_worker(payload: tuple) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    specs, retries, retry_backoff, transport, data = payload
+    specs, transport, data = payload
     segment = None
     if transport == "shm":
         collection, segment = shm_transport.attach_collection(data)
     else:
         collection = data
-    _WORKER = _WorkerContext(
-        collection=collection,
-        specs=specs,
-        retries=retries,
-        retry_backoff=retry_backoff,
-        segment=segment,
-    )
+    _WORKER = _WorkerContext(collection=collection, specs=specs, segment=segment)
 
 
 def _nbytes_of(snapshot: Any) -> int:
@@ -515,29 +508,21 @@ def _run_fused_task(ctx: _WorkerContext, index: int) -> tuple[Any, int]:
 
 
 def _run_task(ctx: _WorkerContext, index: int) -> tuple[tuple, Exception | None]:
-    """One snapshot task under the retry policy — the task loop of every route.
+    """One snapshot task, run once — the task loop of every route.
 
-    Returns the task's entry ``(index, ok, value, secs, nbytes, retries)``
-    — a failed task's ``value`` is its traceback text — plus the final
-    exception (None on success).  Pool workers send home only the entry
-    (an exception need not pickle); the serial path chains the exception
-    onto its :class:`TaskError`.
+    Returns the task's entry ``(index, ok, value, secs, nbytes)`` — a
+    failed task's ``value`` is its traceback text — plus its exception
+    (None on success).  Pool workers send home only the entry (an
+    exception need not pickle); the serial path chains the exception onto
+    its :class:`TaskError`.
     """
     t0 = time.perf_counter()
-    used = 0
-    while True:
-        try:
-            value, nbytes = _run_fused_task(ctx, index)
-        except Exception as exc:
-            if used < ctx.retries:
-                used += 1
-                if ctx.retry_backoff > 0:
-                    time.sleep(ctx.retry_backoff * (2 ** (used - 1)))
-                continue
-            entry = (index, False, traceback.format_exc(),
-                     time.perf_counter() - t0, 0, used)
-            return entry, exc
-        return (index, True, value, time.perf_counter() - t0, nbytes, used), None
+    try:
+        value, nbytes = _run_fused_task(ctx, index)
+    except Exception as exc:
+        return (index, False, traceback.format_exc(),
+                time.perf_counter() - t0, 0), exc
+    return (index, True, value, time.perf_counter() - t0, nbytes), None
 
 
 def _run_chunk(indices: Sequence[int]) -> list[tuple]:
@@ -565,18 +550,16 @@ def _handle_result(
     and is journaled like any other row.  Otherwise the failure is returned
     as ``(index, traceback_text)`` for the caller to raise.
     """
-    index, ok, value, secs, nbytes, used = entry
+    index, ok, value, secs, nbytes = entry
     stats.task_seconds += secs
     stats.task_wall.append(secs)
-    stats.retries += used
     if ok:
         stats.bytes_touched += nbytes
     else:
         stats.failures += 1
         if quarantine is None:
             return index, value
-        # circuit breaker: the task burned through its allowed attempts —
-        # quarantine the snapshot instead of sinking the run
+        # circuit breaker: quarantine the snapshot instead of sinking the run
         value = QuarantinedRow(_failure_digest(value))
         quarantine(index, value.reason)
     results[index] = value
@@ -585,22 +568,34 @@ def _handle_result(
     return None
 
 
-def _task_error(
-    failure: tuple[int, str], retries: int, stats: ExecutionStats
-) -> TaskError:
+def _task_error(failure: tuple[int, str], stats: ExecutionStats) -> TaskError:
     """The :class:`TaskError` for a captured failure (same shape on every route)."""
     index, tb_text = failure
     return TaskError(
-        f"snapshot task {index} failed (after {retries} retries): "
-        f"{_failure_digest(tb_text)}",
+        f"snapshot task {index} failed: {_failure_digest(tb_text)}",
         index=index,
         traceback_text=tb_text,
         stats=stats,
     )
 
 
-def _available_methods() -> list[str]:
-    return mp.get_all_start_methods()
+def resolve_start_method(configured: str | None = None) -> str:
+    """The start method a pooled pass or a sharded run uses.
+
+    ``configured`` wins, then ``$REPRO_START_METHOD``, then ``fork`` where
+    the platform offers it, else ``spawn``.  ``serial`` (run inline)
+    passes through; any other name this platform lacks raises
+    :class:`ValueError` naming the ones it has.
+    """
+    method = (configured or os.environ.get(START_METHOD_ENV) or "").strip().lower()
+    available = mp.get_all_start_methods()
+    if not method:
+        return "fork" if "fork" in available else "spawn"
+    if method != SERIAL and method not in available:
+        raise ValueError(
+            f"start method {method!r} not available here (have {available})"
+        )
+    return method
 
 
 class ExecutionEngine:
@@ -617,7 +612,6 @@ class ExecutionEngine:
         kernels: Sequence[Kernel],
         journal: Any = None,
         controller: RunController | None = None,
-        max_task_failures: int | None = None,
         delta_plan: DeltaPlan | None = None,
     ) -> tuple[dict[str, Any], ExecutionStats]:
         """Run every kernel in a single fused pass over the collection.
@@ -627,7 +621,8 @@ class ExecutionEngine:
         before the pass moves on; pair kernels see the sliding
         ``(prev, cur)`` window.  Returns ``{kernel.name: reduced result}``
         plus the pass's :class:`ExecutionStats`, including per-kernel
-        map/reduce seconds and the parent-visible snapshot-load count.
+        map/reduce seconds, the parent-visible snapshot-load count and the
+        block-level I/O retries the collection recorded.
 
         ``journal`` (a :class:`~repro.query.journal.KernelJournal`) makes
         the pass resumable: completed snapshot rows are appended durably as
@@ -642,15 +637,17 @@ class ExecutionEngine:
         cancelled token the pass stops gracefully — checkpoint flushed,
         in-flight workers drained within the grace period, pool terminated
         — and raises :class:`~repro.core.runcontrol.RunInterrupted` with
-        the resume invocation in its message.  ``max_task_failures``
-        enables the per-snapshot circuit breaker: a snapshot whose task
-        fails that many times across retries is quarantined via the
-        collection's ``quarantine_task_failure`` hook (recorded in its
-        :class:`~repro.scan.store.ArchiveHealthReport` under the existing
-        ``on_error`` policy) and excluded from every kernel's reduce, like
-        a corrupt file dropped at construction.  The breaker requires a
-        non-``raise`` policy on the collection; otherwise failures raise a
-        :class:`TaskError` exactly as before.
+        the resume invocation in its message.
+
+        A task runs once.  When the collection exposes a
+        ``quarantine_task_failure`` hook and carries a non-``raise``
+        ``on_error`` policy, the per-snapshot circuit breaker is armed: a
+        snapshot whose task fails is quarantined through the hook on that
+        first failure (recorded in its
+        :class:`~repro.scan.store.ArchiveHealthReport` under the same
+        policy) and excluded from every kernel's reduce, like a corrupt
+        file dropped at construction.  Otherwise the failure raises a
+        :class:`TaskError`.
 
         Every kernel reduces once, ``state = reduce_fn(partials)``, and
         its result is ``finish_fn(state)``.  ``delta_plan`` (a
@@ -700,7 +697,6 @@ class ExecutionEngine:
                     warm(index)
         remaining = [i for i in range(n) if i not in restored]
         on_result = journal.append if journal is not None else None
-        quarantine = self._resolve_quarantine(collection, max_task_failures)
         try:
             fresh, stats = self._run(
                 collection,
@@ -708,8 +704,7 @@ class ExecutionEngine:
                 remaining,
                 on_result=on_result,
                 controller=controller,
-                quarantine=quarantine,
-                max_task_failures=max_task_failures,
+                quarantine=self._resolve_quarantine(collection),
             )
         except RunInterrupted as err:
             # merge journal-restored rows into the interrupt's partial so a
@@ -778,24 +773,16 @@ class ExecutionEngine:
         return results, stats
 
     @staticmethod
-    def _resolve_quarantine(
-        collection: Any, max_task_failures: int | None
-    ) -> Callable[[int, str], str] | None:
-        """The circuit breaker's quarantine hook, when armed.
+    def _resolve_quarantine(collection: Any) -> Callable[[int, str], str] | None:
+        """The circuit breaker's quarantine hook, when the collection arms it.
 
-        Requires an explicit ``max_task_failures`` *and* a collection that
-        both exposes ``quarantine_task_failure`` and carries a non-raise
-        ``on_error`` policy — quarantining a snapshot behind the back of an
-        ``on_error="raise"`` caller would be a silent partial result.
+        Armed when the collection both exposes ``quarantine_task_failure``
+        and carries a non-raise ``on_error`` policy — quarantining a
+        snapshot behind the back of an ``on_error="raise"`` caller would be
+        a silent partial result.
         """
-        if max_task_failures is None:
-            return None
-        if max_task_failures < 1:
-            raise ValueError("max_task_failures must be >= 1")
         hook = getattr(collection, "quarantine_task_failure", None)
-        if not callable(hook):
-            return None
-        if getattr(collection, "on_error", "raise") == "raise":
+        if not callable(hook) or getattr(collection, "on_error", "raise") == "raise":
             return None
         return hook
 
@@ -881,24 +868,6 @@ class ExecutionEngine:
 
     # -- policy resolution -------------------------------------------------
 
-    def _resolve_start_method(self) -> str:
-        method = self.config.start_method or os.environ.get(START_METHOD_ENV) or ""
-        method = method.strip().lower()
-        available = _available_methods()
-        if method:
-            if method == SERIAL:
-                return SERIAL
-            if method in available:
-                return method
-            raise ValueError(
-                f"start method {method!r} not available here (have {available})"
-            )
-        if "fork" in available:
-            return "fork"
-        if "spawn" in available:  # pragma: no cover - non-fork platforms
-            return "spawn"
-        return SERIAL  # pragma: no cover - no multiprocessing at all
-
     def _resolve_processes(self, n_tasks: int) -> int:
         if self.config.processes is not None:
             return max(1, int(self.config.processes))
@@ -914,9 +883,8 @@ class ExecutionEngine:
         on_result: Callable[[int, Any], None] | None = None,
         controller: RunController | None = None,
         quarantine: Callable[[int, str], str] | None = None,
-        max_task_failures: int | None = None,
     ) -> tuple[list[Any], ExecutionStats]:
-        """Dispatch with parent-visible snapshot-load accounting.
+        """Dispatch with parent-visible load, block and I/O-retry accounting.
 
         ``on_result(index, value)`` fires in the *parent* as each task's
         result arrives (completion order) — the checkpoint journal's hook.
@@ -924,10 +892,14 @@ class ExecutionEngine:
         loads_before = getattr(collection, "loads", None)
         block_hits_before = getattr(collection, "block_hits", None)
         block_misses_before = getattr(collection, "block_misses", None)
+        health = getattr(collection, "health", None)
+        io_retries_before = getattr(health, "io_retries", None)
 
         def finish(stats: ExecutionStats) -> None:
             if loads_before is not None:
                 stats.snapshot_loads += int(collection.loads) - loads_before
+            if io_retries_before is not None:
+                stats.retries += int(health.io_retries) - io_retries_before
             if block_hits_before is not None:
                 stats.block_hits += int(collection.block_hits) - block_hits_before
             if block_misses_before is not None:
@@ -947,7 +919,6 @@ class ExecutionEngine:
                 on_result,
                 controller=controller,
                 quarantine=quarantine,
-                max_task_failures=max_task_failures,
             )
         except (TaskError, RunInterrupted) as err:
             if err.stats is not None:
@@ -964,22 +935,15 @@ class ExecutionEngine:
         on_result: Callable[[int, Any], None] | None = None,
         controller: RunController | None = None,
         quarantine: Callable[[int, str], str] | None = None,
-        max_task_failures: int | None = None,
     ) -> tuple[list[Any], ExecutionStats]:
         stats = ExecutionStats(runs=1)
         n = len(indices)
         if n == 0:
             return [], stats
         stats.n_tasks = n
-        retries = self._effective_retries(quarantine, max_task_failures)
 
         def run_serial() -> tuple[list[Any], ExecutionStats]:
-            ctx = _WorkerContext(
-                collection=collection,
-                specs=specs,
-                retries=retries,
-                retry_backoff=self.config.retry_backoff,
-            )
+            ctx = _WorkerContext(collection=collection, specs=specs)
             return self._run_serial(
                 ctx, indices, stats, on_result, controller, quarantine
             )
@@ -996,7 +960,7 @@ class ExecutionEngine:
                 processes = min(processes, int(cap))
         if processes <= 1:
             return run_serial()
-        method = self._resolve_start_method()
+        method = resolve_start_method(self.config.start_method)
         if method == SERIAL:
             # explicit policy choice (config or $REPRO_START_METHOD=serial)
             return run_serial()
@@ -1056,7 +1020,7 @@ class ExecutionEngine:
         stats.transport = transport
         chunk_size = self.config.chunk_size or max(1, -(-n // (processes * 4)))
         chunks = [indices[i : i + chunk_size] for i in range(0, n, chunk_size)]
-        payload = (specs, retries, self.config.retry_backoff, transport, data)
+        payload = (specs, transport, data)
         # Dispatch in bounded waves — at most ``wave`` chunks in flight,
         # the next submitted only as one completes.  Waves are what make
         # run control enforceable: a stop request halts *submission*
@@ -1163,18 +1127,8 @@ class ExecutionEngine:
                 stats=stats,
             )
         if failure is not None:
-            raise _task_error(failure, retries, stats)
+            raise _task_error(failure, stats)
         return [results[i] for i in indices], stats
-
-    def _effective_retries(
-        self,
-        quarantine: Callable[[int, str], str] | None,
-        max_task_failures: int | None,
-    ) -> int:
-        """Task retry count; the circuit breaker caps total attempts."""
-        if quarantine is not None and max_task_failures is not None:
-            return min(self.config.retries, max_task_failures - 1)
-        return self.config.retries
 
     @staticmethod
     def _downgrade(stats: ExecutionStats, method: str, reason: str) -> None:
@@ -1223,7 +1177,7 @@ class ExecutionEngine:
                     entry, stats, results, on_result, quarantine
                 )
                 if failure is not None:
-                    raise _task_error(failure, ctx.retries, stats) from exc
+                    raise _task_error(failure, stats) from exc
         finally:
             stats.wall_seconds = time.perf_counter() - t0
         return [results[i] for i in indices], stats

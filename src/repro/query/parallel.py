@@ -9,13 +9,15 @@ either by copy-on-write inheritance (``fork``) or through a shared-memory
 segment (``spawn`` / ``forkserver`` — see :mod:`repro.query.shm`), so the
 multi-gigabyte columns are never pickled under any start method.
 
-Failure semantics: a task that raises (or a worker that dies, when a
-``task_timeout`` watchdog is configured) surfaces as a structured
+Failure semantics are the engine's: a task runs once; one that raises
+quarantines its snapshot when the collection's ``on_error`` policy allows
+it and otherwise surfaces as a structured
 :class:`~repro.query.engine.TaskError` carrying the snapshot index and the
-task traceback.  Any fallback to serial execution is warned about and
-recorded in the run's :class:`~repro.query.engine.ExecutionStats` — never
-silent.  Set ``$REPRO_START_METHOD`` to pin the start method suite-wide
-(``fork`` / ``spawn`` / ``forkserver`` / ``serial``).
+task traceback; a worker that dies trips the engine's ``task_timeout``
+watchdog on every pooled pass.  Any fallback to serial execution is warned
+about and recorded in the run's :class:`~repro.query.engine.ExecutionStats`
+— never silent.  Set ``$REPRO_START_METHOD`` to pin the start method
+suite-wide (``fork`` / ``spawn`` / ``forkserver`` / ``serial``).
 """
 
 from __future__ import annotations
@@ -51,29 +53,18 @@ class SnapshotExecutor:
 
     The analysis suite takes one of these so callers choose the policy once
     (``SnapshotExecutor(processes=1)`` in unit tests, parallel in benches).
-    After every pass the run's :class:`ExecutionStats` is available as
+    It sets only the pool's size and start method; chunking and the
+    dead-worker watchdog keep the :class:`EngineConfig` defaults.  After
+    every pass the run's :class:`ExecutionStats` is available as
     ``last_stats``, and ``stats`` keeps the lifetime aggregate across runs.
     """
 
     def __init__(
-        self,
-        processes: int | None = 1,
-        start_method: str | None = None,
-        retries: int = 0,
-        retry_backoff: float = 0.0,
-        chunk_size: int | None = None,
-        task_timeout: float | None = None,
+        self, processes: int | None = 1, start_method: str | None = None
     ) -> None:
         self.processes = processes
         self._engine = ExecutionEngine(
-            EngineConfig(
-                processes=processes,
-                start_method=start_method,
-                chunk_size=chunk_size,
-                retries=retries,
-                retry_backoff=retry_backoff,
-                task_timeout=task_timeout,
-            )
+            EngineConfig(processes=processes, start_method=start_method)
         )
         self.last_stats: ExecutionStats | None = None
         self.stats = ExecutionStats()
@@ -92,7 +83,6 @@ class SnapshotExecutor:
         kernels: Sequence[Kernel],
         journal: Any = None,
         controller: RunController | None = None,
-        max_task_failures: int | None = None,
         delta_plan: DeltaPlan | None = None,
     ) -> dict[str, Any]:
         """Run every kernel against each snapshot in one fused pass.
@@ -106,7 +96,6 @@ class SnapshotExecutor:
         snapshots durably and restores them on a rerun.  ``controller``
         makes the pass interruptible (deadline / signals → graceful
         :class:`RunInterrupted` with a flushed checkpoint);
-        ``max_task_failures`` arms the per-snapshot circuit breaker;
         ``delta_plan`` (a :class:`DeltaPlan`) switches state-bearing kernels
         onto delta replay (see
         :meth:`~repro.query.engine.ExecutionEngine.run_kernels`).
@@ -117,7 +106,6 @@ class SnapshotExecutor:
                 kernels,
                 journal=journal,
                 controller=controller,
-                max_task_failures=max_task_failures,
                 delta_plan=delta_plan,
             )
         except (TaskError, RunInterrupted) as err:

@@ -3,8 +3,9 @@
 One :class:`ShardSupervisor` owns the failure model of a sharded run
 (:mod:`repro.synth.sharding`) end to end:
 
-* **workers** run on the engine's start-method policy (``fork``/``spawn``/
-  ``forkserver`` via ``REPRO_START_METHOD`` or config; ``serial`` and
+* **workers** run on the engine's start-method policy
+  (:func:`~repro.query.engine.resolve_start_method`: config, then
+  ``REPRO_START_METHOD``, then the platform default; ``serial`` and
   ``workers=0`` run shards inline) as daemon processes, at most
   ``workers`` at a time;
 * **checkpoints** — each worker journals every written week (fsynced), so
@@ -31,7 +32,6 @@ One :class:`ShardSupervisor` owns the failure model of a sharded run
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 import warnings
 from collections import deque
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.runcontrol import RunController, RunInterrupted
-from repro.query.engine import START_METHOD_ENV, SERIAL
+from repro.query.engine import SERIAL, resolve_start_method
 from repro.synth.sharding import (
     SHARD_JOURNAL_NAME,
     ShardFault,
@@ -83,9 +83,9 @@ class SupervisorConfig:
     start_method: str | None = None
     #: attempt ceiling per shard before quarantine
     max_attempts: int = 3
-    #: restart backoff: ``backoff_seconds * 2**(attempt-1)``, capped
+    #: restart backoff: ``backoff_seconds * 2**(attempt-1)``, capped at
+    #: :data:`BACKOFF_MAX_SECONDS`
     backoff_seconds: float = 0.25
-    backoff_max_seconds: float = 5.0
     #: heartbeat watchdog: warn when a shard's journal stalls this long
     stall_timeout_seconds: float = 30.0
     #: per-attempt deadline (via ``RunController.child``); None = no limit
@@ -131,6 +131,10 @@ class _ShardTask:
         self.ready_at = 0.0
 
 
+#: ceiling of one restart backoff, in seconds (read by ``_backoff``)
+BACKOFF_MAX_SECONDS = 5.0
+
+
 class ShardSupervisor:
     """Runs every shard of a :class:`ShardPlan` to done-or-quarantined."""
 
@@ -167,31 +171,12 @@ class ShardSupervisor:
             and task.proc.is_alive()
         }
 
-    # -- policy -------------------------------------------------------------
-
-    def _resolve_start_method(self) -> str:
-        method = (
-            self.config.start_method
-            or os.environ.get(START_METHOD_ENV)
-            or ""
-        ).strip().lower()
-        if not method:
-            return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        if method == SERIAL:
-            return SERIAL
-        if method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start method {method!r} not available here "
-                f"(have {mp.get_all_start_methods()})"
-            )
-        return method
-
     # -- entry point --------------------------------------------------------
 
     def run(self) -> SupervisorStats:
         t0 = time.monotonic()
         try:
-            method = self._resolve_start_method()
+            method = resolve_start_method(self.config.start_method)
             if self.config.workers <= 0 or method == SERIAL:
                 self._run_inline()
             else:
@@ -356,8 +341,7 @@ class ShardSupervisor:
 
     def _backoff(self, attempt: int) -> float:
         return min(
-            self.config.backoff_seconds * 2 ** (attempt - 1),
-            self.config.backoff_max_seconds,
+            self.config.backoff_seconds * 2 ** (attempt - 1), BACKOFF_MAX_SECONDS
         )
 
     def _quarantine(self, shard: int, attempts: int, reason: str) -> None:

@@ -546,8 +546,8 @@ class DiskSnapshotCollection:
         """Record snapshot ``idx`` as quarantined by the engine's breaker.
 
         The circuit breaker calls this when a snapshot's *task* (not its
-        bytes) failed ``max_task_failures`` times — e.g. a kernel that
-        keeps crashing the worker on one input.  The existing ``on_error``
+        bytes) failed — e.g. a kernel that raises on one input.  Tasks run
+        once, so the first failure quarantines.  The existing ``on_error``
         policy applies: ``skip`` records the fault in the
         :class:`ArchiveHealthReport`; ``quarantine`` also moves the file
         aside so the next construction starts clean.  Under

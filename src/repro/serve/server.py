@@ -58,7 +58,7 @@ __all__ = ["AnalysisServer", "ServerConfig", "ServerStats"]
 
 @dataclass
 class ServerConfig:
-    """Serving policy — every ceiling in one place."""
+    """Serving policy — every settable ceiling in one place."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (tests/benches); the CLI default is 8765
@@ -78,8 +78,6 @@ class ServerConfig:
     #: per-tenant requests per window (None = unlimited)
     tenant_limit: int | None = 64
     tenant_window_s: float = 1.0
-    #: idle keep-alive read timeout per connection
-    keepalive_timeout_s: float = 10.0
 
 
 @dataclass
@@ -113,6 +111,11 @@ class ServerStats:
             "draining_refused": self.draining_refused,
             "connections": self.connections,
         }
+
+
+#: idle keep-alive read timeout per connection, in seconds (read by
+#: ``_on_connection``)
+KEEPALIVE_TIMEOUT_S = 10.0
 
 
 class AnalysisServer:
@@ -215,7 +218,7 @@ class AnalysisServer:
             while True:
                 try:
                     request = await read_request(
-                        reader, timeout=self.config.keepalive_timeout_s
+                        reader, timeout=KEEPALIVE_TIMEOUT_S
                     )
                 except HttpError as exc:
                     writer.write(

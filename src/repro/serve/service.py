@@ -263,10 +263,11 @@ class ArchiveService:
         self._rewarm_requested = False
         self._follower: Any = None
         self._pub_cache: tuple[Any, int] = (None, 0)
-        #: serial, no engine-level retries: transient I/O retries at the
-        #: block layer; corruption must surface on the first attempt
+        #: serial slices: a task runs once (the engine has no task retry);
+        #: transient I/O retries at the block layer, and corruption
+        #: surfaces on the first attempt
         self._engine = ExecutionEngine(
-            EngineConfig(processes=1, start_method="serial", retries=0)
+            EngineConfig(processes=1, start_method="serial")
         )
 
     # -- warm-up / revalidation ---------------------------------------------

@@ -181,6 +181,42 @@ def test_replay_matches_full_under_parallel_executor(
     assert report.text == expected.text
 
 
+def test_reused_executor_still_journals_after_an_earlier_quarantine(
+    simulated, tmp_path_factory, monkeypatch
+):
+    """Only this run's quarantines keep its kernel state out of the
+    journal: one in an earlier run on the same executor does not."""
+    import repro.analysis.growth as growth_mod
+
+    real_map = growth_mod._map_growth
+    victim = simulated.simulation.collection.labels[-1]
+
+    def rigged(snapshot):
+        if snapshot.label == victim:
+            raise ValueError("rigged growth failure")
+        return real_map(snapshot)
+
+    executor = SnapshotExecutor(1)
+    marred = _fresh_archive(simulated, tmp_path_factory.mktemp("marred"))
+    monkeypatch.setattr(growth_mod, "_map_growth", rigged)
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        analyze_archive(
+            marred, config=TINY, executor=executor, analyses="growth",
+            on_error="skip",
+        )
+    assert executor.stats.quarantined_snapshots == 1
+    monkeypatch.setattr(growth_mod, "_map_growth", real_map)
+
+    healthy = _fresh_archive(simulated, tmp_path_factory.mktemp("healthy"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        analyze_archive(
+            healthy, config=TINY, executor=executor,
+            analyses=DELTA_ANALYSES, incremental=True,
+        )
+    assert (healthy / KERNEL_STATE_FILENAME).exists()
+
+
 def test_missing_sidecar_falls_back_loudly(
     simulated, baseline, tmp_path_factory
 ):

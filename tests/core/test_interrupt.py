@@ -277,8 +277,8 @@ def test_store_cache_bytes_eviction(archive):
 
 
 def test_circuit_breaker_quarantines_failing_snapshot(archive, monkeypatch):
-    """A snapshot whose task fails every retry is quarantined into the
-    health report instead of sinking the run."""
+    """A snapshot whose task fails is quarantined into the health report on
+    its first failure instead of sinking the run."""
     victim = sorted(archive.glob("*.rpq"))[-1].name  # last: no cascade
     real_open = store_mod.open_columnar
     attempts = {"n": 0}
@@ -290,14 +290,14 @@ def test_circuit_breaker_quarantines_failing_snapshot(archive, monkeypatch):
         return real_open(path, paths, **hooks)
 
     monkeypatch.setattr(store_mod, "open_columnar", failing_open)
-    executor = SnapshotExecutor(1, retries=1)
+    executor = SnapshotExecutor(1)
     with pytest.warns(RuntimeWarning, match="repeated task failures"):
         pipeline, report = analyze_archive(
             archive, config=TINY, executor=executor, analyses=ANALYSES,
-            on_error="skip", verify="header",
+            on_error="skip",
         )
     assert report.text  # the run completed over the survivors
-    assert attempts["n"] == 2  # retries+1 attempts, then the breaker opened
+    assert attempts["n"] == 1  # one attempt, then the breaker opened
     assert executor.last_stats.quarantined_snapshots == 1
     health = pipeline.context.collection.health_report()
     assert any("task failures exhausted" in f.reason for f in health.faults)
@@ -320,6 +320,6 @@ def test_breaker_disarmed_under_raise_policy(archive, monkeypatch):
     monkeypatch.setattr(store_mod, "open_columnar", failing_open)
     with pytest.raises(TaskError, match="injected per-file task failure"):
         analyze_archive(
-            archive, config=TINY, executor=SnapshotExecutor(1, retries=1),
-            analyses=ANALYSES, max_task_failures=2,
+            archive, config=TINY, executor=SnapshotExecutor(1),
+            analyses=ANALYSES,
         )

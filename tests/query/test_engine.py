@@ -131,9 +131,9 @@ def test_worker_exception_surfaces_index_and_traceback(method):
     assert err.value.index == 3  # only the last snapshot exceeds 70 rows
     assert "ValueError" in err.value.traceback_text
     assert "rigged failure" in err.value.traceback_text
-    # one message shape on every route: index, retries, the exception line
+    # one message shape on every route: the index, then the exception line
     assert str(err.value).startswith(
-        "snapshot task 3 failed (after 0 retries): ValueError: rigged failure"
+        "snapshot task 3 failed: ValueError: rigged failure"
     )
     if method == "serial":
         # inline runs chain the task's own exception (the serving layer
@@ -201,35 +201,6 @@ def test_stats_aggregate_across_runs():
     assert ex.stats.n_tasks == 3 + 3
 
 
-def test_retry_recovers_flaky_task(tmp_path):
-    coll = _build_collection(weeks=3)
-    marker = tmp_path / "attempted"
-
-    def flaky(snapshot):
-        if not marker.exists():
-            marker.write_text("x")
-            raise RuntimeError("first attempt always fails")
-        return len(snapshot)
-
-    ex = SnapshotExecutor(processes=1, retries=1)
-    assert _partials(ex, coll, flaky) == _map(coll, _row_count)
-    assert ex.last_stats.retries == 1
-    assert ex.last_stats.failures == 0
-
-
-def test_retry_exhaustion_still_raises():
-    coll = _build_collection(weeks=2)
-
-    def always_fails(snapshot):
-        raise RuntimeError("permanent")
-
-    ex = SnapshotExecutor(processes=1, retries=2)
-    with pytest.raises(TaskError) as err:
-        _partials(ex, coll, always_fails)
-    assert err.value.index == 0
-    assert "2 retries" in str(err.value)
-
-
 def test_failed_run_still_records_stats():
     coll = _build_collection(weeks=4)
     ex = SnapshotExecutor(processes=2, start_method=METHODS[0])
@@ -247,13 +218,21 @@ def test_crashed_worker_detected_by_watchdog():
             os._exit(13)  # hard crash, bypasses exception handling
         return len(snapshot)
 
-    ex = SnapshotExecutor(
-        processes=2, start_method="fork", chunk_size=1, task_timeout=3.0
-    )
     if "fork" not in mp.get_all_start_methods():
         pytest.skip("fork required for the closure")
+    engine = ExecutionEngine(
+        EngineConfig(
+            processes=2, start_method="fork", chunk_size=1, task_timeout=3.0
+        )
+    )
     with pytest.raises(TaskError, match="crashed or a task is stuck"):
-        _partials(ex, coll, die_hard)
+        engine.run_kernels(coll, [Kernel("k", die_hard, list)])
+
+
+def test_snapshot_executor_keeps_the_engine_watchdog():
+    """A pooled pass through the analysis suite's executor is guarded by
+    the engine's dead-worker watchdog, not run without one."""
+    assert SnapshotExecutor(2).config.task_timeout == EngineConfig().task_timeout
 
 
 def test_empty_collection_all_methods():
@@ -301,6 +280,9 @@ def test_pooled_disk_pass_path_ids_follow_serial_interning(tmp_path):
         write_columnar(snap, tmp_path / f"{i:02d}.rpq")
     expected = [s.path_strings() for s in DiskSnapshotCollection(tmp_path)]
     disk = DiskSnapshotCollection(tmp_path)
-    ex = SnapshotExecutor(processes=2, start_method="fork", chunk_size=1)
-    ids = _partials(ex, disk, _ids_slow_first)
+    engine = ExecutionEngine(
+        EngineConfig(processes=2, start_method="fork", chunk_size=1)
+    )
+    results, _ = engine.run_kernels(disk, [Kernel("k", _ids_slow_first, list)])
+    ids = results["k"]
     assert [[disk.paths.paths[p] for p in pids] for pids in ids] == expected

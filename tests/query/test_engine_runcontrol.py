@@ -198,20 +198,19 @@ def test_breaker_quarantines_and_reduces_over_survivors(route):
     for snap in base:
         coll.append(snap)
     if route == "serial":
-        config = EngineConfig(processes=1, retries=3)
+        config = EngineConfig(processes=1)
     else:
-        config = EngineConfig(processes=2, start_method=route, retries=3)
+        config = EngineConfig(processes=2, start_method=route)
     engine = ExecutionEngine(config)
+    # the collection's on_error="skip" arms the breaker
     results, stats = engine.run_kernels(
-        coll, [Kernel("rows", _fail_on_small, sum)], max_task_failures=2
+        coll, [Kernel("rows", _fail_on_small, sum)]
     )
     # every route records the same quarantine reason (it lands in the
     # archive health report, which must not depend on the route)
     assert coll.quarantined == [(0, "ValueError: rigged: too small")]
     assert stats.quarantined_snapshots == 1
     assert stats.failures == 1
-    # effective retries are capped by the breaker: 2 attempts, not 4
-    assert stats.retries == 1
     # the reduce sees only the surviving snapshots
     sizes = [len(s) for s in base]
     assert results["rows"] == sum(sizes[1:])
@@ -221,16 +220,7 @@ def test_breaker_requires_nonraise_policy():
     coll = _build_collection(weeks=2)  # plain collection: on_error absent
     engine = ExecutionEngine(EngineConfig(processes=1))
     with pytest.raises(TaskError):
-        engine.run_kernels(
-            coll, [Kernel("rows", _fail_on_small, sum)], max_task_failures=2
-        )
-
-
-def test_breaker_rejects_nonpositive_threshold():
-    coll = _build_collection(weeks=2)
-    engine = ExecutionEngine(EngineConfig(processes=1))
-    with pytest.raises(ValueError, match="max_task_failures"):
-        engine.run_kernels(coll, _kernels(), max_task_failures=0)
+        engine.run_kernels(coll, [Kernel("rows", _fail_on_small, sum)])
 
 
 # -- deadline accounting (uniform deadline_remaining_s) -----------------------

@@ -232,21 +232,3 @@ def test_journal_closed_even_when_pass_fails(tmp_path):
     j2 = KernelJournal(path, kernels=["boom"], labels=list(coll.labels))
     assert set(j2.load()) == {0, 1}
 
-
-# -- engine retry backoff ----------------------------------------------------
-
-
-def test_retry_backoff_recovers_transient_failures():
-    coll = _build_collection(weeks=3)
-    state = {"failed": False}
-
-    def flaky(snapshot):
-        if not state["failed"]:
-            state["failed"] = True
-            raise OSError("transient")
-        return len(snapshot)
-
-    ex = SnapshotExecutor(1, retries=1, retry_backoff=0.001)
-    results = ex.run_kernels(coll, [Kernel("rows", flaky, list)])
-    assert results["rows"] == [len(s) for s in coll]
-    assert ex.last_stats.retries == 1

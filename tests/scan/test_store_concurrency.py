@@ -7,7 +7,8 @@ Two pinning suites:
   resident-byte charge (the loser counts a block hit);
 * the lazy-decode transient-I/O retry ladder — an ``OSError`` surfacing
   at first *column touch* (not at open time) rides the same
-  retry/backoff policy as eager opens, and corruption is never retried.
+  retry/backoff policy as eager opens, the engine's stats report those
+  retries, and corruption is never retried.
 """
 
 import threading
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import ReproPipeline
+from repro.query.engine import EngineConfig, ExecutionEngine, Kernel
 from repro.scan import columnar as columnar_mod
 from repro.scan.columnar import LazySnapshot
 from repro.scan.errors import CorruptSnapshotError
@@ -167,6 +169,23 @@ def test_lazy_block_touch_retries_transient_eio(archived, monkeypatch):
     assert disk.health.io_retries == 2
     # exactly one miss despite the retries
     assert disk.block_misses == 1
+
+
+def _max_atime(snap):
+    return int(snap.atime.max())
+
+
+def test_engine_stats_count_block_level_io_retries(archived, monkeypatch):
+    """The engine retries no task; its ``retries`` counter reports the
+    transient-I/O retries the collection absorbed during the pass."""
+    directory, _ = archived
+    disk = DiskSnapshotCollection(directory, io_retries=2, io_backoff=0.0)
+    flaky, state = _make_flaky(failures=2)
+    monkeypatch.setattr(LazySnapshot, "_decode_block", flaky)
+    engine = ExecutionEngine(EngineConfig(processes=1))
+    results, stats = engine.run_kernels(disk, [Kernel("t", _max_atime, list)])
+    assert len(results["t"]) == len(disk)
+    assert stats.retries == disk.health.io_retries == 2
 
 
 def test_lazy_block_touch_exhausts_retries_then_raises(archived, monkeypatch):
