@@ -7,6 +7,10 @@ The paper's classification, applied to each adjacent snapshot pair over the
 * **readonly**  — only atime changed;
 * **updated**   — mtime and/or ctime changed;
 * **new** / **deleted** — set differences of the two snapshots' path sets.
+
+The classification exists once per input kind — :func:`split_pair` over a
+snapshot pair, :func:`split_delta` over a ``.rpd`` sidecar — and Figure
+17's burstiness reads the same new and readonly sets from them.
 """
 
 from __future__ import annotations
@@ -50,32 +54,70 @@ class WeeklyAccess:
         }
 
 
-def _classify_pair(prev: Snapshot, cur: Snapshot) -> WeeklyAccess:
+def split_pair(prev: Snapshot, cur: Snapshot) -> tuple:
+    """§4.2.3 over a snapshot pair's regular files.
+
+    Returns ``(cur_files, new_ids, n_deleted, both_rows, readonly,
+    updated)``: the current files, the ids of those the previous snapshot
+    lacks, the deleted count, the ``cur_files`` rows of files in both, and
+    readonly/updated masks over those rows (untouched is the rest).
+    """
     prev_files = prev.select(prev.is_file)
     cur_files = cur.select(cur.is_file)
     both = prev_files.intersect_ids(cur_files)
-    new = int(cur_files.only_ids(prev_files).size)
-    deleted = int(prev_files.only_ids(cur_files).size)
-    if both.size:
-        pr = prev_files.rows_for(both)
-        cr = cur_files.rows_for(both)
-        atime_changed = prev_files.atime[pr] != cur_files.atime[cr]
-        write_changed = (prev_files.mtime[pr] != cur_files.mtime[cr]) | (
-            prev_files.ctime[pr] != cur_files.ctime[cr]
-        )
-        readonly = int((atime_changed & ~write_changed).sum())
-        updated = int(write_changed.sum())
-        untouched = int((~atime_changed & ~write_changed).sum())
-    else:
-        readonly = updated = untouched = 0
-    return WeeklyAccess(
-        label=cur.label,
-        new=new,
-        deleted=deleted,
-        readonly=readonly,
-        updated=updated,
-        untouched=untouched,
+    pr, cr = prev_files.rows_for(both), cur_files.rows_for(both)
+    atime_changed = prev_files.atime[pr] != cur_files.atime[cr]
+    write_changed = (prev_files.mtime[pr] != cur_files.mtime[cr]) | (
+        prev_files.ctime[pr] != cur_files.ctime[cr]
     )
+    return (
+        cur_files, cur_files.only_ids(prev_files), len(prev_files) - both.size,
+        cr, atime_changed & ~write_changed, write_changed,
+    )
+
+
+def split_delta(delta) -> tuple:
+    """The same sets from a ``.rpd`` sidecar — no snapshot load.
+
+    Returns ``(new_added, new_changed, n_deleted, n_both, readonly,
+    updated)``: masks of the new files among ``added`` rows and among
+    ``changed`` rows (dir→file flips), the deleted and files-in-both
+    counts, and readonly/updated masks over ``changed`` rows (a file in
+    both that is not a changed row is untouched).
+    """
+    prev_file, cur_file = ~delta.changed_was_dir, ~delta.changed_is_dir
+    prev, cur = delta.changed_prev, delta.changed_cur
+    n_deleted = int((~delta.removed_is_dir).sum() + (prev_file & ~cur_file).sum())
+    ff = prev_file & cur_file
+    atime_changed = prev["atime"] != cur["atime"]
+    write_changed = (prev["mtime"] != cur["mtime"]) | (prev["ctime"] != cur["ctime"])
+    return (
+        ~delta.added_is_dir, cur_file & ~prev_file, n_deleted,
+        int(delta.prev_files) - n_deleted,
+        ff & atime_changed & ~write_changed, ff & write_changed,
+    )
+
+
+def _weekly_access(label, new, deleted, both, readonly, updated) -> WeeklyAccess:
+    readonly, updated = int(readonly.sum()), int(updated.sum())
+    return WeeklyAccess(
+        label, int(new), int(deleted), readonly, updated,
+        int(both) - readonly - updated,
+    )
+
+
+def _classify_pair(prev: Snapshot, cur: Snapshot) -> WeeklyAccess:
+    _, new_ids, deleted, both_rows, readonly, updated = split_pair(prev, cur)
+    return _weekly_access(
+        cur.label, new_ids.size, deleted, both_rows.size, readonly, updated
+    )
+
+
+def _classify_delta(delta) -> WeeklyAccess:
+    """One Figure 13 bar straight from a delta sidecar — no snapshot load."""
+    new_added, new_changed, deleted, both, readonly, updated = split_delta(delta)
+    new = new_added.sum() + new_changed.sum()
+    return _weekly_access(delta.cur_label, new, deleted, both, readonly, updated)
 
 
 @dataclass
@@ -100,44 +142,6 @@ class AccessPatternResult:
         new = sum(w.new for w in self.weeks)
         readonly = sum(w.readonly for w in self.weeks)
         return new / readonly if readonly else float("inf")
-
-
-def _classify_delta(delta) -> WeeklyAccess:
-    """One Figure 13 bar straight from a delta sidecar — no snapshot load.
-
-    Mirrors :func:`_classify_pair` exactly: a path counts as *new* when it
-    is a file in ``cur`` but not in ``prev`` (added files plus dir→file
-    flips), *deleted* symmetrically, and the file-in-both population splits
-    into the delta's file↔file ``changed`` rows (classified by which
-    timestamps moved) plus the untouched remainder, recovered by
-    subtraction from the header's previous file count.
-    """
-    added_files = int((~delta.added_is_dir).sum())
-    removed_files = int((~delta.removed_is_dir).sum())
-    prev_file = ~delta.changed_was_dir
-    cur_file = ~delta.changed_is_dir
-    new = added_files + int((cur_file & ~prev_file).sum())
-    deleted = removed_files + int((prev_file & ~cur_file).sum())
-    both_total = int(delta.prev_files) - deleted
-    ff = prev_file & cur_file
-    atime_changed = (
-        delta.changed_prev["atime"][ff] != delta.changed_cur["atime"][ff]
-    )
-    write_changed = (
-        delta.changed_prev["mtime"][ff] != delta.changed_cur["mtime"][ff]
-    ) | (delta.changed_prev["ctime"][ff] != delta.changed_cur["ctime"][ff])
-    readonly = int((atime_changed & ~write_changed).sum())
-    updated = int(write_changed.sum())
-    changed_untouched = int((~atime_changed & ~write_changed).sum())
-    untouched = both_total - int(ff.sum()) + changed_untouched
-    return WeeklyAccess(
-        label=delta.cur_label,
-        new=new,
-        deleted=deleted,
-        readonly=readonly,
-        updated=updated,
-        untouched=untouched,
-    )
 
 
 def access_kernel() -> Kernel:

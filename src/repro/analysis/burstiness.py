@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.access import split_delta, split_pair
 from repro.analysis.context import AnalysisContext
 from repro.query.engine import Kernel
 from repro.scan.snapshot import Snapshot
@@ -58,35 +59,44 @@ class BurstinessResult:
         return float(np.median(writes)) / read_med
 
 
-def _pair_events(
-    prev: Snapshot, cur: Snapshot
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _events(new_gid, new_mtime, ro_gid, ro_atime, week_start: int) -> tuple:
     """(gid, mtime-offset) of new files and (gid, atime-offset) of readonly
     files for one week, offsets relative to the previous snapshot time."""
-    prev_files = prev.select(prev.is_file)
-    cur_files = cur.select(cur.is_file)
-    week_start = prev.timestamp
+    return (
+        new_gid.astype(np.int64),
+        (new_mtime - week_start).astype(np.float64),
+        ro_gid.astype(np.int64),
+        (ro_atime - week_start).astype(np.float64),
+    )
 
-    new_ids = cur_files.only_ids(prev_files)
-    rows = cur_files.rows_for(new_ids)
-    new_gid = cur_files.gid[rows].astype(np.int64)
-    new_off = (cur_files.mtime[rows] - week_start).astype(np.float64)
 
-    both = prev_files.intersect_ids(cur_files)
-    if both.size:
-        pr = prev_files.rows_for(both)
-        cr = cur_files.rows_for(both)
-        atime_changed = prev_files.atime[pr] != cur_files.atime[cr]
-        write_changed = (prev_files.mtime[pr] != cur_files.mtime[cr]) | (
-            prev_files.ctime[pr] != cur_files.ctime[cr]
-        )
-        readonly = atime_changed & ~write_changed
-        ro_gid = cur_files.gid[cr[readonly]].astype(np.int64)
-        ro_off = (cur_files.atime[cr[readonly]] - week_start).astype(np.float64)
-    else:
-        ro_gid = np.empty(0, dtype=np.int64)
-        ro_off = np.empty(0, dtype=np.float64)
-    return new_gid, new_off, ro_gid, ro_off
+def _pair_events(prev: Snapshot, cur: Snapshot) -> tuple:
+    files, new_ids, _, both_rows, readonly, _ = split_pair(prev, cur)
+    new, ro = files.rows_for(new_ids), both_rows[readonly]
+    return _events(
+        files.gid[new], files.mtime[new], files.gid[ro], files.atime[ro],
+        prev.timestamp,
+    )
+
+
+def _delta_events(delta) -> tuple:
+    """One week's events from its delta sidecar — no snapshot load.
+
+    The new files (added rows plus dir→file flips) are merged back into
+    path-id order: a (project, week) c_v sums its offsets in that order,
+    so the replay must present them as :func:`_pair_events` does.
+    """
+    new_added, new_changed, _, _, readonly, _ = split_delta(delta)
+    added, cur = delta.added, delta.changed_cur
+
+    def new(column: str) -> np.ndarray:
+        return np.concatenate([added[column][new_added], cur[column][new_changed]])
+
+    order = np.argsort(new("path_id"), kind="stable")
+    return _events(
+        new("gid")[order], new("mtime")[order],
+        cur["gid"][readonly], cur["atime"][readonly], delta.prev_timestamp,
+    )
 
 
 def _per_project_cv(
@@ -107,13 +117,17 @@ def _per_project_cv(
 
 
 def burstiness_kernel(ctx: AnalysisContext, min_files: int = 100) -> Kernel:
-    """Figure 17 as a pair kernel: weekly events map, c_v aggregation reduce."""
+    """Figure 17 as a pair kernel: weekly events map, c_v aggregation finish.
 
-    def reduce_burstiness(pair_results: list[tuple]) -> BurstinessResult:
+    The state is the list of weekly events (gids and raw offsets), so
+    ``update`` appends one week built from its delta; the domain join and
+    the ``min_files`` threshold apply in ``finish_fn``, outside the state."""
+
+    def finish_burstiness(weeks: list[tuple]) -> BurstinessResult:
         write_samples: dict[str, list[float]] = {}
         read_samples: dict[str, list[float]] = {}
         code_of = {i: c for c, i in ctx.domain_index.items()}
-        for new_gid, new_off, ro_gid, ro_off in pair_results:
+        for new_gid, new_off, ro_gid, ro_off in weeks:
             for gid, cv in _per_project_cv(new_gid, new_off, min_files).items():
                 dom = ctx.gid_to_domain_id.get(gid)
                 if dom is not None and np.isfinite(cv):
@@ -141,8 +155,10 @@ def burstiness_kernel(ctx: AnalysisContext, min_files: int = 100) -> Kernel:
     return Kernel(
         name="burstiness",
         map_fn=_pair_events,
-        reduce_fn=reduce_burstiness,
+        reduce_fn=list,
         pairwise=True,
+        finish_fn=finish_burstiness,
+        update_fn=lambda state, delta: state + [_delta_events(delta)],
     )
 
 

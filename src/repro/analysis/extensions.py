@@ -111,10 +111,34 @@ def _map_ext_hist(snapshot: Snapshot) -> tuple[str, np.ndarray, np.ndarray, int]
     return snapshot.label, eids, counts, int(ext.size)
 
 
+def _update_ext_hist(state: list, delta) -> list:
+    """Append the next snapshot's histogram: the last one minus the
+    extensions of removed and changed-prev file rows, plus those of added
+    and changed-cur file rows, in :func:`_map_ext_hist`'s shape."""
+    _, eids, counts, _ = state[-1]
+    ext_of = delta.paths.ext_ids_of
+    gone = np.concatenate([
+        ext_of(delta.removed["path_id"][~delta.removed_is_dir]),
+        ext_of(delta.changed_prev["path_id"][~delta.changed_was_dir]),
+    ])
+    came = np.concatenate([
+        ext_of(delta.added["path_id"][~delta.added_is_dir]),
+        ext_of(delta.changed_cur["path_id"][~delta.changed_is_dir]),
+    ])
+    size = int(max(eids.max(initial=-1), came.max(initial=-1))) + 1
+    hist = np.zeros(size, dtype=np.int64)
+    hist[eids] = counts
+    hist -= np.bincount(gone, minlength=size)
+    hist += np.bincount(came, minlength=size)
+    ids = np.flatnonzero(hist)
+    return state + [(delta.cur_label, ids, hist[ids], int(delta.cur_files))]
+
+
 def ext_hist_kernel() -> Kernel:
     """Figure 10's per-snapshot half: weekly extension histograms."""
     return Kernel(
-        name="ext_hist", map_fn=_map_ext_hist, reduce_fn=lambda rows: list(rows)
+        name="ext_hist", map_fn=_map_ext_hist, reduce_fn=list,
+        update_fn=_update_ext_hist,
     )
 
 

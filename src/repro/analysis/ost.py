@@ -39,38 +39,70 @@ class StripeStats:
         return max((hi for _, _, hi in self.by_domain.values()), default=0)
 
 
+def _keys(gid: np.ndarray, stripe: np.ndarray) -> np.ndarray:
+    """One int64 key per file row: ``gid << 32`` | the stripe count's bits."""
+    return (gid.astype(np.int64) << 32) | (stripe.astype(np.int64) & 0xFFFFFFFF)
+
+
 def _map_stripes(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, counts)``: the snapshot's file rows per (gid, stripe)."""
     mask = snapshot.is_file
-    return (
-        snapshot.gid[mask].astype(np.int64),
-        snapshot.stripe_count[mask],
+    return np.unique(
+        _keys(snapshot.gid[mask], snapshot.stripe_count[mask]),
+        return_counts=True,
     )
 
 
-def stripes_kernel(ctx: AnalysisContext) -> Kernel:
-    """Figure 14 as a kernel: per-snapshot (gid, stripe) file rows."""
+def _update_stripes(state: list, delta) -> list:
+    """Append the next snapshot's table: the last one, minus removed and
+    changed-prev file rows, plus added and changed-cur file rows."""
+    keys, weights = [state[-1][0]], [state[-1][1]]
+    for rows, is_dir, sign in (
+        (delta.removed, delta.removed_is_dir, -1),
+        (delta.changed_prev, delta.changed_was_dir, -1),
+        (delta.added, delta.added_is_dir, 1),
+        (delta.changed_cur, delta.changed_is_dir, 1),
+    ):
+        keys.append(_keys(rows["gid"][~is_dir], rows["stripe_count"][~is_dir]))
+        weights.append(np.full(keys[-1].size, sign, dtype=np.int64))
+    table, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    counts = np.zeros(table.size, dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate(weights))
+    return state + [(table[counts > 0], counts[counts > 0])]
 
-    def reduce_stripes(
-        rows: list[tuple[np.ndarray, np.ndarray]],
-    ) -> StripeStats:
-        by_domain: dict[str, list[np.ndarray]] = {
-            c: [] for c in ctx.domain_codes
-        }
-        for gids, stripes in rows:
-            dom = ctx.domain_ids_of_gids(gids)
-            for code in ctx.domain_codes:
-                sel = dom == ctx.domain_index[code]
-                if sel.any():
-                    by_domain[code].append(stripes[sel])
+
+def stripes_kernel(ctx: AnalysisContext) -> Kernel:
+    """Figure 14 as a kernel: per-snapshot (gid, stripe) file-row counts.
+
+    The state is the list of per-snapshot tables, keyed by gid (the
+    domain join happens in ``finish_fn``), and ``update`` appends the last
+    table advanced by one delta."""
+
+    def finish_stripes(tables: list) -> StripeStats:
+        none = np.empty(0, dtype=np.int64)
+        keys = np.concatenate([none, *(k for k, _ in tables)])
+        counts = np.concatenate([none, *(c for _, c in tables)])
+        dom = ctx.domain_ids_of_gids(keys >> 32)
+        stripes = (keys & 0xFFFFFFFF).astype(np.uint32).view(np.int32)
         out: dict[str, tuple[int, float, int]] = {}
-        for code, chunks in by_domain.items():
-            if not chunks:
+        for code in ctx.domain_codes:
+            sel = dom == ctx.domain_index[code]
+            if not sel.any():
                 continue
-            allv = np.concatenate(chunks)
-            out[code] = (int(allv.min()), float(allv.mean()), int(allv.max()))
+            values, n = stripes[sel], counts[sel]
+            # exact: every partial sum is an integer below 2**53, so this
+            # is bit-for-bit np.mean over the pooled int32 rows
+            mean = float(int((values * n).sum())) / int(n.sum())
+            out[code] = (int(values.min()), mean, int(values.max()))
         return StripeStats(by_domain=out)
 
-    return Kernel(name="stripes", map_fn=_map_stripes, reduce_fn=reduce_stripes)
+    return Kernel(
+        name="stripes",
+        map_fn=_map_stripes,
+        reduce_fn=list,
+        finish_fn=finish_stripes,
+        update_fn=_update_stripes,
+    )
 
 
 def stripe_stats(ctx: AnalysisContext) -> StripeStats:

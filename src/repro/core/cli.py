@@ -86,8 +86,9 @@ def _analysis_flags() -> argparse.ArgumentParser:
     parent.add_argument(
         "--allow-config-mismatch",
         action="store_true",
-        help="downgrade an archive-manifest config mismatch (seed, "
-        "n_users, purge window) from a hard error to a warning",
+        help="downgrade an archive-manifest config mismatch (seed, purge "
+        "window; n_users only for an archive without an accounts member) "
+        "from a hard error to a warning",
     )
     return parent
 
@@ -373,8 +374,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="track a growing archive: a background follower polls the "
         "manifest generation, replays new .rpd deltas through journaled "
-        "kernel state (O(delta) re-warm, zero snapshot loads for "
-        "converted kernels), and atomically swaps aggregates + ETag "
+        "kernel state (O(delta) re-warm, zero snapshot loads for any "
+        "--analyses selection), and atomically swaps aggregates + ETag "
         "while requests keep serving last-good",
     )
     parser.add_argument(

@@ -11,13 +11,14 @@ regenerates the population from the caller's
 :class:`~repro.synth.driver.SimulationConfig`.
 
 The manifest also records the config fingerprint (seed, ``n_users``, and
-the purge window an age analysis is judged against).  A caller whose
-fingerprint differs gets a typed
+the purge window an age analysis is judged against).  A caller whose seed
+or purge window differs gets a typed
 :class:`~repro.scan.errors.ArchiveConfigError` — with an explicit override
 for intentional mismatches (e.g. re-judging ages against a different purge
-window on purpose).  Archives produced before manifests existed simply
-have none; validation then warns and proceeds (there is nothing to
-validate against).
+window on purpose).  ``n_users`` is compared only when the manifest lists
+no accounts member: an archive with one joins against its own accounts.
+Archives produced before manifests existed simply have none; validation
+then warns and proceeds (there is nothing to validate against).
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def validate_manifest(
     """Check the caller's config against the archive's fingerprint.
 
     Raises :class:`ArchiveConfigError` on mismatch unless
-    ``allow_mismatch`` (then a RuntimeWarning is emitted instead).  A
+    ``allow_mismatch`` (then a RuntimeWarning is emitted instead);
+    ``n_users`` counts only for an archive without an accounts member.  A
     missing manifest warns and returns None — old archives keep working,
     but without protection.
     """
@@ -159,6 +161,7 @@ def validate_manifest(
         key: (recorded.get(key), requested[key])
         for key in FINGERPRINT_FIELDS
         if recorded.get(key) != requested[key]
+        and not (key == "n_users" and "accounts" in manifest)
     }
     if mismatches:
         err = ArchiveConfigError(Path(directory) / MANIFEST_NAME, mismatches)

@@ -382,10 +382,11 @@ def analyze_archive(
     archive whose manifest lists no member — one written before the
     member existed, or by ``repro ingest`` — regenerates the population
     from the config's seed.  The archive's ``manifest.json`` fingerprint
-    is validated against the config either way, so a seed mismatch raises
-    a typed :class:`~repro.scan.errors.ArchiveConfigError`
+    is validated against the config either way, so a seed or purge-window
+    mismatch raises a typed :class:`~repro.scan.errors.ArchiveConfigError`
     (``allow_config_mismatch=True`` downgrades that to a warning, and the
-    joins then use the archive's own accounts when it has them).
+    joins then use the archive's own accounts when it has them); the
+    config's ``n_users`` is checked only when the archive has no member.
 
     Failure tolerance:
 
@@ -415,14 +416,15 @@ def analyze_archive(
 
     Incremental analysis (DESIGN.md §11):
 
-    * ``incremental=True`` journals every delta-capable kernel's reduced
-      state (plus the path-interning table) into the archive's
-      ``kernel_state.bin`` after a healthy run.  The next run advances
-      that state through the ``.rpd`` delta sidecars — appending snapshot
-      N+1 to an analyzed archive costs O(delta) for converted kernels
-      instead of an O(namespace) re-scan, with byte-identical results.
-      The state is fingerprint-bound (archive config + delta layout) and
-      label-prefix-checked; a mismatch falls back to full maps with a
+    * ``incremental=True`` journals every kernel's reduced state (plus
+      the path-interning table) into the archive's ``kernel_state.bin``
+      after a healthy run.  The next run advances that state through the
+      ``.rpd`` delta sidecars — appending snapshot N+1 to an analyzed
+      archive costs O(delta) and zero snapshot loads for any ``analyses``
+      selection, with byte-identical results.  The state is bound to the
+      archive config, the delta layout, the label prefix and each
+      snapshot's content id; a mismatch, or a selection whose kernels the
+      last run did not all journal, runs the full pass with a
       RuntimeWarning, never a wrong answer.  A missing, corrupt or
       mislinked sidecar is recomputed from its two adjacent snapshots — a
       bounded re-analysis of just that link, warned, byte-identical.

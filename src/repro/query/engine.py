@@ -129,8 +129,10 @@ class Kernel:
         one :class:`~repro.scan.delta.SnapshotDelta` instead of re-mapping
         every snapshot.  Contract: one step must equal re-reducing with the
         new snapshot's partial appended — the delta route is
-        byte-identical or it is wrong.  Kernels without it fall back to a
-        full map pass, warned-not-silent.
+        byte-identical or it is wrong.  Every ``repro.analysis`` kernel
+        carries one; a kernel without it (a serving slice, a test kernel)
+        never replays, and under a plan with journaled states it sends the
+        whole call down the full pass, warned-not-silent.
     """
 
     name: str
@@ -148,12 +150,12 @@ class DeltaPlan:
     ``states`` maps kernel names to journaled states covering the analyzed
     prefix; ``deltas`` is the contiguous
     :class:`~repro.scan.delta.SnapshotDelta` chain from that prefix to the
-    collection's end (empty when nothing new was appended).  Kernels with a
-    state and an ``update_fn`` replay deltas; everything else runs the
-    normal full pass.  Every kernel with an ``update_fn`` deposits its
-    state into ``updated_states`` either way, so the *next* run can go
-    incremental.  ``replayed`` / ``fallbacks`` record which route each
-    kernel took (the equivalence suite asserts on them).
+    collection's end (empty when nothing new was appended).  A plan is
+    all-or-nothing: when every kernel of the call has an ``update_fn`` and
+    a state, all of them replay the deltas; otherwise all of them run the
+    full pass.  Every kernel with an ``update_fn`` deposits its state into
+    ``updated_states`` either way, so the *next* run can go incremental.
+    ``replayed`` names the kernels that replayed.
     """
 
     states: dict[str, Any] = field(default_factory=dict)
@@ -161,7 +163,6 @@ class DeltaPlan:
     #: outputs — filled in by the engine
     updated_states: dict[str, Any] = field(default_factory=dict)
     replayed: list[str] = field(default_factory=list)
-    fallbacks: dict[str, str] = field(default_factory=dict)
 
 
 class TaskError(RuntimeError):
@@ -651,12 +652,12 @@ class ExecutionEngine:
 
         Every kernel reduces once, ``state = reduce_fn(partials)``, and
         its result is ``finish_fn(state)``.  ``delta_plan`` (a
-        :class:`DeltaPlan`) switches kernels carrying an ``update_fn`` *and*
-        a journaled state onto delta replay: their states come from folding
-        ``update_fn`` over the plan's delta chain — no snapshot is loaded
-        for them.  Every other kernel runs the full fused pass exactly as
-        before (warned, never silent, when an incremental attempt
-        degrades), and kernels with an ``update_fn`` deposit their freshly
+        :class:`DeltaPlan`) picks one of two routes for the whole call.
+        When every kernel carries an ``update_fn`` *and* a journaled state,
+        each state comes from folding ``update_fn`` over the plan's delta
+        chain and no snapshot is loaded.  Otherwise every kernel runs the
+        full fused pass — warned, never silent, when the plan carried
+        states — and kernels with an ``update_fn`` deposit their freshly
         reduced state into ``plan.updated_states`` for the next run.
         """
         kernels = list(kernels)
@@ -669,24 +670,29 @@ class ExecutionEngine:
             stats = ExecutionStats(runs=1)
             _note_deadline(stats, controller)
             return {k.name: k.finish_fn(k.reduce_fn([])) for k in kernels}, stats
-        replay: list[Kernel] = []
         if delta_plan is not None:
-            replay, kernels = self._split_delta_plan(kernels, delta_plan)
-        replay_results: dict[str, Any] = {}
-        replay_stats = ExecutionStats()
-        if replay:
-            # replay precedes the fused pass: added-path interning must
-            # follow snapshot order, and when every kernel replays the pass
-            # is skipped entirely — the O(delta) fast path
-            replay_results = self._replay_deltas(
-                replay, delta_plan, controller, replay_stats
+            unjournaled = sorted(
+                k.name for k in kernels
+                if k.update_fn is None or k.name not in delta_plan.states
             )
-        if not kernels:
-            if journal is not None:
-                journal.close()
-            replay_stats.runs = 1
-            _note_deadline(replay_stats, controller)
-            return replay_results, replay_stats
+            if not unjournaled:
+                # the O(delta) route: no snapshot is loaded
+                if journal is not None:
+                    journal.close()
+                stats = ExecutionStats(runs=1)
+                results = self._replay_deltas(
+                    kernels, delta_plan, controller, stats
+                )
+                _note_deadline(stats, controller)
+                return results, stats
+            if delta_plan.states:
+                warnings.warn(
+                    "incremental analysis: no journaled state for "
+                    f"{', '.join(unjournaled)} — running a full map pass "
+                    f"for all {len(kernels)} kernel(s)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         specs = tuple((k.name, k.map_fn, k.pairwise) for k in kernels)
         restored: dict[int, Any] = {}
         if journal is not None:
@@ -765,11 +771,6 @@ class ExecutionEngine:
                 delta_plan.updated_states[kernel.name] = state
             results[kernel.name] = kernel.finish_fn(state)
             stats.kernel_reduce_seconds[kernel.name] = time.perf_counter() - t0
-        results.update(replay_results)
-        stats.delta_kernels = replay_stats.delta_kernels
-        stats.delta_updates = replay_stats.delta_updates
-        stats.kernel_update_seconds = replay_stats.kernel_update_seconds
-        stats.wall_seconds += replay_stats.wall_seconds
         return results, stats
 
     @staticmethod
@@ -785,42 +786,6 @@ class ExecutionEngine:
         if not callable(hook) or getattr(collection, "on_error", "raise") == "raise":
             return None
         return hook
-
-    @staticmethod
-    def _split_delta_plan(
-        kernels: list[Kernel], plan: DeltaPlan
-    ) -> tuple[list[Kernel], list[Kernel]]:
-        """Partition into (replayable, full-pass) under the plan.
-
-        A kernel replays only when it has an ``update_fn`` *and* the plan
-        carries its journaled state.  Degrading from a real incremental
-        attempt (the plan had states) is warned, mirroring the
-        serial-downgrade convention — never a silent full re-scan.
-        """
-        replay: list[Kernel] = []
-        fused: list[Kernel] = []
-        for kernel in kernels:
-            if kernel.update_fn is None:
-                plan.fallbacks[kernel.name] = (
-                    "kernel does not implement the incremental protocol"
-                )
-                fused.append(kernel)
-            elif kernel.name not in plan.states:
-                plan.fallbacks[kernel.name] = "no journaled state"
-                fused.append(kernel)
-            else:
-                replay.append(kernel)
-        if plan.states and fused:
-            detail = "; ".join(
-                f"{name}: {reason}" for name, reason in sorted(plan.fallbacks.items())
-            )
-            warnings.warn(
-                f"incremental analysis: {len(fused)} kernel(s) fell back to "
-                f"a full map pass ({detail})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return replay, fused
 
     @staticmethod
     def _replay_deltas(

@@ -235,51 +235,34 @@ class KernelStateStore:
                 or zlib.crc32(payload) != meta.get("crc32")
             ):
                 raise ValueError("bad header or payload CRC")
-            if meta.get("fingerprint") != self._fingerprint:
-                warnings.warn(
-                    f"kernel state {self.path} was written under a different "
-                    "archive/delta config — discarding it and re-analyzing "
-                    "from scratch",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                self._discard()
-                return empty
             stored = list(meta.get("labels", []))
-            if not stored or stored != list(labels[: len(stored)]):
-                warnings.warn(
-                    f"kernel state {self.path} covers labels that are not a "
-                    "prefix of the archive's snapshots — discarding it",
-                    RuntimeWarning,
-                    stacklevel=3,
+            if meta.get("fingerprint") != self._fingerprint:
+                stale = "was written under a different archive/delta config"
+            elif not stored or stored != list(labels[: len(stored)]):
+                stale = (
+                    "covers labels that are not a prefix of the archive's "
+                    "snapshots"
                 )
-                self._discard()
-                return empty
-            if content_ids is not None:
-                stored_ids = list(meta.get("snapshots", []))
-                live_ids = [int(c) for c in content_ids[: len(stored)]]
-                if stored_ids != live_ids:
-                    warnings.warn(
-                        f"kernel state {self.path} was journaled against "
-                        "snapshot contents that have since been rewritten "
-                        "(same labels, different data) — discarding it and "
-                        "re-analyzing from scratch",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    self._discard()
-                    return empty
-            states, table = pickle.loads(payload)
+            elif content_ids is not None and list(
+                meta.get("snapshots", [])
+            ) != [int(c) for c in content_ids[: len(stored)]]:
+                stale = (
+                    "was journaled against snapshot contents that have since "
+                    "been rewritten (same labels, different data)"
+                )
+            else:
+                states, table = pickle.loads(payload)
+                return dict(states), stored, table
         except Exception:
-            warnings.warn(
-                f"kernel state {self.path} is unreadable or corrupt — "
-                "discarding it and re-analyzing from scratch",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._discard()
-            return empty
-        return dict(states), stored, table
+            stale = "is unreadable or corrupt"
+        warnings.warn(
+            f"kernel state {self.path} {stale} — discarding it and "
+            "re-analyzing from scratch",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self._discard()
+        return empty
 
     def save(
         self,

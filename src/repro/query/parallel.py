@@ -96,8 +96,8 @@ class SnapshotExecutor:
         snapshots durably and restores them on a rerun.  ``controller``
         makes the pass interruptible (deadline / signals → graceful
         :class:`RunInterrupted` with a flushed checkpoint);
-        ``delta_plan`` (a :class:`DeltaPlan`) switches state-bearing kernels
-        onto delta replay (see
+        ``delta_plan`` (a :class:`DeltaPlan`) replays every kernel through
+        the deltas when each one carries a journaled state (see
         :meth:`~repro.query.engine.ExecutionEngine.run_kernels`).
         """
         try:

@@ -54,7 +54,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
@@ -454,7 +454,8 @@ def _read_block(fh: BinaryIO, source: str | Path, meta: dict, offset: int) -> by
 
 
 def read_columnar_header(source: str | Path) -> dict:
-    """Read and fully validate only the header (label, timestamp, rows).
+    """Read and fully validate only the header (label, timestamp, rows,
+    and the ``columns`` block table with every block's CRC32).
 
     Cheap (no column block is decompressed) yet strict: magic, length
     fields, the header CRC, the total-length trailer, the type of every
@@ -464,7 +465,16 @@ def read_columnar_header(source: str | Path) -> dict:
     """
     with open(source, "rb") as fh:
         header, _ = _read_header(fh, source)
-    return {key: header[key] for key in ("label", "timestamp", "rows")}
+    return {key: header[key] for key in _HEADER_KEYS}
+
+
+def content_id(header: dict) -> int:
+    """A snapshot's content identity from its header: CRC32 over the label,
+    timestamp, rows and every block's name, rows and CRC32 — a digest of
+    the full file bytes at headers-only cost."""
+    blocks = [[c["name"], c["rows"], c["crc32"]] for c in header["columns"]]
+    key = [header["label"], header["timestamp"], header["rows"], blocks]
+    return zlib.crc32(json.dumps(key, separators=(",", ":")).encode("utf-8"))
 
 
 def _decode_strtab(
@@ -543,7 +553,8 @@ def _decode_all(
 
 
 def verify_columnar(source: str | Path) -> dict:
-    """Check every block of a snapshot; returns its label, timestamp, rows.
+    """Check every block of a snapshot; returns what
+    :func:`read_columnar_header` does.
 
     Runs every integrity check :func:`read_columnar` runs — the envelope,
     the header, the path table and each column block's CRC, codec and row
@@ -552,7 +563,7 @@ def verify_columnar(source: str | Path) -> dict:
     ``verify="deep"`` use this.
     """
     header, _, _ = _decode_all(source)
-    return {key: header[key] for key in ("label", "timestamp", "rows")}
+    return {key: header[key] for key in _HEADER_KEYS}
 
 
 def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:
@@ -583,6 +594,37 @@ def read_columnar_paths(source: str | Path, paths: PathTable) -> np.ndarray:
     with open(source, "rb") as fh:
         _, strings, _ = _read_prologue(fh, source)
     return paths.intern_many(strings)
+
+
+def retry_transient_io(
+    attempt: Callable[[], Any],
+    retries: int,
+    backoff: float,
+    on_retry: Callable[[], None] | None = None,
+    on_corrupt: Callable[[CorruptSnapshotError], None] | None = None,
+) -> Any:
+    """``attempt()``, retried up to ``retries`` times on a transient
+    ``OSError`` with ``backoff * 2**n`` sleeps (``on_retry()`` before each).
+
+    Corruption is permanent: a :class:`CorruptSnapshotError` fires
+    ``on_corrupt(exc)`` and propagates from the first try.  Store opens and
+    lazy block touches share this one ladder.
+    """
+    tries = 0
+    while True:
+        try:
+            return attempt()
+        except CorruptSnapshotError as exc:
+            if on_corrupt is not None:
+                on_corrupt(exc)
+            raise
+        except OSError:
+            if tries >= retries:
+                raise
+            if on_retry is not None:
+                on_retry()
+            time.sleep(backoff * (2 ** tries))
+            tries += 1
 
 
 # -- lazy read path ---------------------------------------------------------
@@ -648,26 +690,15 @@ class LazySnapshot(Snapshot):
                 raise AttributeError(name) from None
             # transient OSError (EIO under load) rides the same retry/backoff
             # ladder the disk store applies to eager opens — a flaky read
-            # surfacing at first column touch must not escape the policy.
-            # Corruption is permanent and never retried.
-            retries = int(self.__dict__.get("_io_retries") or 0)
-            backoff = float(self.__dict__.get("_io_backoff") or 0.0)
-            for attempt in range(retries + 1):
-                try:
-                    arr = self._decode_block(name, meta, offset)
-                    break
-                except CorruptSnapshotError as exc:
-                    hook = self.__dict__.get("_on_corrupt")
-                    if hook is not None:
-                        hook(exc)
-                    raise
-                except OSError:
-                    if attempt >= retries:
-                        raise
-                    hook = self.__dict__.get("_on_io_retry")
-                    if hook is not None:
-                        hook()
-                    time.sleep(backoff * (2 ** attempt))
+            # surfacing at first column touch must not escape the policy
+            d = self.__dict__
+            arr = retry_transient_io(
+                lambda: self._decode_block(name, meta, offset),
+                int(d.get("_io_retries") or 0),
+                float(d.get("_io_backoff") or 0.0),
+                on_retry=d.get("_on_io_retry"),
+                on_corrupt=d.get("_on_corrupt"),
+            )
             if self._order is not None:
                 arr = arr[self._order]
             arr = np.ascontiguousarray(arr, dtype=COLUMN_DTYPES[name])
@@ -717,12 +748,6 @@ class LazySnapshot(Snapshot):
         """Bytes of columns actually decoded (what the block cache accounts)."""
         return int(self.path_id.nbytes) + int(
             sum(arr.nbytes for arr in self.__dict__["_resident"].values())
-        )
-
-    def resident_columns(self) -> tuple[str, ...]:
-        """Names of the decoded numeric columns (observability/tests)."""
-        return ("path_id",) + tuple(
-            n for n in _STORED_COLUMNS if n in self.__dict__["_resident"]
         )
 
     def __reduce__(self):  # pragma: no cover - exercised via pickle transport

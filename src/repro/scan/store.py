@@ -30,9 +30,9 @@ with exponential backoff; corruption is never retried.
 
 from __future__ import annotations
 
+import copy
 import shutil
 import threading
-import time
 import warnings
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -43,9 +43,11 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.scan.columnar import (
+    content_id,
     open_columnar,
     read_columnar_header,
     read_columnar_paths,
+    retry_transient_io,
     verify_columnar,
 )
 from repro.scan.errors import CorruptSnapshotError
@@ -230,6 +232,9 @@ class DiskSnapshotCollection:
                 self._handle_fault(f, exc)
                 continue
             survivors.append(f)
+            # keep the block table's digest, not the table
+            header["content_id"] = content_id(header)
+            del header["columns"]
             headers.append(header)
         self.health.ok = len(survivors)
         if not survivors:
@@ -242,9 +247,13 @@ class DiskSnapshotCollection:
         self._files = [survivors[i] for i in order]
         self._headers = [headers[i] for i in order]
         self.paths = paths if paths is not None else PathTable()
-        self._cache: OrderedDict[int, Snapshot] = OrderedDict()
         self._cache_size = cache_size
         self._cache_bytes_limit = cache_bytes
+        self._fresh_cache()
+
+    def _fresh_cache(self) -> None:
+        """An empty snapshot cache, zeroed counters and a new lock."""
+        self._cache: OrderedDict[int, Snapshot] = OrderedDict()
         self._cache_nbytes: dict[int, int] = {}
         # guards the cache, the byte accounting, and PathTable interning
         # (intern mutates unsynchronized dict/list/array state) for
@@ -269,15 +278,7 @@ class DiskSnapshotCollection:
         """Apply the on_error policy to one corrupt file."""
         if self.on_error == "raise":
             raise exc
-        action = "skipped"
-        if self.on_error == "quarantine":
-            qdir = self.directory / QUARANTINE_DIRNAME
-            qdir.mkdir(exist_ok=True)
-            try:
-                shutil.move(str(path), str(qdir / path.name))
-                action = "quarantined"
-            except OSError as move_exc:  # pragma: no cover - exotic fs state
-                action = f"skipped (quarantine failed: {move_exc})"
+        action = self._quarantine_file(path)
         self.health.faults.append(
             SnapshotFault(
                 path=str(path), reason=exc.reason, offset=exc.offset, action=action
@@ -322,14 +323,18 @@ class DiskSnapshotCollection:
     def __len__(self) -> int:
         return len(self._files)
 
-    def _quarantine_file(self, path: Path) -> None:
-        if self.on_error == "quarantine":
-            qdir = self.directory / QUARANTINE_DIRNAME
-            qdir.mkdir(exist_ok=True)
-            try:
-                shutil.move(str(path), str(qdir / path.name))
-            except OSError:  # pragma: no cover - exotic fs state
-                pass
+    def _quarantine_file(self, path: Path) -> str:
+        """Move ``path`` aside under the ``quarantine`` policy; returns the
+        fault's action (``skipped`` under any other policy)."""
+        if self.on_error != "quarantine":
+            return "skipped"
+        qdir = self.directory / QUARANTINE_DIRNAME
+        qdir.mkdir(exist_ok=True)
+        try:
+            shutil.move(str(path), str(qdir / path.name))
+        except OSError as exc:  # pragma: no cover - exotic fs state
+            return f"skipped (quarantine failed: {exc})"
+        return "quarantined"
 
     def _load(self, path: Path, idx: int) -> Snapshot:
         """One lazy columnar open with transient-I/O retry + backoff.
@@ -345,29 +350,27 @@ class DiskSnapshotCollection:
         construction sees a clean window, and the error is raised either
         way (a fused pass cannot drop an index mid-run).
         """
-        for attempt in range(self.io_retries + 1):
-            try:
-                return open_columnar(
-                    path,
-                    self.paths,
-                    on_decode=lambda name, nbytes: self._on_block_decode(
-                        idx, nbytes
-                    ),
-                    on_hit=lambda name: self._on_block_hit(),
-                    on_corrupt=lambda exc: self._quarantine_file(path),
-                    io_retries=self.io_retries,
-                    io_backoff=self.io_backoff,
-                    on_io_retry=self._note_io_retry,
-                )
-            except CorruptSnapshotError:
-                self._quarantine_file(path)
-                raise
-            except OSError:
-                if attempt >= self.io_retries:
-                    raise
-                self._note_io_retry()
-                time.sleep(self.io_backoff * (2 ** attempt))
-        raise AssertionError("unreachable")  # pragma: no cover
+        def quarantine(exc: CorruptSnapshotError) -> None:
+            self._quarantine_file(path)
+
+        return retry_transient_io(
+            lambda: open_columnar(
+                path,
+                self.paths,
+                on_decode=lambda name, nbytes: self._on_block_decode(
+                    idx, nbytes
+                ),
+                on_hit=lambda name: self._on_block_hit(),
+                on_corrupt=quarantine,
+                io_retries=self.io_retries,
+                io_backoff=self.io_backoff,
+                on_io_retry=self._note_io_retry,
+            ),
+            self.io_retries,
+            self.io_backoff,
+            on_retry=self._note_io_retry,
+            on_corrupt=quarantine,
+        )
 
     def _note_io_retry(self) -> None:
         """Count one transient-I/O retry (eager open or lazy block touch)."""
@@ -469,36 +472,16 @@ class DiskSnapshotCollection:
         return np.array([h["rows"] for h in self._headers], dtype=np.int64)
 
     def content_ids(self) -> list[int]:
-        """Per-snapshot content identities, from headers alone (no load).
+        """Per-snapshot :func:`~repro.scan.columnar.content_id`, from
+        headers alone (no load).
 
-        CRC32 over each header's (label, timestamp, rows, per-block
-        name/rows/crc32) — the per-block CRCs make this a digest of the
-        full file bytes at headers-only cost.  The incremental path binds
-        these into the journaled kernel state so a position rewritten
-        with *different data under the same label* (the synthetic
-        simulator is not prefix-stable across window lengths) discards
-        the state instead of replaying deltas onto a mismatched base.
+        The incremental path binds these into the journaled kernel state
+        so a position rewritten with *different data under the same label*
+        (the synthetic simulator is not prefix-stable across window
+        lengths) discards the state instead of replaying deltas onto a
+        mismatched base.
         """
-        import json
-        import zlib
-
-        ids: list[int] = []
-        for h in self._headers:
-            key = json.dumps(
-                [
-                    h.get("label"),
-                    int(h.get("timestamp", -1)),
-                    int(h.get("rows", -1)),
-                    [
-                        [c.get("name"), int(c.get("rows", -1)),
-                         int(c.get("crc32", -1))]
-                        for c in h.get("columns", [])
-                    ],
-                ],
-                separators=(",", ":"),
-            ).encode("utf-8")
-            ids.append(zlib.crc32(key))
-        return ids
+        return [h["content_id"] for h in self._headers]
 
     def max_snapshot_nbytes(self) -> int:
         """Upper-bound decoded size of the largest snapshot, headers only.
@@ -561,15 +544,7 @@ class DiskSnapshotCollection:
         if not 0 <= idx < len(self):
             raise IndexError(idx)
         path = self._files[idx]
-        action = "skipped"
-        if self.on_error == "quarantine":
-            qdir = self.directory / QUARANTINE_DIRNAME
-            qdir.mkdir(exist_ok=True)
-            try:
-                shutil.move(str(path), str(qdir / path.name))
-                action = "quarantined"
-            except OSError as move_exc:  # pragma: no cover - exotic fs state
-                action = f"skipped (quarantine failed: {move_exc})"
+        action = self._quarantine_file(path)
         with self._lock:
             self.health.faults.append(
                 SnapshotFault(
@@ -613,24 +588,8 @@ class DiskSnapshotCollection:
         respectively, so faults observed through a subset still land in the
         parent's :class:`ArchiveHealthReport`.
         """
-        out = DiskSnapshotCollection.__new__(DiskSnapshotCollection)
-        out.directory = self.directory
-        out.on_error = self.on_error
-        out.io_retries = self.io_retries
-        out.io_backoff = self.io_backoff
-        out.health = self.health
+        out = copy.copy(self)  # shares paths, health and the policy
         out._files = [self._files[i] for i in indices]
         out._headers = [self._headers[i] for i in indices]
-        out.paths = self.paths
-        out._cache = OrderedDict()
-        out._cache_size = self._cache_size
-        out._cache_bytes_limit = self._cache_bytes_limit
-        out._cache_nbytes = {}
-        out.loads = 0
-        out.hits = 0
-        out.block_misses = 0
-        out.block_hits = 0
-        out.cache_bytes_used = 0
-        out.peak_cache_bytes = 0
-        out._lock = threading.RLock()
+        out._fresh_cache()
         return out

@@ -10,8 +10,8 @@ generation:
 
 * **new generation** → one guarded :meth:`ArchiveService.refresh`:
   validate the published window, replay the new deltas through the
-  journaled kernel state (O(delta), zero snapshot loads for converted
-  kernels), atomically swap aggregates + ETag.  In-flight requests keep
+  journaled kernel state (O(delta), zero snapshot loads for any analysis
+  selection), atomically swap aggregates + ETag.  In-flight requests keep
   reading last-good throughout.
 * **torn publish** (writer crashed before the manifest commit) → the
   generation never moved, the stray files are invisible, nothing happens.

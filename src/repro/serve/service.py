@@ -27,7 +27,7 @@ and pins the window to exactly the files that *generation* lists, so a
 torn publish (data files landed, manifest commit never happened) is
 invisible.  With ``incremental=True`` the re-warm replays ``.rpd`` deltas
 through the journaled kernel state — O(delta), zero snapshot loads for
-converted kernels — and the new aggregates + ETag swap in atomically
+any analysis selection — and the new aggregates + ETag swap in atomically
 under the lock while in-flight requests keep reading last-good.
 
 Everything here is synchronous and thread-safe; the asyncio server runs
@@ -56,7 +56,7 @@ from repro.query.engine import (
     QuarantinedRow,
     TaskError,
 )
-from repro.scan.columnar import read_columnar_header
+from repro.scan.columnar import content_id, read_columnar_header
 from repro.scan.errors import CorruptSnapshotError
 from repro.serve.encode import dumps, to_jsonable
 from repro.serve.errors import ServeError
@@ -157,35 +157,18 @@ class CircuitBreaker:
 def _headers_digest(files: Sequence[Path]) -> str:
     """Headers-only content digest of an explicit ``.rpq`` window.
 
-    Same identity the collection's ``content_ids()`` builds per snapshot
-    (label, timestamp, rows, per-block name/rows/crc32 — the block CRCs
-    make it a digest of the full file bytes at headers-only cost), folded
-    across the listed files *in the given order*.  Callers pass the
-    manifest-pinned window so stray files from a torn publish never
-    perturb the digest.  Raises
+    The per-snapshot :func:`~repro.scan.columnar.content_id` the
+    collection's ``content_ids()`` builds, folded across the listed files
+    *in the given order*.  Callers pass the manifest-pinned window so
+    stray files from a torn publish never perturb the digest.  Raises
     :class:`~repro.scan.errors.CorruptSnapshotError` on a damaged header
     and ``OSError`` on unreadable files — both are probe failures.
     """
     files = [Path(f) for f in files]
     if not files:
         raise CorruptSnapshotError(Path("."), "no .rpq snapshots")
-    parts: list[list] = []
-    for f in files:
-        h = read_columnar_header(f)
-        parts.append(
-            [
-                h.get("label"),
-                int(h.get("timestamp", -1)),
-                int(h.get("rows", -1)),
-                [
-                    [c.get("name"), int(c.get("rows", -1)),
-                     int(c.get("crc32", -1))]
-                    for c in h.get("columns", [])
-                ],
-            ]
-        )
-    key = json.dumps(parts, separators=(",", ":")).encode("utf-8")
-    return format(zlib.crc32(key), "08x")
+    ids = [content_id(read_columnar_header(f)) for f in files]
+    return format(zlib.crc32(json.dumps(ids).encode("utf-8")), "08x")
 
 
 class ArchiveService:
@@ -212,8 +195,9 @@ class ArchiveService:
     incremental:
         ``True`` makes every warm journal/replay kernel state through the
         archive's ``kernel_state.bin``, so re-warms after an append cost
-        O(delta) with zero snapshot loads for converted kernels (a broken
-        sidecar link costs its two snapshots) — the ``--follow`` mode.
+        O(delta) with zero snapshot loads for any ``analyses`` selection
+        (a broken sidecar link costs its two snapshots) — the
+        ``--follow`` mode.
     processes:
         Worker processes for the warm's fused pass (1 = serial).  A fresh
         executor is built per warm so ``warm_info()`` reports per-swap

@@ -2,10 +2,11 @@
 
 Acceptance criterion: appending one snapshot to an already-analyzed archive
 and re-running in incremental mode produces a report *byte-identical* to a
-full re-analysis, while the converted kernels execute ``update`` (not
-``map``) — and every unusable-state situation (corrupt state file, foreign
-fingerprint, SIGKILL mid-replay) falls back or reruns to the same bytes,
-loudly.  A broken sidecar link (missing, corrupt or mislinked) is
+full re-analysis, while every kernel executes ``update`` (not ``map``) and
+no snapshot loads — for any analysis selection — and every unusable-state
+situation (corrupt state file, foreign fingerprint, a selection whose
+kernels were not all journaled, SIGKILL mid-replay) falls back or reruns to
+the same bytes, loudly.  A broken sidecar link (missing, corrupt or mislinked) is
 recomputed from its two snapshots: same bytes, two snapshot loads.
 """
 
@@ -26,23 +27,29 @@ from repro.core.pipeline import (
     ReproPipeline,
     analyze_archive,
 )
+from repro.fs.clock import SECONDS_PER_DAY
 from repro.query.parallel import SnapshotExecutor
-from repro.scan.delta import sidecar_path
+from repro.scan.columnar import write_columnar
+from repro.scan.delta import compute_delta, sidecar_path, write_delta
+from repro.scan.snapshot import Snapshot
 from repro.serve.encode import dumps, to_jsonable
+from repro.serve.service import ArchiveService
 from repro.synth.driver import SimulationConfig
 from repro.testing.faults import bit_flip
 
 TINY = SimulationConfig(
     seed=47, scale=1.5e-6, weeks=6, min_project_files=4, stress_depths=False
 )
-#: every kernel these analyses build is delta-capable, so a pure replay run
-#: must load zero snapshots (depth rides the shared delta-capable rows
-#: census; ages journals the last snapshot's file rows)
+#: a replay run of these must load zero snapshots (depth rides the shared
+#: rows census; ages journals the last snapshot's file rows)
 DELTA_ANALYSES = "census,access,growth,users,ages,depth"
-#: the converted kernels these analyses build
+#: the kernels these analyses build
 DELTA_KERNELS = {"rows", "access", "growth", "active_ids", "ages"}
-#: ost (the stripes kernel) is not delta-capable: mixed replay + fallback
+#: DELTA_ANALYSES plus ost, whose stripes kernel DELTA_ANALYSES never journals
 MIXED_ANALYSES = "census,access,growth,users,ages,ost"
+MIXED_KERNELS = DELTA_KERNELS | {"stripes"}
+#: every kernel the registry builds (``analyses=None``)
+ALL_KERNELS = DELTA_KERNELS | {"stripes", "ext_hist", "burstiness"}
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -119,7 +126,7 @@ def test_append_snapshot_replays_deltas_byte_identically(
         )
     assert report.text == baseline
     stats = executor.stats
-    # every converted kernel advanced via update, one delta each
+    # every kernel advanced via update, one delta each
     assert stats.delta_kernels == len(DELTA_KERNELS)
     assert stats.delta_updates == len(DELTA_KERNELS)
     assert set(stats.kernel_update_seconds) == DELTA_KERNELS
@@ -128,14 +135,17 @@ def test_append_snapshot_replays_deltas_byte_identically(
     assert stats.n_tasks == 0
 
 
-def test_mixed_selection_falls_back_only_for_unconverted_kernels(
+def test_selection_without_journaled_state_runs_one_warned_full_pass(
     simulated, tmp_path_factory
 ):
+    """A selection whose kernels were not all journaled maps every kernel
+    once, warned — no kernel replays beside a mapped one — and journals
+    them all, so the next run replays every kernel."""
     directory = tmp_path_factory.mktemp("mixed")
     n = len(list(simulated.simulation.collection))
     _fresh_archive(simulated, directory, max_snapshots=n - 1)
     analyze_archive(
-        directory, config=TINY, analyses=MIXED_ANALYSES, incremental=True
+        directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
     )
     _fresh_archive(simulated, directory)
     full_dir = tmp_path_factory.mktemp("mixed_base")
@@ -145,15 +155,25 @@ def test_mixed_selection_falls_back_only_for_unconverted_kernels(
     )
 
     executor = SnapshotExecutor(1)
-    with pytest.warns(RuntimeWarning, match="stripes.*incremental protocol"):
+    with pytest.warns(RuntimeWarning, match="no journaled state for stripes"):
         pipeline, report = analyze_archive(
             directory, config=TINY, executor=executor,
             analyses=MIXED_ANALYSES, incremental=True,
         )
     assert report.text == expected.text
-    assert executor.stats.delta_kernels == len(DELTA_KERNELS)
-    # stripes still maps every snapshot — the fallback is a full pass
+    assert executor.stats.delta_kernels == 0
     assert executor.stats.n_tasks == pipeline.context.n_snapshots
+
+    executor = SnapshotExecutor(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipeline, report = analyze_archive(
+            directory, config=TINY, executor=executor,
+            analyses=MIXED_ANALYSES, incremental=True,
+        )
+    assert report.text == expected.text
+    assert executor.stats.delta_kernels == len(MIXED_KERNELS)
+    assert executor.stats.n_tasks == 0
 
 
 def test_replay_matches_full_under_parallel_executor(
@@ -173,12 +193,88 @@ def test_replay_matches_full_under_parallel_executor(
         full_dir, config=TINY, analyses=MIXED_ANALYSES,
         executor=SnapshotExecutor(2),
     )
-    with pytest.warns(RuntimeWarning, match="incremental"):
+    executor = SnapshotExecutor(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         _, report = analyze_archive(
-            directory, config=TINY, executor=SnapshotExecutor(2),
+            directory, config=TINY, executor=executor,
             analyses=MIXED_ANALYSES, incremental=True,
         )
     assert report.text == expected.text
+    assert executor.stats.delta_kernels == len(MIXED_KERNELS)
+    assert executor.stats.n_tasks == 0
+
+
+@pytest.fixture(scope="module")
+def cold_all_report(simulated, tmp_path_factory):
+    directory = _fresh_archive(simulated, tmp_path_factory.mktemp("all"))
+    _, report = analyze_archive(directory, config=TINY, analyses=None)
+    return report
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_all_analyses_replay_with_zero_loads(
+    simulated, cold_all_report, tmp_path_factory, processes
+):
+    """Every §4 kernel replays: an ``analyses=None`` append loads nothing,
+    warns nothing, and matches a cold full analysis in the text and every
+    figure body — serially and with a worker pool."""
+    directory = tmp_path_factory.mktemp(f"all{processes}")
+    n = len(list(simulated.simulation.collection))
+    _fresh_archive(simulated, directory, max_snapshots=n - 1)
+    analyze_archive(
+        directory, config=TINY, analyses=None, incremental=True,
+        executor=SnapshotExecutor(processes),
+    )
+    _fresh_archive(simulated, directory)
+    executor = SnapshotExecutor(processes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipeline, report = analyze_archive(
+            directory, config=TINY, executor=executor,
+            analyses=None, incremental=True,
+        )
+    assert executor.stats.n_tasks == 0
+    assert executor.stats.delta_kernels == len(ALL_KERNELS)
+    assert set(executor.stats.kernel_update_seconds) == ALL_KERNELS
+    assert pipeline.context.collection.cache_info().misses == 0
+    assert report.text == cold_all_report.text
+    assert _figure_bodies(report) == _figure_bodies(cold_all_report)
+
+
+def test_burstiness_threshold_switch_between_incremental_runs(
+    simulated, tmp_path_factory
+):
+    """No journaled state depends on ``burstiness_min_files``: a replay
+    under a new threshold gives the full analysis's bytes at that one."""
+    directory = tmp_path_factory.mktemp("threshold")
+    n = len(list(simulated.simulation.collection))
+    _fresh_archive(simulated, directory, max_snapshots=n - 1)
+    analyze_archive(
+        directory, config=TINY, analyses="burstiness", incremental=True,
+        burstiness_min_files=10,
+    )
+    _fresh_archive(simulated, directory)
+    full_dir = _fresh_archive(simulated, tmp_path_factory.mktemp("thr_base"))
+    _, at_old = analyze_archive(
+        full_dir, config=TINY, analyses="burstiness", burstiness_min_files=10
+    )
+    _, at_new = analyze_archive(
+        full_dir, config=TINY, analyses="burstiness", burstiness_min_files=2
+    )
+    assert at_new.text != at_old.text  # the switch shows in the figure
+
+    executor = SnapshotExecutor(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, report = analyze_archive(
+            directory, config=TINY, executor=executor, analyses="burstiness",
+            incremental=True, burstiness_min_files=2,
+        )
+    assert executor.stats.delta_kernels == 1
+    assert executor.stats.n_tasks == 0
+    assert report.text == at_new.text
+    assert _figure_bodies(report) == _figure_bodies(at_new)
 
 
 def test_reused_executor_still_journals_after_an_earlier_quarantine(
@@ -360,6 +456,44 @@ def test_rewritten_snapshots_under_same_labels_discard_state(
     )
     assert report.text == expected.text
     assert executor.stats.delta_kernels == len(DELTA_KERNELS)
+
+
+def _rewrite_atimes(pipeline, directory, days=30):
+    """Rewrite the last ``.rpq`` and its ``.rpd`` with every atime moved:
+    the same label, timestamp and row count, different data."""
+    snaps = list(pipeline.simulation.collection)
+    prev, last = snaps[-2], snaps[-1]
+    columns = last.numeric_columns()
+    columns["atime"] = columns["atime"] + days * SECONDS_PER_DAY
+    moved = Snapshot.from_columns(last.label, last.timestamp, last.paths, columns)
+    write_columnar(moved, directory / f"{last.label}.rpq")
+    write_delta(compute_delta(prev, moved), sidecar_path(directory, last.label))
+
+
+def test_rewrite_under_the_same_header_fields_discards_state(
+    simulated, baseline, tmp_path_factory
+):
+    """The content id covers every block's CRC: a snapshot rewritten with
+    different data under the same label, timestamp and row count discards
+    the journaled state, and the served ETag moves."""
+    directory = _fresh_archive(simulated, tmp_path_factory.mktemp("same_hdr"))
+    analyze_archive(
+        directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+    )
+    service = ArchiveService(directory, config=TINY, analyses=DELTA_ANALYSES)
+    service.warm()
+    etag = service.etag
+
+    _rewrite_atimes(simulated, directory)
+    _, expected = analyze_archive(directory, config=TINY, analyses=DELTA_ANALYSES)
+    assert expected.text != baseline  # the rewrite shows in the report
+    with pytest.warns(RuntimeWarning, match="rewritten"):
+        _, report = analyze_archive(
+            directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+        )
+    assert report.text == expected.text
+    service.warm()
+    assert service.etag != etag
 
 
 def test_state_with_foreign_fingerprint_is_discarded(

@@ -1,7 +1,8 @@
 """Archive manifest suite: the config-fingerprint guard.
 
-``analyze_archive()`` regenerates the population from the caller's config;
-a seed/n_users/purge-window mismatch used to produce silently wrong
+A seed or purge-window mismatch — and, for an archive without an accounts
+member, whose population ``analyze_archive()`` regenerates from the
+caller's config, an ``n_users`` mismatch — used to produce silently wrong
 per-domain joins.  The manifest written by ``archive()`` turns that into a
 typed :class:`ArchiveConfigError` with an explicit override.
 """
@@ -55,22 +56,68 @@ def test_matching_config_validates_silently(archive, recwarn):
     assert not [w for w in recwarn.list if "mismatch" in str(w.message)]
 
 
-@pytest.mark.parametrize("field", FINGERPRINT_FIELDS)
-def test_mismatch_raises_typed_error(archive, field):
-    bad = SimulationConfig(
+@pytest.fixture(scope="module")
+def memberless(archive, tmp_path_factory):
+    """The archive as written before the accounts member existed."""
+    import shutil
+
+    legacy = tmp_path_factory.mktemp("memberless") / "arch"
+    shutil.copytree(archive, legacy)
+    (legacy / "accounts.json").unlink()
+    manifest = load_manifest(legacy)
+    del manifest["accounts"]
+    (legacy / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return legacy
+
+
+def _with(field, value):
+    return SimulationConfig(
         **{
             "seed": TINY.seed, "scale": TINY.scale, "weeks": TINY.weeks,
             "min_project_files": TINY.min_project_files,
             "stress_depths": False,
-            field: getattr(TINY, field) + 1,
+            field: value,
         }
     )
-    with pytest.raises(ArchiveConfigError) as err:
-        validate_manifest(archive, bad)
-    assert field in err.value.mismatches
-    assert field in str(err.value)
-    assert "--allow-config-mismatch" in str(err.value) or \
-        "allow_config_mismatch" in str(err.value)
+
+
+@pytest.mark.parametrize("field", FINGERPRINT_FIELDS)
+def test_mismatch_raises_typed_error(archive, memberless, field):
+    """Every field guards an archive without an accounts member; seed and
+    purge window guard one with a member too (its joins never read
+    ``n_users``: see the next test)."""
+    bad = _with(field, getattr(TINY, field) + 1)
+    targets = [memberless] if field == "n_users" else [archive, memberless]
+    for target in targets:
+        with pytest.raises(ArchiveConfigError) as err:
+            validate_manifest(target, bad)
+        assert field in err.value.mismatches
+        assert field in str(err.value)
+        assert "--allow-config-mismatch" in str(err.value) or \
+            "allow_config_mismatch" in str(err.value)
+
+
+def test_archive_with_accounts_member_ignores_requested_n_users(
+    tmp_path_factory,
+):
+    """The joins use the archive's own accounts, so a 1,500-user archive
+    analyzes under the default ``n_users`` exactly as under its own."""
+    written = _with("n_users", 1500)
+    directory = tmp_path_factory.mktemp("users1500")
+    pipeline = ReproPipeline(written)
+    pipeline.simulate()
+    pipeline.archive(directory)
+
+    default = _with("n_users", SimulationConfig().n_users)
+    assert default.n_users != written.n_users
+    assert validate_manifest(directory, default) is not None
+    _, expected = analyze_archive(directory, config=written)
+    _, report = analyze_archive(directory, config=default)
+    assert report.text == expected.text
+    with pytest.raises(ArchiveConfigError, match="seed"):
+        analyze_archive(
+            directory, config=_with("seed", TINY.seed + 1), analyses="growth"
+        )
 
 
 def test_mismatch_override_downgrades_to_warning(archive):

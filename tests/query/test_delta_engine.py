@@ -1,9 +1,10 @@
 """DeltaPlan suite for the fused execution path.
 
-run_kernels must replay journaled state through deltas for kernels that
-carry an ``update_fn``, capture bootstrap state for the rest,
-warn (never silently degrade) when an incremental run falls back to full
-maps, and leave journaled state untouched on interruption.
+run_kernels has two routes: it replays journaled state through deltas
+when every kernel carries an ``update_fn`` and a state, and otherwise runs
+the full pass for every kernel — capturing bootstrap state, warning (never
+silently degrading) when the plan carried states — and it leaves journaled
+state untouched on interruption.
 """
 
 import warnings
@@ -65,20 +66,22 @@ def test_replay_matches_full_pass():
 
 
 def test_fallback_warns_only_on_genuine_incremental_attempt():
+    """A kernel without ``update_fn`` under a stateful plan forces a warned
+    full pass for *every* kernel — no kernel replays beside a mapped one."""
     coll = _build_collection()
     engine = ExecutionEngine(EngineConfig(processes=1))
     plan = _plan_for(coll, split=2)
-    with pytest.warns(RuntimeWarning, match="depths.*incremental protocol"):
+    with pytest.warns(RuntimeWarning, match="no journaled state for depths"):
         results, stats = engine.run_kernels(
             coll, [_rowsum_kernel(), _depths_kernel()], delta_plan=plan
         )
     assert results["rowsum"] == sum(len(s) for s in coll)
     assert results["depths"] == sum(_depth_sum(s) for s in coll)
-    assert plan.fallbacks == {
-        "depths": "kernel does not implement the incremental protocol"
-    }
-    assert stats.delta_kernels == 1
-    assert stats.n_tasks == len(coll)  # depths still maps every snapshot
+    assert plan.replayed == []
+    assert stats.delta_kernels == 0
+    assert stats.n_tasks == len(coll)  # every kernel mapped every snapshot
+    # the mapped state still lands for the next run
+    assert plan.updated_states == {"rowsum": results["rowsum"]}
 
 
 def test_bootstrap_capture_without_states_is_silent():

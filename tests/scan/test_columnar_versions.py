@@ -115,11 +115,16 @@ def test_paths_only_read_matches_full_interning(matrix, version):
 def test_header_and_sections_agree(matrix, version):
     files, snap = matrix
     header = read_columnar_header(files[version])
+    blocks = header.pop("columns")
     assert header == {
         "label": snap.label, "timestamp": snap.timestamp, "rows": len(snap),
     }
     sections = describe_sections(files[version])
     names = [s[0] for s in sections]
+    # the header's block table lists exactly the file's block sections
+    assert [f"column:{b['name']}" for b in blocks] == [
+        n for n in names if n.startswith("column:")
+    ]
     for column in NUMERIC_COLUMNS:
         if column == "path_id":
             continue  # derived from the path table, never stored

@@ -5,13 +5,14 @@ publish protocol (data + sidecar first, generation-bumped manifest last);
 the follower notices the new generation off the request path, replays the
 ``.rpd`` deltas through the kernel ``update()`` protocol, and atomically
 swaps aggregates + ETag.  Every post-swap figure must be byte-identical
-to a cold analysis of the same prefix, swaps for delta-converted kernels
-must load zero snapshots, and clients must never see a 500 — only the
-typed ladder.
+to a cold analysis of the same prefix, swaps must load zero snapshots for
+any analysis selection, and clients must never see a 500 — only the typed
+ladder.
 """
 
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -25,7 +26,8 @@ from repro.testing.faults import bit_flip, torn_publish
 
 from .conftest import TINY
 
-#: the delta-convertible analysis set — swaps must replay with zero loads
+#: the analyses most swaps here serve (every selection replays with zero
+#: loads; the all-analyses swap has its own test)
 FOLLOW_ANALYSES = "census,access,growth,users,ages,depth"
 
 
@@ -116,6 +118,36 @@ def test_swap_with_worker_pool_replays_without_loads(
     assert follower.poll_once() == "swapped"
     assert service.report_text().decode() == cold_full_text
     assert service.warm_info()["snapshot_loads"] == 0
+
+
+def test_all_analyses_swap_matches_a_cold_warm_with_zero_loads(
+    sim, n_weeks, tmp_path, tmp_path_factory
+):
+    """Every §4 kernel replays: an ``analyses=None`` swap loads nothing,
+    warns nothing, and serves what a cold warm of the same window serves."""
+    sim.archive(tmp_path, max_snapshots=n_weeks - 1)
+    service = ArchiveService(
+        tmp_path, config=TINY, analyses=None, incremental=True
+    )
+    service.warm()
+    follower = ArchiveFollower(service, poll_interval_s=60.0)
+    sim.archive(tmp_path, max_snapshots=n_weeks, skip_existing=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert follower.poll_once() == "swapped"
+    assert [str(w.message) for w in caught] == []
+    info = service.warm_info()
+    assert info["snapshot_loads"] == 0, "swap re-loaded a snapshot"
+    assert info["delta_kernels"] == 8
+
+    cold_dir = tmp_path_factory.mktemp("cold-all")
+    sim.archive(cold_dir)
+    cold = ArchiveService(cold_dir, config=TINY, analyses=None)
+    cold.warm()
+    assert service.report_text() == cold.report_text()
+    assert service.figure_names() == cold.figure_names()
+    for name in cold.figure_names():
+        assert service.figure(name) == cold.figure(name), name
 
 
 def test_torn_publish_never_moves_the_served_window(growing, sim, n_weeks):
