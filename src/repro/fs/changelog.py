@@ -259,9 +259,10 @@ def unclassified_methods(fs_cls) -> list[str]:
 
     The completeness guard: every public method must be wrapped, delegate
     to a wrapped method, or be explicitly exempt.  A new mutating method
-    that is none of these makes :func:`attach_changelog` fail loudly
-    instead of silently missing its events (the ``unlink_inodes`` purge
-    bypass, once).
+    that is none of these makes :func:`attach_changelog` and
+    :class:`~repro.synth.trace.TraceRecorder` fail loudly instead of
+    silently missing its events (the ``unlink_inodes`` purge bypass, once
+    in each).
     """
     classified = WRAPPED_METHODS | DELEGATING_METHODS | EXEMPT_METHODS
     missing = []

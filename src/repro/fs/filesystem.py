@@ -8,7 +8,8 @@ into the POSIX-flavored API the workload models drive:
 * ``create`` / ``create_many`` — regular-file creation with Lustre striping;
 * ``read`` / ``write`` / ``overwrite_many`` — timestamp semantics only (no
   data is stored; LustreDU records carry no size, §2.2 of the paper);
-* ``unlink`` / ``unlink_many`` — deletion, releasing stripes and inodes;
+* ``unlink`` / ``unlink_many`` / ``unlink_inodes`` — deletion, freeing
+  inodes and refunding quota;
 * ``setstripe`` — per-directory default stripe count, inherited at create
   time like ``lfs setstripe`` on a directory.
 """
@@ -202,10 +203,6 @@ class FileSystem:
     def unlink(self, parent: int, name: str, timestamp: int | None = None) -> None:
         ts = self.clock.now if timestamp is None else int(timestamp)
         ino = self.namespace.unlink(parent, name)
-        self.osts.release(
-            np.array([self.inodes.stripe_start[ino]]),
-            np.array([self.inodes.stripe_count[ino]]),
-        )
         self.quota.refund(int(self.inodes.gid[ino]), 1)
         self.inodes.free(ino)
         self.inodes.touch_write(parent, ts)
@@ -219,16 +216,10 @@ class FileSystem:
         inos = np.array(
             [self.namespace.unlink(parent, name) for name in names], dtype=np.int64
         )
-        self.osts.release(self.inodes.stripe_start[inos], self.inodes.stripe_count[inos])
-        gids = self.inodes.gid[inos]
-        for gid, cnt in zip(*np.unique(gids, return_counts=True)):
-            self.quota.refund(int(gid), int(cnt))
-        self.inodes.free_many(inos)
-        self.inodes.touch_write(parent, ts)
-        self.files_deleted += len(names)
+        self._drop_unlinked(inos, parent, ts)
 
     def unlink_inode(self, ino: int, timestamp: int | None = None) -> None:
-        """Delete a file by inode (used by the purge engine)."""
+        """Delete one file by inode; ``unlink_inodes`` is the batched form."""
         parent = self.namespace.parent_of(ino)
         name = self.namespace.name_of(ino)
         if name is None:
@@ -236,11 +227,12 @@ class FileSystem:
         self.unlink(parent, name, timestamp)
 
     def unlink_inodes(self, inos: np.ndarray, timestamp: int | None = None) -> None:
-        """Batched file deletion by inode — the purge sweep's hot path.
+        """Batched file deletion by inode: the purge sweep's and the
+        workload models' delete path.
 
-        Stripe release, quota refunds, inode frees, and parent mtime bumps
-        are all array-wise; only the dentry removals are per-entry (hash-map
-        deletes).  Equivalent to ``unlink_inode`` per victim, in one pass.
+        Equivalent to ``unlink_inode`` per victim, in order, at one shared
+        timestamp; the freed numbers join the free list in victim order, so
+        later allocations recycle the same inode numbers.
         """
         ts = self.clock.now if timestamp is None else int(timestamp)
         inos = np.asarray(inos, dtype=np.int64)
@@ -248,12 +240,17 @@ class FileSystem:
             return
         parents = self.namespace.parents_of(inos)
         self.namespace.unlink_inodes(inos)
-        self.osts.release(self.inodes.stripe_start[inos], self.inodes.stripe_count[inos])
+        self._drop_unlinked(inos, np.unique(parents), ts)
+
+    def _drop_unlinked(
+        self, inos: np.ndarray, parents: np.ndarray | int, ts: int
+    ) -> None:
+        """Refund, free and count files whose dentries are already gone."""
         gids, counts = np.unique(self.inodes.gid[inos], return_counts=True)
         for gid, count in zip(gids, counts):
             self.quota.refund(int(gid), int(count))
         self.inodes.free_many(inos)
-        self.inodes.touch_write(np.unique(parents), ts)
+        self.inodes.touch_write(parents, ts)
         self.files_deleted += int(inos.size)
 
     def rmdir(self, parent: int, name: str, timestamp: int | None = None) -> None:

@@ -39,8 +39,6 @@ class OstAllocator:
         self.default_stripe = int(default_stripe)
         self.max_stripe = int(min(max_stripe, ost_count))
         self._cursor = 0
-        # Per-OST object counts, for load statistics.
-        self.objects = np.zeros(self.ost_count, dtype=np.int64)
 
     def validate(self, stripe_count: int) -> int:
         """Clamp-free validation of a user-requested stripe count.
@@ -60,8 +58,6 @@ class OstAllocator:
         stripe_count = self.validate(stripe_count)
         start = self._cursor
         self._cursor = (self._cursor + stripe_count) % self.ost_count
-        idx = (start + np.arange(stripe_count)) % self.ost_count
-        self.objects[idx] += 1
         return start
 
     def assign_many(self, stripe_counts: np.ndarray) -> np.ndarray:
@@ -71,45 +67,11 @@ class OstAllocator:
             return np.empty(0, dtype=np.int64)
         if (stripe_counts < 1).any() or (stripe_counts > self.max_stripe).any():
             raise InvalidArgument("stripe counts outside the allowed range")
-        offsets = np.concatenate(([0], np.cumsum(stripe_counts)[:-1]))
-        starts = (self._cursor + offsets) % self.ost_count
-        total = int(stripe_counts.sum())
-        self._cursor = (self._cursor + total) % self.ost_count
-        # Per-OST load update: histogram of all allocated stripe indices.
-        flat = (
-            np.repeat(starts, stripe_counts)
-            + _ramp(stripe_counts)
-        ) % self.ost_count
-        self.objects += np.bincount(flat, minlength=self.ost_count)
-        return starts.astype(np.int64)
-
-    def release(self, starts: np.ndarray, counts: np.ndarray) -> None:
-        """Return stripes to the pool when files are deleted."""
-        starts = np.asarray(starts, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if starts.size == 0:
-            return
-        flat = (np.repeat(starts, counts) + _ramp(counts)) % self.ost_count
-        self.objects -= np.bincount(flat, minlength=self.ost_count)
+        ends = np.cumsum(stripe_counts)
+        starts = (self._cursor + ends - stripe_counts) % self.ost_count
+        self._cursor = (self._cursor + int(ends[-1])) % self.ost_count
+        return starts
 
     def stripe_indices(self, start: int, count: int) -> np.ndarray:
         """The explicit OST index list of one file (for LustreDU export)."""
         return (int(start) + np.arange(int(count))) % self.ost_count
-
-    def load_imbalance(self) -> float:
-        """Coefficient of variation of per-OST object counts (0 = balanced)."""
-        mean = float(self.objects.mean())
-        if mean == 0.0:
-            return 0.0
-        return float(self.objects.std() / mean)
-
-
-def _ramp(counts: np.ndarray) -> np.ndarray:
-    """``[0,1,..c0-1, 0,1,..c1-1, ...]`` for a vector of counts."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    ramp = np.arange(total, dtype=np.int64)
-    ramp -= np.repeat(ends - counts, counts)
-    return ramp

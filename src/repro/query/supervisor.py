@@ -50,6 +50,7 @@ from repro.synth.sharding import (
     simulate_shard,
 )
 from repro.scan.merge import shard_dir
+from repro.synth.population import Population
 
 
 class ShardFailedError(RuntimeError):
@@ -136,11 +137,13 @@ BACKOFF_MAX_SECONDS = 5.0
 
 
 class ShardSupervisor:
-    """Runs every shard of a :class:`ShardPlan` to done-or-quarantined."""
+    """Runs every shard of a :class:`ShardPlan` to done-or-quarantined,
+    each against the one ``population`` object the run generated."""
 
     def __init__(
         self,
         plan: ShardPlan,
+        population: Population,
         parts_root: str | Path,
         config: SupervisorConfig | None = None,
         controller: RunController | None = None,
@@ -150,6 +153,7 @@ class ShardSupervisor:
         if on_error not in ("raise", "skip", "quarantine"):
             raise ValueError(f"unknown on_error policy {on_error!r}")
         self.plan = plan
+        self.population = population
         self.parts_root = Path(parts_root)
         self.config = config or SupervisorConfig()
         self.controller = controller or RunController()
@@ -195,6 +199,7 @@ class ShardSupervisor:
                 try:
                     simulate_shard(
                         self.plan,
+                        self.population,
                         shard,
                         self.parts_root,
                         attempt=attempt,
@@ -272,6 +277,7 @@ class ShardSupervisor:
             target=shard_worker_entry,
             args=(
                 self.plan,
+                self.population,
                 task.shard,
                 str(self.parts_root),
                 task.attempts,

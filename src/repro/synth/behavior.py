@@ -45,7 +45,7 @@ from repro.synth.calibration import (
 from repro.synth.domains import DomainSpec
 from repro.fs.hpss import ArchivePolicy, HpssArchive
 from repro.synth.joblog import JobKind, JobLog, sample_job_shape
-from repro.synth.naming import ExtensionSampler
+from repro.synth.naming import ExtensionSampler, normalized_cdf
 from repro.synth.population import ProjectRecord
 
 WEEK_SECONDS = 7 * SECONDS_PER_DAY
@@ -121,7 +121,7 @@ class ProjectBehavior:
         members = project.members if project.members else [0]
         shares = rng.dirichlet(np.full(len(members), 0.5))
         self.member_uids = np.array(members, dtype=np.int64)
-        self.member_shares = shares
+        self._member_cdf = normalized_cdf(shares)
         # members who have not yet produced a file here; early sessions
         # rotate through them so every affiliated user becomes "active"
         # in the §4.1.1 sense (the paper counts 1,362 users by snapshot UID)
@@ -131,9 +131,10 @@ class ProjectBehavior:
         self._inos: np.ndarray = np.empty(0, dtype=np.int64)
         # last week's transient outputs, cleaned up at the next step
         self._transient: np.ndarray = np.empty(0, dtype=np.int64)
-        # directory pool: parallel arrays of (ino, component depth)
+        # directory pool: every working dir, plus the first one made at
+        # each component depth (the anchor new chains grow from)
         self._dir_inos: list[int] = []
-        self._dir_depths: list[int] = []
+        self._first_dir_at_depth: dict[int, int] = {}
         self._dir_ordinal = 0
         self._tuned_dirs = 0
         self.root_ino: int | None = None
@@ -190,8 +191,11 @@ class ProjectBehavior:
             depth += 1
         # leave a marker file at the bottom, like the real stress test
         fs.create(cur, "probe.dat", uid, self.project.gid)
-        self._dir_inos.append(cur)
-        self._dir_depths.append(depth)
+        self._add_dir(cur, depth)
+
+    def _add_dir(self, ino: int, depth: int) -> None:
+        self._dir_inos.append(ino)
+        self._first_dir_at_depth.setdefault(depth, ino)
 
     # -- directory growth ----------------------------------------------------
 
@@ -200,14 +204,14 @@ class ProjectBehavior:
         extra = int(self.rng.geometric(self.depth_p))
         target = min(USER_DIR_DEPTH + extra, self.spec.depth_max)
         user_dir = self._ensure_user_dir(fs, uid)
-        # chain from the deepest existing working dir shallower than the
-        # target (fewest intermediate directories); fall back to the user dir
-        depths = np.asarray(self._dir_depths)
-        candidates = np.flatnonzero(depths < target)
-        if candidates.size:
-            anchor_idx = int(candidates[np.argmax(depths[candidates])])
-            cur = self._dir_inos[anchor_idx]
-            depth = self._dir_depths[anchor_idx]
+        # chain from the first working dir at the deepest depth shallower
+        # than the target (fewest intermediate directories); fall back to
+        # the user dir
+        depth = max(
+            (d for d in self._first_dir_at_depth if d < target), default=None
+        )
+        if depth is not None:
+            cur = self._first_dir_at_depth[depth]
         else:
             cur = user_dir
             depth = USER_DIR_DEPTH
@@ -216,8 +220,7 @@ class ProjectBehavior:
             name = self.sampler.sample_dir_name(self._dir_ordinal)
             cur = fs.mkdir(cur, name, uid, self.project.gid, timestamp=timestamp)
             depth += 1
-            self._dir_inos.append(cur)
-            self._dir_depths.append(depth)
+            self._add_dir(cur, depth)
             self._dirs_made += 1
         self._maybe_tune_stripe(fs, cur)
         return cur
@@ -358,11 +361,8 @@ class ProjectBehavior:
             if self._unwritten:
                 uid = self._unwritten.pop()
             else:
-                uid = int(
-                    self.member_uids[
-                        self.rng.choice(self.member_uids.size, p=self.member_shares)
-                    ]
-                )
+                pick = self._member_cdf.searchsorted(self.rng.random(), side="right")
+                uid = int(self.member_uids[pick])
             base_ts = week_start + int(offset)
             target = self._pick_directory(fs, uid, base_ts, upcoming_files=count)
             names = self.sampler.sample_names(count)
@@ -393,32 +393,10 @@ class ProjectBehavior:
         self, fs: FileSystem, week_start: int, stats: dict[str, int]
     ) -> None:
         """Delete last week's staging/intermediate outputs."""
-        victims = self._transient
+        victims = self._owned_files(fs, self._transient)
         self._transient = np.empty(0, dtype=np.int64)
-        if victims.size == 0:
-            return
-        # keep only regular files that still belong to us: purge may have
-        # raced, and a freed inode number may have been recycled into a
-        # directory of this very project
-        ok = (
-            fs.inodes.allocated[victims]
-            & (fs.inodes.gid[victims] == self.project.gid)
-            & ((fs.inodes.mode[victims] & np.uint32(S_IFMT)) == np.uint32(S_IFREG))
-        )
-        victims = victims[ok]
-        if victims.size == 0:
-            return
-        ts = week_start + int(self._session_offsets(1, self.write_spread)[0])
-        victim_set = set(victims.tolist())
-        keep = np.fromiter(
-            (int(i) not in victim_set for i in self._inos),
-            dtype=bool,
-            count=self._inos.size,
-        )
-        for ino in victims:
-            fs.unlink_inode(int(ino), timestamp=ts)
-        self._inos = self._inos[keep]
-        stats["deleted"] += int(victims.size)
+        if victims.size:
+            self._delete(fs, victims, week_start, stats)
 
     def _updates(self, fs: FileSystem, week_start: int, stats: dict[str, int]) -> None:
         victims = self._sample_live(UPDATE_RATE, window="new")
@@ -469,17 +447,17 @@ class ProjectBehavior:
 
     def _user_deletes(self, fs: FileSystem, week_start: int, stats: dict[str, int]) -> None:
         victims = self._sample_live(DELETE_RATE, window="any")
-        if victims.size == 0:
-            return
+        if victims.size:
+            self._delete(fs, victims, week_start, stats)
+
+    def _delete(
+        self, fs: FileSystem, victims: np.ndarray, week_start: int,
+        stats: dict[str, int],
+    ) -> None:
+        """Unlink tracked files in one batch, at one time inside the week."""
         ts = week_start + int(self._session_offsets(1, self.write_spread)[0])
-        keep_mask = np.ones(self._inos.size, dtype=bool)
-        victim_set = set(victims.tolist())
-        for i, ino in enumerate(self._inos):
-            if int(ino) in victim_set:
-                keep_mask[i] = False
-        for ino in victims:
-            fs.unlink_inode(int(ino), timestamp=ts)
-        self._inos = self._inos[keep_mask]
+        fs.unlink_inodes(victims, timestamp=ts)
+        self._inos = self._inos[~np.isin(self._inos, victims)]
         stats["deleted"] += int(victims.size)
 
     # -- archival tier (§2.1) ----------------------------------------------------
@@ -591,15 +569,17 @@ class ProjectBehavior:
 
     def reconcile(self, fs: FileSystem) -> None:
         """Drop purged/deleted files from the live-tracking array."""
-        if self._inos.size == 0:
-            return
-        inos = self._inos
-        alive = (
+        self._inos = self._owned_files(fs, self._inos)
+
+    def _owned_files(self, fs: FileSystem, inos: np.ndarray) -> np.ndarray:
+        """The ``inos`` that are still regular files of this project: purge
+        may have taken some, and a freed inode number may have been
+        recycled, even into a directory of this very project."""
+        return inos[
             fs.inodes.allocated[inos]
             & (fs.inodes.gid[inos] == self.project.gid)
             & ((fs.inodes.mode[inos] & np.uint32(S_IFMT)) == np.uint32(S_IFREG))
-        )
-        self._inos = inos[alive]
+        ]
 
     @property
     def live_tracked(self) -> int:

@@ -70,6 +70,20 @@ _DIR_NAMES = (
 )
 
 
+def normalized_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(p=probs)`` rebuilds on every call, once:
+    ``cdf.searchsorted(rng.random(n), side="right")`` draws the same stream
+    and indices as ``rng.choice(len(probs), size=n, p=probs)``."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if not (np.isfinite(probs).all() and (probs >= 0).all()):
+        raise ValueError("probabilities must be finite and non-negative")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    if cdf[-1] != 1.0:
+        raise ValueError("probabilities must not all be zero")
+    return cdf
+
+
 class ExtensionSampler:
     """Per-domain weighted extension/name sampler.
 
@@ -102,6 +116,7 @@ class ExtensionSampler:
         self.extensions = list(weights)
         probs = np.array([weights[e] for e in self.extensions], dtype=np.float64)
         self.probs = probs / probs.sum()
+        self._cdf = normalized_cdf(self.probs)
         self._series_counter = 0
         self._name_counter = 0
 
@@ -109,21 +124,22 @@ class ExtensionSampler:
         """Generate ``count`` distinct leaf names following the domain mix."""
         if count <= 0:
             return []
-        picks = self.rng.choice(len(self.extensions), size=count, p=self.probs)
-        stems = self.rng.choice(len(_STEMS), size=count)
+        picks = self._cdf.searchsorted(self.rng.random(count), side="right")
+        stems = self.rng.integers(0, len(_STEMS), count)
+        extensions = self.extensions
+        uniq, series = self._name_counter, self._series_counter
         names: list[str] = []
-        for pick, stem_i in zip(picks, stems):
-            ext = self.extensions[pick]
-            self._name_counter += 1
-            uniq = self._name_counter
+        for pick, stem_i in zip(picks.tolist(), stems.tolist()):
+            uniq += 1
+            ext = extensions[pick]
             if ext == SERIES:
-                self._series_counter += 1
-                names.append(f"{_STEMS[stem_i]}.{self._series_counter}")
+                series += 1
+                names.append(f"{_STEMS[stem_i]}.{series}")
             elif ext == NO_EXTENSION:
-                base = _NOEXT_NAMES[uniq % len(_NOEXT_NAMES)]
-                names.append(f"{base}_{uniq:06d}")
+                names.append(f"{_NOEXT_NAMES[uniq % len(_NOEXT_NAMES)]}_{uniq:06d}")
             else:
                 names.append(f"{_STEMS[stem_i]}_{uniq:06d}.{ext}")
+        self._name_counter, self._series_counter = uniq, series
         return names
 
     def sample_dir_name(self, ordinal: int) -> str:

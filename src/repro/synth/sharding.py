@@ -10,8 +10,9 @@ full tree is never materialized in one process.
 
 Determinism is the load-bearing property:
 
-* the population is generated in full (same seed) in every worker, so
-  uids/gids/memberships are globally consistent;
+* the supervisor generates the population once, in full, and hands the
+  same object to every worker (inherited under fork, pickled once per
+  launch under spawn), so uids/gids/memberships are globally consistent;
 * each shard's behaviors are seeded from a
   ``SeedSequence(config.seed, spawn_key=(shard,))`` substream, so its
   draws depend only on the shard index — never on which worker ran it,
@@ -24,9 +25,9 @@ Determinism is the load-bearing property:
 
 The merged archive (see :mod:`repro.scan.merge`) is therefore byte-identical
 for a fixed shard count regardless of worker count, scheduling order, or
-crash history.  After the shard phase the supervisor generates the
-population once more and writes it as the archive's ``accounts.json``
-member (:mod:`repro.core.accounts`), which the merged manifest lists.
+crash history.  After the shard phase the supervisor writes that same
+population as the archive's ``accounts.json`` member
+(:mod:`repro.core.accounts`), which the merged manifest lists.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ def shard_complete(plan: ShardPlan, shard: int, parts_root: str | Path) -> bool:
 
 def simulate_shard(
     plan: ShardPlan,
+    population: Population,
     shard: int,
     parts_root: str | Path,
     *,
@@ -163,6 +165,8 @@ def simulate_shard(
 ) -> list[dict]:
     """Simulate one shard's full window, streaming scans to ``.rpq`` parts.
 
+    ``population`` is the run's full population, generated once by the
+    caller from ``plan.config``; the shard simulates only its projects.
     Crash-safe and idempotent: each written part is recorded (fsynced) in
     the shard's journal, and a re-run re-simulates deterministically but
     only writes the weeks the journal does not already cover.  Returns one
@@ -186,7 +190,6 @@ def simulate_shard(
     ):
         return [done[i] for i in range(len(labels))]
 
-    population = generate_population(seed=plan.config.seed, n_users=plan.config.n_users)
     state = build_sim_state(
         plan.config,
         population=population,
@@ -234,13 +237,14 @@ def simulate_shard(
 
 def shard_worker_entry(
     plan: ShardPlan,
+    population: Population,
     shard: int,
     parts_root: str,
     attempt: int,
     fault: ShardFault | None,
 ) -> None:
     """Picklable worker target for the spawn-capable supervisor."""
-    simulate_shard(plan, shard, parts_root, attempt=attempt, fault=fault)
+    simulate_shard(plan, population, shard, parts_root, attempt=attempt, fault=fault)
 
 
 @dataclass
@@ -282,9 +286,10 @@ def run_sharded(
     ``on_supervisor`` is a test hook called with the live supervisor
     before the run starts (the chaos harness uses it to aim SIGKILLs).
 
-    After the shard phase the population is generated once here and
-    written as the merged archive's ``accounts.json`` member, then
-    dropped; the merge lists the member in the manifest it commits.
+    The population is generated once, here: every shard simulates
+    against it, and after the shard phase it is written as the merged
+    archive's ``accounts.json`` member and dropped before the merge, which
+    lists the member in the manifest it commits.
     """
     from repro.query.supervisor import ShardSupervisor, SupervisorConfig
 
@@ -293,8 +298,10 @@ def run_sharded(
     plan = ShardPlan(config=config, n_shards=n_shards)
     if supervisor is None:
         supervisor = SupervisorConfig(workers=workers)
+    population = generate_population(seed=config.seed, n_users=config.n_users)
     sup = ShardSupervisor(
         plan,
+        population,
         parts_root,
         config=supervisor,
         controller=controller,
@@ -304,9 +311,13 @@ def run_sharded(
     if on_supervisor is not None:
         on_supervisor(sup)
     stats = sup.run()
+    quarantines = sup.quarantines
+    out_dir.mkdir(parents=True, exist_ok=True)
+    accounts = write_accounts(out_dir, population)
+    del sup, population  # the merge needs only the member's record
 
     health = ArchiveHealthReport()
-    for q in sup.quarantines:
+    for q in quarantines:
         health.faults.append(
             SnapshotFault(
                 path=str(shard_dir(parts_root, q.shard)),
@@ -320,10 +331,6 @@ def run_sharded(
         )
     quarantined = set(stats.quarantined)
     merged_shards = [s for s in range(n_shards) if s not in quarantined]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    accounts = write_accounts(
-        out_dir, generate_population(seed=config.seed, n_users=config.n_users)
-    )
     records = merge_shard_parts(
         parts_root,
         out_dir,

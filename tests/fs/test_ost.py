@@ -21,10 +21,9 @@ def test_assign_round_robin_advances_cursor():
 
 def test_assign_wraps_around():
     alloc = OstAllocator(ost_count=8, default_stripe=4, max_stripe=8)
-    for _ in range(5):
-        alloc.assign(4)
-    assert alloc.objects.sum() == 20
-    assert (alloc.objects >= 2).all()  # even spread
+    assert [alloc.assign(4) for _ in range(5)] == [0, 4, 0, 4, 0]
+    alloc = OstAllocator(ost_count=10, default_stripe=4, max_stripe=8)
+    assert [alloc.assign(4) for _ in range(4)] == [0, 4, 8, 2]
 
 
 def test_validate_stripe_bounds():
@@ -49,7 +48,8 @@ def test_assign_many_matches_serial_assign():
     starts_serial = [serial.assign(int(c)) for c in counts]
     starts_batch = batch.assign_many(counts)
     assert starts_serial == starts_batch.tolist()
-    assert (serial.objects == batch.objects).all()
+    # both leave the cursor at the same place
+    assert serial.assign(1) == batch.assign(1)
 
 
 def test_assign_many_empty():
@@ -58,29 +58,10 @@ def test_assign_many_empty():
     assert out.size == 0
 
 
-def test_release_restores_load():
-    alloc = OstAllocator(ost_count=16, max_stripe=8)
-    starts = alloc.assign_many(np.array([4, 4, 8]))
-    alloc.release(starts, np.array([4, 4, 8]))
-    assert (alloc.objects == 0).all()
-
-
 def test_stripe_indices_wraparound():
     alloc = OstAllocator(ost_count=10)
     idx = alloc.stripe_indices(start=8, count=4)
     assert idx.tolist() == [8, 9, 0, 1]
-
-
-def test_load_imbalance_zero_when_balanced():
-    alloc = OstAllocator(ost_count=4, max_stripe=4)
-    alloc.assign(4)
-    assert alloc.load_imbalance() == 0.0
-
-
-def test_load_imbalance_positive_when_skewed():
-    alloc = OstAllocator(ost_count=8, max_stripe=4)
-    alloc.assign(1)
-    assert alloc.load_imbalance() > 0.0
 
 
 def test_rejects_bad_configuration():

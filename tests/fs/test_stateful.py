@@ -6,7 +6,6 @@ VFS+LVM stack must keep:
 
 * entry accounting: live inodes == files + directories;
 * every live inode is reachable by its reconstructed path;
-* OST object accounting equals the sum of live files' stripe counts;
 * quota usage per gid equals the live inode count per gid;
 * timestamps: atime never decreases on reads, mtime == ctime after writes.
 """
@@ -124,13 +123,6 @@ class FileSystemMachine(RuleBasedStateMachine):
         for ino in list(self.files)[:10]:
             path = fs.namespace.path(ino)
             assert fs.namespace.lookup(path) == ino
-
-    @invariant()
-    def ost_accounting(self) -> None:
-        fs = self.fs
-        live = fs.inodes.live_inodes()
-        expected = int(fs.inodes.stripe_count[live].sum())
-        assert int(fs.osts.objects.sum()) == expected
 
     @invariant()
     def quota_accounting(self) -> None:

@@ -24,6 +24,7 @@ from repro.query.supervisor import (
     SupervisorConfig,
 )
 from repro.synth.driver import SimulationConfig
+from repro.synth.population import generate_population
 from repro.synth.sharding import ShardPlan, run_sharded
 from repro.testing.faults import shard_kill, shard_stall
 
@@ -49,6 +50,10 @@ def _worker_start_method() -> str:
     if method in mp.get_all_start_methods():
         return method
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+def _population():
+    return generate_population(seed=CONFIG.seed, n_users=CONFIG.n_users)
 
 
 def archive_digest(directory: Path) -> dict[str, str]:
@@ -189,15 +194,16 @@ def test_inline_retry_then_success(tmp_path, monkeypatch) -> None:
 
     real = supmod.simulate_shard
 
-    def flaky(p, shard, parts_root, *, attempt=1, **kwargs):
+    def flaky(p, population, shard, parts_root, *, attempt=1, **kwargs):
         calls.append((shard, attempt))
         if shard == 1 and attempt == 1:
             raise OSError("injected transient write failure")
-        return real(p, shard, parts_root, attempt=attempt, **kwargs)
+        return real(p, population, shard, parts_root, attempt=attempt, **kwargs)
 
     monkeypatch.setattr(supmod, "simulate_shard", flaky)
     sup = ShardSupervisor(
         plan,
+        _population(),
         tmp_path / "parts",
         config=SupervisorConfig(workers=0, backoff_seconds=0.01),
     )
@@ -213,14 +219,15 @@ def test_inline_quarantine_after_max_attempts(tmp_path, monkeypatch) -> None:
 
     real = supmod.simulate_shard
 
-    def broken(p, shard, parts_root, *, attempt=1, **kwargs):
+    def broken(p, population, shard, parts_root, *, attempt=1, **kwargs):
         if shard == 0:
             raise OSError("disk on fire")
-        return real(p, shard, parts_root, attempt=attempt, **kwargs)
+        return real(p, population, shard, parts_root, attempt=attempt, **kwargs)
 
     monkeypatch.setattr(supmod, "simulate_shard", broken)
     sup = ShardSupervisor(
         plan,
+        _population(),
         tmp_path / "parts",
         config=SupervisorConfig(
             workers=0, max_attempts=2, backoff_seconds=0.01
@@ -248,9 +255,10 @@ def test_serial_env_forces_inline(tmp_path, monkeypatch, baseline) -> None:
 def test_unknown_policy_and_start_method_rejected(tmp_path) -> None:
     plan = ShardPlan(config=CONFIG, n_shards=1)
     with pytest.raises(ValueError, match="on_error"):
-        ShardSupervisor(plan, tmp_path, on_error="explode")
+        ShardSupervisor(plan, _population(), tmp_path, on_error="explode")
     sup = ShardSupervisor(
         plan,
+        _population(),
         tmp_path,
         config=SupervisorConfig(workers=2, start_method="quantum"),
     )

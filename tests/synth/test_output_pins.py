@@ -1,0 +1,72 @@
+"""The simulator's output bytes, pinned.
+
+The sharding, supervisor and incremental suites compare routes of the same
+code with each other, so a change that moves every route's bytes together
+passes them all.  These digests are absolute: the sha256 of every ``.rpq``,
+``.rpd`` and ``accounts.json`` that one unsharded archive and one 2-shard
+merged archive hold.
+
+Pinned with numpy 2.4.6 and zlib 1.2.13: the draws come from numpy's
+``Generator`` streams and the blocks are zlib-compressed, so another
+version of either may move a digest without any change here.  A change
+that moves a byte on purpose re-pins these and records the move in
+CHANGES.md, as ``test_fig18_degree_fit_pinned`` does for the degree fit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+from repro.core.pipeline import ReproPipeline
+from repro.synth.driver import SimulationConfig
+from repro.synth.sharding import run_sharded
+
+#: stress depths on (the default): the depth-2,030 chain is in the archive
+PIPELINE = SimulationConfig(seed=1, scale=1e-6, weeks=3)
+SHARDED = SimulationConfig(
+    seed=1, scale=1.5e-6, weeks=3, min_project_files=4, stress_depths=False
+)
+
+#: the accounts member depends on the seed and user count only
+ACCOUNTS = "eb0e4a5586bbcbb66d93099ccf0b2cbd2bb4ba867e41841eeec81380831d8e97"
+
+PIPELINE_DIGESTS = {
+    "20150112.rpq": "931fdb2559cc63acfe2bd5435705d41f2b28ab478b142c80f462fdf7789dfb1c",
+    "20150119.rpq": "c4ed2d36dceb514954b7ff7da78bb59d3b4cecb59ea9ae3e28ed8a6c35ff4f86",
+    "20150126.rpq": "805faa92d5ed7e8505d707887bbc80c8294e31b1596f301ae5edeb2ac8af7116",
+    "20150119.rpd": "216a819c9a7a37345574e294a1615489c707c5ab005a9deebdc4adeeb3ff32d0",
+    "20150126.rpd": "b5b3e381f1111175a19e17d921c8f9506690632b7de7202a165602dd6ebb4a35",
+    "accounts.json": ACCOUNTS,
+}
+
+SHARDED_DIGESTS = {
+    "20150112.rpq": "740dabacd09d8b7e80059ee8d015264c9624dc1e09655639d1c61eb548f5f0ca",
+    "20150119.rpq": "d9a86c8e3031f985a7c429adffa17e7424fab66deeafc40066a2e07d9366b171",
+    "20150126.rpq": "9ddb619cae4b72c49eb24adf9f7b0d61f188bb52fc6664ff19c864af1a8fa177",
+    "20150119.rpd": "bb298122043a07d3a74e6212aefa1310e5ef13d1e03a52e5bb8782f92a538088",
+    "20150126.rpd": "e30ac44df0e0c863457267834ae550a5fce7c6cec4e1ee7fe03572b0c776c25d",
+    "accounts.json": ACCOUNTS,
+}
+
+
+def output_digests(directory: Path) -> dict[str, str]:
+    files = [
+        *sorted(directory.glob("*.rpq")),
+        *sorted(directory.glob("*.rpd")),
+        directory / "accounts.json",
+    ]
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+def test_pipeline_archive_bytes_pinned(tmp_path):
+    pipeline = ReproPipeline(PIPELINE)
+    pipeline.simulate()
+    pipeline.archive(tmp_path)
+    assert output_digests(tmp_path) == PIPELINE_DIGESTS
+
+
+def test_sharded_archive_bytes_pinned(tmp_path):
+    # two workers: the shard phase runs on the active start method
+    run_sharded(SHARDED, 2, tmp_path, workers=2)
+    assert output_digests(tmp_path) == SHARDED_DIGESTS

@@ -100,14 +100,15 @@ def test_resume_skips_already_written_weeks(tmp_path, baseline) -> None:
     _, want = baseline
     parts_root = tmp_path / "parts"
     plan = ShardPlan(config=CONFIG, n_shards=N_SHARDS)
-    first = simulate_shard(plan, 0, parts_root)
+    population = generate_population(seed=CONFIG.seed, n_users=CONFIG.n_users)
+    first = simulate_shard(plan, population, 0, parts_root)
     labels = plan.labels()
     before = {
         label: shard_part_path(parts_root, 0, label).stat().st_mtime_ns
         for label in labels
     }
     # a second attempt must not rewrite any journaled week
-    second = simulate_shard(plan, 0, parts_root, attempt=2)
+    second = simulate_shard(plan, population, 0, parts_root, attempt=2)
     assert second == first
     for label in labels:
         path = shard_part_path(parts_root, 0, label)
@@ -116,7 +117,7 @@ def test_resume_skips_already_written_weeks(tmp_path, baseline) -> None:
     victim = shard_part_path(parts_root, 0, labels[-1])
     original = victim.read_bytes()
     victim.unlink()
-    simulate_shard(plan, 0, parts_root, attempt=3)
+    simulate_shard(plan, population, 0, parts_root, attempt=3)
     assert victim.read_bytes() == original
 
 

@@ -93,7 +93,12 @@ def test_replay_rejects_unknown_op():
 
 
 def test_simulated_workload_trace_round_trip():
-    """A real multi-project workload replays to an identical namespace."""
+    """A real multi-project workload replays to an identical namespace.
+
+    The backlog ages out of the purge window within the run, so the purge
+    sweep's batched unlinks are part of the trace, beside the workload's
+    own creates, updates, reads and deletes.
+    """
     pop = generate_population(seed=17)
     fs = _fresh_fs()
     recorder = TraceRecorder(fs)
@@ -102,16 +107,32 @@ def test_simulated_workload_trace_round_trip():
                                 min_project_files=4, stress_depths=False)
     for b in behaviors:
         b.setup(fs)
+        b.seed_backlog(fs, fs.clock.now, backlog_files=10, age_days=500)
     purge = PurgePolicy(window_days=90)
+    purged = 0
     for week in range(4):
         for b in behaviors:
             b.step_week(fs, week, fs.clock.now)
         fs.clock.advance_days(7)
-        purge.sweep(fs)
+        purged += purge.sweep(fs).purged
         for b in behaviors:
             b.reconcile(fs)
+    assert purged > 0
+    assert any(e["op"] == "unlink_inodes" for e in recorder.events)
 
     replayed = _fresh_fs()
     replay_trace(recorder.events, replayed)
     assert _snapshot_view(replayed) == _snapshot_view(fs)
     assert replayed.entry_count == fs.entry_count
+
+
+def test_recorder_refuses_an_unclassified_mutator():
+    """A public method the recorder cannot classify must fail loudly, like
+    ``attach_changelog`` does, instead of bypassing the trace."""
+
+    class GrowingFileSystem(FileSystem):
+        def truncate_all(self):  # pragma: no cover - never called
+            pass
+
+    with pytest.raises(RuntimeError, match="truncate_all"):
+        TraceRecorder(GrowingFileSystem(ost_count=8))
