@@ -26,7 +26,6 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.registry import AnalyzeOptions, resolve_specs, run_analyses
 from repro.core.runcontrol import RunController, RunInterrupted
 from repro.query.parallel import SnapshotExecutor
-from repro.scan.columnar import write_columnar
 from repro.synth.driver import SimulationConfig, SimulationResult, run_simulation
 
 
@@ -165,12 +164,7 @@ class ReproPipeline:
             raise RuntimeError("simulate() first")
         from repro.core.accounts import write_accounts
         from repro.core.manifest import write_manifest
-        from repro.scan.delta import (
-            compute_delta,
-            delta_config,
-            sidecar_path,
-            write_delta,
-        )
+        from repro.scan.delta import delta_config, sidecar_path, write_week
 
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -203,9 +197,7 @@ class ReproPipeline:
                 and (dpath is None or dpath.exists())
             )
             if not published:
-                write_columnar(snap, col_path)
-                if dpath is not None:
-                    write_delta(compute_delta(snaps[i - 1], snap), dpath)
+                write_week(snap, snaps[i - 1] if i else None, directory)
             col_total += col_path.stat().st_size
             records.append(
                 {"label": snap.label, "file": col_path.name, "rows": len(snap)}
@@ -271,8 +263,9 @@ KERNEL_STATE_FILENAME = "kernel_state.bin"
 def _load_delta_plan(directory, store, collection, labels):
     """Build the run's DeltaPlan from journaled state + the sidecar chain.
 
-    Every appended label's ``.rpd`` is probed on a scratch table, so a
-    bogus sidecar never touches the journaled interning table.  A missing,
+    Every appended label's ``.rpd`` is read once: parsed and validated
+    without interning, so a bogus or mislinked sidecar never touches the
+    journaled interning table, then interned in chain order.  A missing,
     corrupt or mislinked link is recomputed from its two adjacent
     snapshots instead — O(broken links) snapshot loads, still
     byte-identical, and loudly warned with the file and the reason.  The
@@ -287,9 +280,8 @@ def _load_delta_plan(directory, store, collection, labels):
     loud, never silent, mirroring the serial-downgrade convention.
     """
     from repro.query.engine import DeltaPlan
-    from repro.scan.delta import compute_delta, read_delta, sidecar_path
+    from repro.scan.delta import compute_delta, parse_delta, sidecar_path
     from repro.scan.errors import CorruptSnapshotError
-    from repro.scan.paths import PathTable
 
     def _fallback(reason: str) -> "DeltaPlan":
         warnings.warn(
@@ -315,18 +307,18 @@ def _load_delta_plan(directory, store, collection, labels):
             why = f"missing delta sidecar {path.name}"
         else:
             try:
-                probe = read_delta(path, PathTable())
+                parsed = parse_delta(path)
             except CorruptSnapshotError as exc:
                 why = f"sidecar {path.name} is corrupt ({exc})"
             else:
-                if probe.prev_label != expected_prev or probe.cur_label != label:
+                if parsed.prev_label != expected_prev or parsed.cur_label != label:
                     why = (
-                        f"sidecar {path.name} links {probe.prev_label!r}->"
-                        f"{probe.cur_label!r}, expected "
+                        f"sidecar {path.name} links {parsed.prev_label!r}->"
+                        f"{parsed.cur_label!r}, expected "
                         f"{expected_prev!r}->{label!r}"
                     )
                 else:
-                    entry = ("sidecar", path)
+                    entry = ("sidecar", parsed)
         if entry is None:
             warnings.warn(
                 f"delta replay degraded ({why}) — recomputing that "
@@ -346,7 +338,7 @@ def _load_delta_plan(directory, store, collection, labels):
     try:
         for kind, ref in links:
             if kind == "sidecar":
-                deltas.append(read_delta(ref, table))
+                deltas.append(ref.intern(table))
             else:
                 deltas.append(compute_delta(collection[ref - 1], collection[ref]))
     except CorruptSnapshotError as exc:

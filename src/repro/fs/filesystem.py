@@ -209,13 +209,22 @@ class FileSystem:
         self.files_deleted += 1
 
     def unlink_many(self, parent: int, names: list[str], timestamp: int | None = None) -> None:
-        """Delete a batch of files from one directory."""
+        """Delete a batch of files from one directory.
+
+        The whole batch is resolved and validated first: a missing name, a
+        directory or a name given twice raises with nothing unlinked.
+        Files are freed in ``names`` order, as ``unlink`` per name would.
+        """
         ts = self.clock.now if timestamp is None else int(timestamp)
         if not names:
             return
-        inos = np.array(
-            [self.namespace.unlink(parent, name) for name in names], dtype=np.int64
-        )
+        inos = np.empty(len(names), dtype=np.int64)
+        for i, name in enumerate(names):
+            ino = self.namespace.child(parent, name)
+            if ino is None:
+                raise NotFound(f"{name!r} not found in inode {parent}")
+            inos[i] = ino
+        self.namespace.unlink_inodes(inos)
         self._drop_unlinked(inos, parent, ts)
 
     def unlink_inode(self, ino: int, timestamp: int | None = None) -> None:

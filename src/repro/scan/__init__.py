@@ -34,6 +34,7 @@ from repro.scan.columnar import (
     write_columnar,
     write_columnar_blocks,
 )
+from repro.scan.delta import write_week
 from repro.scan.store import ArchiveHealthReport, DiskSnapshotCollection
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "read_columnar_header",
     "write_columnar",
     "write_columnar_blocks",
+    "write_week",
     "ArchiveHealthReport",
     "DiskSnapshotCollection",
 ]

@@ -9,6 +9,14 @@ pipeline stage with a self-contained format:
   ``atime``/``mtime`` never decompresses paths;
 * path strings are stored as a newline-joined, zlib-compressed string table.
 
+:func:`write_block_files` writes every in-memory snapshot and delta:
+:func:`write_columnar`, the ``.rpd`` writer and the week writer
+(:func:`repro.scan.delta.write_week`) are it applied to one or two files.  The calling thread builds every
+payload — a path table as :data:`PATH_CHUNK`-path UTF-8 chunks, never one
+joined string — and when a write has several zlib blocks they deflate on
+a per-call thread pool (zlib releases the GIL); a chunked stream is the
+same bytes as one ``zlib.compress`` call.
+
 Every writer emits one layout, ``RPQ3``::
 
     magic "RPQ3" | u32 header_len | u32 header_crc32 | header JSON
@@ -48,13 +56,15 @@ cannot leave a torn file behind.
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
+import os
 import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -81,6 +91,10 @@ _TRAILER_LEN = 12
 _DELTA_COLUMNS = frozenset({"atime", "mtime", "ctime", "ino"})
 
 _COMPRESSION_LEVEL = 6
+
+#: Paths per chunk of a path table's text: writers join and encode a table
+#: this many paths at a time, so no table exists as one string.
+PATH_CHUNK = 4096
 
 _HEADER_KEYS = ("label", "timestamp", "rows", "columns")
 _META_COUNTS = ("rows", "stored_bytes", "crc32")
@@ -136,8 +150,32 @@ def _decode_column(
     return data
 
 
-def encode_column(name: str, data: np.ndarray) -> tuple[bytes, dict]:
-    """Encode one numeric column into a compressed ``(blob, meta)`` block.
+def _byte_view(data: np.ndarray) -> np.ndarray:
+    """A column's array bytes (what ``tobytes`` returns), without a copy
+    when the column is contiguous."""
+    return np.ascontiguousarray(data).view(np.uint8)
+
+
+def _deflate(buffers: list) -> tuple[bytes, int]:
+    """One zlib stream over ``buffers`` in order, and its CRC32.
+
+    Equals ``zlib.compress`` of the concatenated buffers at the same
+    level.  It empties ``buffers`` as it goes, so each buffer is freed
+    once compressed; run on a pool thread, it allocates nothing but the
+    compressor's output.
+    """
+    compressor = zlib.compressobj(_COMPRESSION_LEVEL)
+    buffers.reverse()
+    pieces = []
+    while buffers:
+        pieces.append(compressor.compress(buffers.pop()))
+    pieces.append(compressor.flush())
+    blob = b"".join(pieces)
+    return blob, zlib.crc32(blob)
+
+
+def column_block(name: str, data: np.ndarray) -> tuple[list, dict]:
+    """One numeric column as a block still to be deflated: ``(buffers, meta)``.
 
     ``delta-zlib`` (delta-encoded against the column minimum) for the time
     and inode columns, plain ``zlib`` otherwise.  The ``.rpd`` delta
@@ -147,20 +185,61 @@ def encode_column(name: str, data: np.ndarray) -> tuple[bytes, dict]:
     meta: dict = {"name": name, "dtype": str(data.dtype), "rows": int(data.size)}
     if name in _DELTA_COLUMNS and data.size:
         base = int(data.min())
-        delta = (data.astype(np.int64) - base).astype(np.uint64)
-        raw = delta.tobytes()
+        offsets = data.astype(np.int64)
+        offsets -= base  # the bytes of these deltas as uint64, in place
+        raw = offsets.view(np.uint8)
         meta["codec"] = "delta-zlib"
         meta["base"] = base
         meta["raw_bytes"] = len(raw)
-        blob = zlib.compress(raw, _COMPRESSION_LEVEL)
     else:
-        raw = np.ascontiguousarray(data).tobytes()
+        raw = _byte_view(data)
         meta["raw_bytes"] = len(raw)
         meta["codec"] = "zlib"
-        blob = zlib.compress(raw, _COMPRESSION_LEVEL)
+    return [raw], meta
+
+
+def path_table_block(
+    name: str, table: PathTable, path_ids: np.ndarray
+) -> tuple[list, dict]:
+    """The paths of ``path_ids`` as a ``strtab-zlib`` block still to be
+    deflated: ``(buffers, meta)`` — the one path-table encoder.
+
+    The buffers are the newline-joined UTF-8 text, built
+    :data:`PATH_CHUNK` paths at a time.  ``raw_bytes`` is the joined
+    text's length in characters (not its UTF-8 length), as every
+    archive has recorded it.
+    """
+    paths = table.paths
+    buffers: list[bytes] = []
+    chars = 0
+    for start in range(0, path_ids.size, PATH_CHUNK):
+        chunk = path_ids[start : start + PATH_CHUNK].tolist()
+        text = "\n".join(map(paths.__getitem__, chunk))
+        if start:
+            buffers.append(b"\n")
+            chars += 1
+        buffers.append(text.encode("utf-8"))
+        chars += len(text)
+    meta = {
+        "name": name,
+        "codec": "strtab-zlib",
+        "rows": int(path_ids.size),
+        "raw_bytes": chars,
+    }
+    return buffers, meta
+
+
+def _stored(meta: dict, blob: bytes, crc: int) -> tuple[bytes, dict]:
     meta["stored_bytes"] = len(blob)
-    meta["crc32"] = zlib.crc32(blob)
+    meta["crc32"] = crc
     return blob, meta
+
+
+def encode_column(name: str, data: np.ndarray) -> tuple[bytes, dict]:
+    """Encode one numeric column into a compressed ``(blob, meta)`` block
+    (:func:`column_block`, deflated here)."""
+    buffers, meta = column_block(name, data)
+    return _stored(meta, *_deflate(buffers))
 
 
 def column_block_meta(
@@ -210,10 +289,12 @@ def write_columnar_blocks(
     label: str,
     timestamp: int,
     rows: int,
-    blocks: list[tuple[bytes, dict]],
+    blocks: Iterable[tuple[Any, dict]],
 ) -> int:
     """Assemble an ``RPQ3`` file from pre-encoded blocks; returns its size.
 
+    ``blocks`` is any iterable of ``(payload, meta)`` pairs, consumed
+    before anything is written; a payload is any bytes-like object.
     Each block is placed on a :data:`BLOCK_ALIGN` boundary (zero padding
     between blocks) and its offset relative to the aligned data base is
     recorded in its meta, enabling the lazy mmap read path.  Block
@@ -225,6 +306,7 @@ def write_columnar_blocks(
     (tmp + fsync + rename); row order is preserved as given — the readers
     re-sort by interned path id on load.
     """
+    blocks = list(blocks)
     rel = 0
     for _, meta in blocks:
         meta["offset"] = rel
@@ -255,6 +337,137 @@ def write_columnar_blocks(
     return total_len
 
 
+class BlockFile(NamedTuple):
+    """One container file of a :func:`write_block_files` call.
+
+    ``encode()`` yields the file's ``(payload, meta)`` blocks in file
+    order.  A payload is bytes-like (stored verbatim, ``meta`` complete)
+    or a ``list`` of buffers: one zlib stream still to be deflated, whose
+    ``stored_bytes`` and ``crc32`` the writer adds to ``meta``.
+    """
+
+    dest: Path
+    label: str
+    timestamp: int
+    rows: int
+    encode: Callable[[], Iterable[tuple[Any, dict]]]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+class _Deflates:
+    """The deflates of one write, each started as soon as it is built.
+
+    A lone deflate runs inline.  The first is held until a second
+    arrives; then a pool of up to the usable CPUs starts — it adds a
+    thread only while every thread is busy, so min(usable CPUs,
+    deflates) at most — and takes both and every later one.
+    :meth:`add` returns a callable giving ``(blob, crc32)``.
+    """
+
+    def __init__(self) -> None:
+        self._threads = _usable_cpus()
+        self._pool = None
+        self._first: list | None = None
+        self._first_future = None
+
+    def add(self, buffers: list) -> Callable[[], tuple[bytes, int]]:
+        if self._pool is None and self._first is not None and self._threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(
+                self._threads, thread_name_prefix="deflate"
+            )
+            self._first_future = self._pool.submit(_deflate, self._first)
+        if self._pool is not None:
+            return self._pool.submit(_deflate, buffers).result
+        if self._first is None:
+            self._first = buffers
+            return self._first_result
+        return functools.partial(_deflate, buffers)
+
+    def _first_result(self) -> tuple[bytes, int]:
+        if self._first_future is not None:
+            return self._first_future.result()
+        return _deflate(self._first)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+
+def write_block_files(files: list[BlockFile]) -> list[dict]:
+    """Write container files whose zlib blocks deflate together; returns
+    each file's ``{"raw_bytes", "stored_bytes"}``.
+
+    This thread builds every file's payloads, starting each deflate as
+    soon as its buffers exist, before it waits on any: a week's ``.rpq``
+    path table and its ``.rpd`` blocks compress at the same time.  The
+    pool threads run only :func:`_deflate` — they allocate nothing but
+    compressor output — and the pool is joined before this returns,
+    error or not: no thread outlives the call.  The building happens
+    inside the first file's :func:`write_columnar_blocks` call, so a
+    traced run charges it to a writer.  Bytes are those of compressing
+    each block in turn.
+    """
+    deflates = _Deflates()
+    # per file, its blocks with every deflate replaced by a callable
+    started: list[list[tuple[Any, dict]]] = []
+
+    def blocks(index: int):
+        if not started:
+            for f in files:
+                started.append([
+                    (deflates.add(p) if isinstance(p, list) else p, meta)
+                    for p, meta in f.encode()
+                ])
+        for payload, meta in started[index]:
+            if callable(payload):
+                payload, meta = _stored(meta, *payload())
+            yield payload, meta
+
+    stats = []
+    try:
+        for index, f in enumerate(files):
+            stored = write_columnar_blocks(
+                f.dest, f.label, f.timestamp, f.rows, blocks(index)
+            )
+            raw = sum(meta["raw_bytes"] for _, meta in started[index])
+            stats.append({"raw_bytes": raw, "stored_bytes": stored})
+    finally:
+        deflates.close()
+    return stats
+
+
+def _snapshot_blocks(snapshot: Snapshot):
+    for name in _STORED_COLUMNS:
+        data = getattr(snapshot, name)
+        blob = _byte_view(data)
+        yield blob, {
+            "name": name,
+            "dtype": str(data.dtype),
+            "rows": int(data.size),
+            "codec": "raw",
+            "raw_bytes": len(blob),
+            "stored_bytes": len(blob),
+            "crc32": zlib.crc32(blob),
+        }
+    yield path_table_block("__paths__", snapshot.paths, snapshot.path_id)
+
+
+def snapshot_file(snapshot: Snapshot, dest: str | Path) -> BlockFile:
+    """A snapshot as a :class:`BlockFile` (see :func:`write_columnar`)."""
+    return BlockFile(
+        Path(dest), snapshot.label, snapshot.timestamp, len(snapshot),
+        functools.partial(_snapshot_blocks, snapshot),
+    )
+
+
 def write_columnar(snapshot: Snapshot, dest: str | Path) -> dict:
     """Serialize a snapshot (atomically); returns size statistics.
 
@@ -265,34 +478,9 @@ def write_columnar(snapshot: Snapshot, dest: str | Path) -> dict:
     same-directory temp file with fsync + atomic rename, so a crash never
     leaves a torn ``.rpq``.
     """
-    blocks: list[tuple[bytes, dict]] = []
-    for name in _STORED_COLUMNS:
-        data = getattr(snapshot, name)
-        blob = np.ascontiguousarray(data).tobytes()
-        blocks.append((blob, {
-            "name": name,
-            "dtype": str(data.dtype),
-            "rows": int(data.size),
-            "codec": "raw",
-            "raw_bytes": len(blob),
-            "stored_bytes": len(blob),
-            "crc32": zlib.crc32(blob),
-        }))
-    pids = snapshot.path_id
-    strings = "\n".join(map(snapshot.paths.paths.__getitem__, pids.tolist()))
-    str_blob = zlib.compress(strings.encode("utf-8"), _COMPRESSION_LEVEL)
-    blocks.append(
-        (str_blob, path_block_meta(str_blob, int(pids.size), len(strings)))
-    )
-    stored_total = write_columnar_blocks(
-        dest, snapshot.label, snapshot.timestamp, len(snapshot), blocks
-    )
-    raw_total = sum(meta["raw_bytes"] for _, meta in blocks)
-    return {
-        "raw_bytes": raw_total,
-        "stored_bytes": stored_total,
-        "ratio": raw_total / stored_total if stored_total else 0.0,
-    }
+    stats = write_block_files([snapshot_file(snapshot, dest)])[0]
+    raw, stored = stats["raw_bytes"], stats["stored_bytes"]
+    return {**stats, "ratio": raw / stored if stored else 0.0}
 
 
 # -- hardened read path -----------------------------------------------------

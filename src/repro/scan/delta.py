@@ -5,7 +5,8 @@ scaling — they tail changelogs instead.  Our archive path reproduces that
 bet: ``ReproPipeline.archive`` writes, next to each ``{label}.rpq``
 snapshot, a ``{label}.rpd`` sidecar describing how the namespace changed
 since the *previous* snapshot.  Incremental analysis (DESIGN.md §11) then
-replays deltas instead of re-reading every snapshot.
+replays deltas instead of re-reading every snapshot.  :func:`write_week`
+writes both files of a week — the archive and the shard merge use it.
 
 A delta is exact at snapshot resolution: ``cur == (prev - removed) +
 added + apply(changed)`` over the full numeric schema.  It can therefore
@@ -19,7 +20,9 @@ the same per-block CRCs, the header CRC, the total-length trailer, the
 atomic write — so every truncation/corruption guarantee of
 :mod:`repro.scan.columnar` applies.  Sections (``added`` / ``removed`` /
 ``changed``) are encoded as prefixed compressed column blocks plus one
-``__delta__`` JSON block carrying the interval metadata.
+``__delta__`` JSON block carrying the interval metadata.  Reading is a
+parse that checks every block and section (:func:`parse_delta`), then an
+intern step that cannot fail (:meth:`ParsedDelta.intern`).
 
 Ordering contract (the byte-identity lynchpin): each section stores rows
 in ascending producer path-id order — a subsequence of the ``.rpq``'s own
@@ -29,6 +32,7 @@ ids a full load of the current snapshot would have allocated.
 
 from __future__ import annotations
 
+import functools
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -37,14 +41,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.scan.columnar import (
-    _COMPRESSION_LEVEL,
+    BlockFile,
     _decode_column,
     _decode_strtab,
     _read_block,
     _read_header,
-    encode_column,
-    path_block_meta,
-    write_columnar_blocks,
+    column_block,
+    path_table_block,
+    snapshot_file,
+    write_block_files,
 )
 from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
@@ -173,19 +178,7 @@ def compute_delta(prev: Snapshot, cur: Snapshot) -> SnapshotDelta:
     )
 
 
-def _path_strings_block(
-    section: str, table: PathTable, path_ids: np.ndarray
-) -> tuple[bytes, dict]:
-    strings = "\n".join(map(table.paths.__getitem__, path_ids.tolist()))
-    blob = zlib.compress(strings.encode("utf-8"), _COMPRESSION_LEVEL)
-    meta = path_block_meta(blob, int(path_ids.size), len(strings))
-    meta["name"] = f"{section}.__paths__"
-    return blob, meta
-
-
-def write_delta(delta: SnapshotDelta, dest: str | Path) -> dict:
-    """Serialize one delta (atomically); returns size statistics."""
-    blocks: list[tuple[bytes, dict]] = []
+def _delta_blocks(delta: SnapshotDelta):
     info = {
         "kind": "repro-delta",
         "version": DELTA_FORMAT_VERSION,
@@ -199,22 +192,15 @@ def write_delta(delta: SnapshotDelta, dest: str | Path) -> dict:
         "prev_dirs": int(delta.prev_dirs),
         "cur_files": int(delta.cur_files),
         "cur_dirs": int(delta.cur_dirs),
-        "sections": {
-            "added": int(delta.added["path_id"].size),
-            "removed": int(delta.removed["path_id"].size),
-            "changed": int(delta.changed_prev["path_id"].size),
-        },
+        "sections": _section_rows(delta),
     }
     raw = json.dumps(info).encode("utf-8")
-    blob = zlib.compress(raw, _COMPRESSION_LEVEL)
-    blocks.append((blob, {
+    yield [raw], {
         "name": _DELTA_BLOCK,
         "codec": "json-zlib",
         "rows": 0,
         "raw_bytes": len(raw),
-        "stored_bytes": len(blob),
-        "crc32": zlib.crc32(blob),
-    }))
+    }
     groups = (
         ("added", {"cur": delta.added}),
         ("removed", {"prev": delta.removed}),
@@ -222,30 +208,126 @@ def write_delta(delta: SnapshotDelta, dest: str | Path) -> dict:
     )
     for section, sides in groups:
         any_side = next(iter(sides.values()))
-        blocks.append(
-            _path_strings_block(section, delta.paths, any_side["path_id"])
+        yield path_table_block(
+            f"{section}.__paths__", delta.paths, any_side["path_id"]
         )
         for side, cols in sides.items():
             prefix = f"{section}.{side}" if len(sides) > 1 else section
             for name in DELTA_COLUMNS:
-                blob, meta = encode_column(name, cols[name])
+                buffers, meta = column_block(name, cols[name])
                 meta["name"] = f"{prefix}.{name}"
-                blocks.append((blob, meta))
-    total = write_columnar_blocks(
-        dest, delta.cur_label, delta.cur_timestamp,
-        sum(info["sections"].values()), blocks,
+                yield buffers, meta
+
+
+def _section_rows(delta: SnapshotDelta) -> dict[str, int]:
+    return {
+        "added": int(delta.added["path_id"].size),
+        "removed": int(delta.removed["path_id"].size),
+        "changed": int(delta.changed_prev["path_id"].size),
+    }
+
+
+def _delta_file(delta: SnapshotDelta, dest: str | Path) -> BlockFile:
+    return BlockFile(
+        Path(dest), delta.cur_label, delta.cur_timestamp,
+        sum(_section_rows(delta).values()),
+        functools.partial(_delta_blocks, delta),
     )
-    raw_total = sum(meta["raw_bytes"] for _, meta in blocks)
-    return {"raw_bytes": raw_total, "stored_bytes": total}
 
 
-def read_delta(source: str | Path, paths: PathTable) -> SnapshotDelta:
-    """Load a delta sidecar, re-interning its paths into ``paths``.
+def write_delta(delta: SnapshotDelta, dest: str | Path) -> dict:
+    """Serialize one delta (atomically); returns size statistics."""
+    return write_block_files([_delta_file(delta, dest)])[0]
 
-    Integrity failures raise :class:`CorruptSnapshotError` exactly like the
-    snapshot reader — the sidecar shares the container format.  Interning
-    order follows the stored block order (``added`` first), which preserves
-    the id-assignment a full snapshot load would have produced.
+
+def write_week(
+    snapshot: Snapshot, prev: Snapshot | None, directory: str | Path
+) -> dict:
+    """Write one archive week: ``{label}.rpq`` and, when ``prev`` is the
+    week before, the ``{label}.rpd`` sidecar of :func:`compute_delta`.
+
+    Both files go through one :func:`~repro.scan.columnar.write_block_files`
+    call, so the snapshot's path table and every sidecar block deflate at
+    the same time; each file's bytes equal :func:`~repro.scan.columnar.
+    write_columnar`'s and :func:`write_delta`'s.  Returns the ``.rpq``'s
+    ``{"raw_bytes", "stored_bytes"}``.
+    """
+    directory = Path(directory)
+    files = [snapshot_file(snapshot, directory / f"{snapshot.label}.rpq")]
+    if prev is not None:
+        files.append(_delta_file(
+            compute_delta(prev, snapshot), sidecar_path(directory, snapshot.label)
+        ))
+    return write_block_files(files)[0]
+
+
+@dataclass
+class ParsedDelta:
+    """A validated delta sidecar whose paths are not interned yet.
+
+    :func:`parse_delta` has checked every block and every section, so
+    :meth:`intern` only assigns path ids and cannot fail halfway: a
+    caller's :class:`PathTable` sees all of a sidecar's paths or none.
+    """
+
+    #: the scalar fields of :class:`SnapshotDelta`
+    fields: dict
+    #: per section (``added``, ``removed``, ``changed``), its path strings
+    strings: dict[str, list[str]] = field(repr=False)
+    #: per row group (``added``, ``removed``, ``changed.prev``,
+    #: ``changed.cur``), its numeric columns
+    columns: dict[str, dict[str, np.ndarray]] = field(repr=False)
+
+    @property
+    def prev_label(self) -> str:
+        return self.fields["prev_label"]
+
+    @property
+    def cur_label(self) -> str:
+        return self.fields["cur_label"]
+
+    def intern(self, paths: PathTable) -> SnapshotDelta:
+        """The delta, its paths interned into ``paths``.
+
+        Interning follows the stored section order (``added`` first: its
+        paths are the only ones that may allocate new ids, and they must
+        do so in the snapshot's own row order).
+        """
+        ids = {
+            section: paths.intern_many(strings)
+            for section, strings in self.strings.items()
+        }
+
+        def group(key: str) -> dict[str, np.ndarray]:
+            section_ids = ids[key.partition(".")[0]]
+            return {**self.columns[key], "path_id": section_ids.copy()}
+
+        return SnapshotDelta(
+            **self.fields,
+            paths=paths,
+            added=group("added"),
+            removed=group("removed"),
+            changed_prev=group("changed.prev"),
+            changed_cur=group("changed.cur"),
+        )
+
+
+_LABEL_FIELDS = ("prev_label", "cur_label")
+_COUNT_FIELDS = (
+    "prev_timestamp", "cur_timestamp", "prev_rows", "cur_rows",
+    "prev_files", "prev_dirs", "cur_files", "cur_dirs",
+)
+#: row groups per section: one side, or both sides of a changed row
+_GROUPS = (("added", (None,)), ("removed", (None,)), ("changed", ("prev", "cur")))
+
+
+def parse_delta(source: str | Path) -> ParsedDelta:
+    """Read and validate a delta sidecar, interning nothing.
+
+    Every block's CRC and codec, the ``__delta__`` metadata and every
+    section's path table and columns are checked here; integrity
+    failures raise :class:`CorruptSnapshotError` exactly like the
+    snapshot reader — the sidecar shares the container format.
     """
     with open(source, "rb") as fh:
         header, offsets = _read_header(fh, source)
@@ -278,55 +360,52 @@ def read_delta(source: str | Path, paths: PathTable) -> SnapshotDelta:
         raise CorruptSnapshotError(
             source, f"not a delta sidecar (missing {_DELTA_BLOCK} metadata)"
         )
-    if int(info["version"]) != DELTA_FORMAT_VERSION:
+    try:
+        version = int(info["version"])
+        fields = {key: str(info[key]) for key in _LABEL_FIELDS}
+        fields.update((key, int(info[key])) for key in _COUNT_FIELDS)
+        rows = {section: int(info["sections"][section]) for section in _SECTIONS}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptSnapshotError(
+            source, f"malformed {_DELTA_BLOCK} metadata ({exc!r})"
+        ) from exc
+    if version != DELTA_FORMAT_VERSION:
         raise CorruptSnapshotError(
             source,
             f"delta format version {info['version']} "
             f"(this build reads {DELTA_FORMAT_VERSION})",
         )
-
-    def _section(section: str, side: str | None) -> dict[str, np.ndarray]:
-        rows = int(info["sections"][section])
+    parsed = ParsedDelta(fields=fields, strings={}, columns={})
+    for section, sides in _GROUPS:
         strings = strtabs.get(f"{section}.__paths__")
-        if strings is None or len(strings) != rows:
+        if strings is None or len(strings) != rows[section]:
             raise CorruptSnapshotError(
                 source, f"delta section {section!r}: missing or short path table"
             )
-        prefix = section if side is None else f"{section}.{side}"
-        out: dict[str, np.ndarray] = {}
-        for name in DELTA_COLUMNS:
-            col = columns.get(f"{prefix}.{name}")
-            if col is None or col.size != rows:
-                raise CorruptSnapshotError(
-                    source, f"delta section {section!r}: missing column {name!r}"
-                )
-            out[name] = np.ascontiguousarray(col, dtype=COLUMN_DTYPES[name])
-        out["path_id"] = paths.intern_many(strings)
-        return out
+        parsed.strings[section] = strings
+        for side in sides:
+            key = section if side is None else f"{section}.{side}"
+            group: dict[str, np.ndarray] = {}
+            for name in DELTA_COLUMNS:
+                col = columns.get(f"{key}.{name}")
+                if col is None or col.size != rows[section]:
+                    raise CorruptSnapshotError(
+                        source, f"delta section {section!r}: missing column {name!r}"
+                    )
+                group[name] = np.ascontiguousarray(col, dtype=COLUMN_DTYPES[name])
+            parsed.columns[key] = group
+    return parsed
 
-    # added first: its paths are the only ones that may allocate new ids,
-    # and they must do so in the snapshot's own row order
-    added = _section("added", None)
-    removed = _section("removed", None)
-    changed_prev = _section("changed", "prev")
-    changed_cur = _section("changed", "cur")
-    return SnapshotDelta(
-        prev_label=str(info["prev_label"]),
-        cur_label=str(info["cur_label"]),
-        prev_timestamp=int(info["prev_timestamp"]),
-        cur_timestamp=int(info["cur_timestamp"]),
-        prev_rows=int(info["prev_rows"]),
-        cur_rows=int(info["cur_rows"]),
-        prev_files=int(info["prev_files"]),
-        prev_dirs=int(info["prev_dirs"]),
-        cur_files=int(info["cur_files"]),
-        cur_dirs=int(info["cur_dirs"]),
-        paths=paths,
-        added=added,
-        removed=removed,
-        changed_prev=changed_prev,
-        changed_cur=changed_cur,
-    )
+
+def read_delta(source: str | Path, paths: PathTable) -> SnapshotDelta:
+    """Load a delta sidecar, re-interning its paths into ``paths``.
+
+    :func:`parse_delta` then :meth:`ParsedDelta.intern`: a sidecar that
+    fails any check interns nothing, and interning order (``added``
+    first) preserves the id assignment a full snapshot load would have
+    produced.
+    """
+    return parse_delta(source).intern(paths)
 
 
 def apply_delta(prev: Snapshot, delta: SnapshotDelta) -> Snapshot:

@@ -22,7 +22,8 @@ of the pipeline uses:
   domain directories — exactly once survives, from the lowest merged
   shard);
 * **manifest fencing** — all merged ``.rpq`` files and ``.rpd`` delta
-  sidecars are written (atomically) first, the generation-bumped manifest
+  sidecars are written (atomically, each week's pair by
+  :func:`~repro.scan.delta.write_week`) first, the generation-bumped manifest
   last, so a merge killed midway is invisible to generation-fenced
   readers, exactly like a torn publish.  The caller writes the archive's
   ``accounts.json`` member before the merge and passes its record in;
@@ -40,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.manifest import write_manifest
-from repro.scan.columnar import read_columnar, verify_columnar, write_columnar
-from repro.scan.delta import compute_delta, delta_config, sidecar_path, write_delta
+from repro.scan.columnar import read_columnar, verify_columnar
+from repro.scan.delta import delta_config, write_week
 from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
 from repro.scan.snapshot import NUMERIC_COLUMNS, Snapshot
@@ -184,9 +185,7 @@ def merge_shard_parts(
         ]
         parts = [read_columnar(source, table) for source in sources]
         merged = _merge_week(label, parts, sources, merged_shards, table)
-        stats = write_columnar(merged, dest / f"{label}.rpq")
-        if prev is not None:
-            write_delta(compute_delta(prev, merged), sidecar_path(dest, label))
+        stats = write_week(merged, prev, dest)
         records.append(
             {
                 "label": label,

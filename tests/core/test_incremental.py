@@ -393,6 +393,36 @@ def test_broken_link_of_a_multi_link_append_is_recomputed(
     assert pipeline.context.collection.cache_info().misses == 0
 
 
+def test_multi_link_append_reads_each_sidecar_once(
+    simulated, cold_report, tmp_path, monkeypatch
+):
+    """The loader's validation of a sidecar is its read: each appended
+    ``.rpd`` is opened once, not once to probe and once to intern."""
+    import repro.scan.delta as delta_module
+
+    labels = [s.label for s in simulated.simulation.collection]
+    simulated.archive(tmp_path, max_snapshots=len(labels) - 3)
+    analyze_archive(
+        tmp_path, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+    )
+    simulated.archive(tmp_path, skip_existing=True)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(delta_module, "open", counting_open, raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipeline, report = analyze_archive(
+            tmp_path, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+        )
+    assert sorted(opened) == [f"{label}.rpd" for label in labels[-3:]]
+    assert report.text == cold_report.text
+    assert pipeline.context.collection.cache_info().misses == 0
+
+
 def test_corrupt_state_file_falls_back_and_reheals(
     simulated, baseline, tmp_path_factory
 ):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.fs.clock import SECONDS_PER_DAY, SimClock
-from repro.fs.errors import InvalidArgument, IsADirectory, QuotaExceeded
+from repro.fs.errors import InvalidArgument, IsADirectory, NotFound, QuotaExceeded
 from repro.fs.filesystem import FileSystem
 from repro.fs.quota import QuotaManager
 
@@ -101,6 +101,44 @@ def test_unlink_many(fs):
     fs.unlink_many(d, names[:60])
     assert fs.file_count == 40
     assert fs.files_deleted == 60
+
+
+@pytest.mark.parametrize(
+    "batch, error",
+    [
+        (["a", "missing"], NotFound),
+        (["a", "sub"], IsADirectory),
+        (["a", "b", "a"], InvalidArgument),
+    ],
+    ids=["missing-name", "directory", "duplicate-name"],
+)
+def test_unlink_many_refuses_a_bad_batch_with_nothing_unlinked(fs, batch, error):
+    d = fs.makedirs("/p", uid=1, gid=2)
+    fs.create_many(d, ["a", "b", "c"], 1, 2, timestamps=fs.clock.now)
+    fs.mkdir(d, "sub", uid=1, gid=2)
+    before = (fs.entry_count, fs.file_count, fs.quota.usage(2), fs.files_deleted)
+    with pytest.raises(error):
+        fs.unlink_many(d, batch)
+    assert sorted(fs.namespace.children(d)) == ["a", "b", "c", "sub"]
+    assert (fs.entry_count, fs.file_count, fs.quota.usage(2), fs.files_deleted) == before
+    fs.unlink_many(d, ["c", "a"])  # the same files still unlink cleanly
+    assert sorted(fs.namespace.children(d)) == ["b", "sub"]
+    assert fs.file_count == 1
+
+
+def test_unlink_many_frees_in_name_order(fs):
+    d = fs.makedirs("/p", uid=1, gid=2)
+    inos = [fs.create(d, name, uid=1, gid=2) for name in ("x", "y", "z")]
+    fs.unlink_many(d, ["z", "x", "y"])
+    again = [fs.create(d, name, uid=1, gid=2) for name in ("p", "q", "r")]
+    loop = FileSystem(ost_count=64, default_stripe=4, max_stripe=32)
+    d2 = loop.makedirs("/p", uid=1, gid=2)
+    for name in ("x", "y", "z"):
+        loop.create(d2, name, uid=1, gid=2)
+    for name in ("z", "x", "y"):
+        loop.unlink(d2, name)
+    assert again == [loop.create(d2, name, uid=1, gid=2) for name in ("p", "q", "r")]
+    assert sorted(again) == sorted(inos)
 
 
 def test_unlink_inode_by_number(fs):
