@@ -325,7 +325,8 @@ class _ColumnAccumulator:
             text = "\n" + text
         self._first_path = False
         raw = text.encode("utf-8")
-        self._paths_raw_bytes += len(raw)
+        # characters, as every other path-table writer records raw_bytes
+        self._paths_raw_bytes += len(text)
         piece = self._compress.compress(raw)
         if piece:
             self._compressed.append(piece)

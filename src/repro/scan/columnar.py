@@ -11,9 +11,11 @@ pipeline stage with a self-contained format:
 
 :func:`write_block_files` writes every in-memory snapshot and delta:
 :func:`write_columnar`, the ``.rpd`` writer and the week writer
-(:func:`repro.scan.delta.write_week`) are it applied to one or two files.  The calling thread builds every
-payload — a path table as :data:`PATH_CHUNK`-path UTF-8 chunks, never one
-joined string — and when a write has several zlib blocks they deflate on
+(:func:`repro.scan.delta.write_week`) are it applied to one or two files.
+A path table is a stream on both sides: the calling thread builds it as
+bounded UTF-8 chunks only as its deflate draws them, and a reader inflates
+and splits it :data:`INFLATE_PIECE` bytes at a time, so neither holds a
+whole table's text.  When a write has several zlib blocks they deflate on
 a per-call thread pool (zlib releases the GIL); a chunked stream is the
 same bytes as one ``zlib.compress`` call.
 
@@ -56,13 +58,18 @@ cannot leave a torn file behind.
 
 from __future__ import annotations
 
+import bisect
+import codecs
+import collections
 import functools
+import itertools
 import json
 import mmap
 import os
 import threading
 import time
 import zlib
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, NamedTuple
 
@@ -93,8 +100,20 @@ _DELTA_COLUMNS = frozenset({"atime", "mtime", "ctime", "ino"})
 _COMPRESSION_LEVEL = 6
 
 #: Paths per chunk of a path table's text: writers join and encode a table
-#: this many paths at a time, so no table exists as one string.
+#: at most this many paths at a time, so no table exists as one string.
 PATH_CHUNK = 4096
+
+#: Characters per chunk of a path table's text, bounding a chunk of deep
+#: paths as :data:`PATH_CHUNK` bounds one of short paths (a chunk holds at
+#: least one path, so one longer path is a chunk of its own).
+PATH_CHUNK_CHARS = 1 << 18
+
+#: Bytes a reader inflates at a time: it holds one piece of a path table's
+#: text, never the whole text.
+INFLATE_PIECE = 1 << 16
+
+#: Chunks a pool deflate may have waiting (see :class:`_Deflates`).
+_QUEUED = 2
 
 _HEADER_KEYS = ("label", "timestamp", "rows", "columns")
 _META_COUNTS = ("rows", "stored_bytes", "crc32")
@@ -156,25 +175,23 @@ def _byte_view(data: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(data).view(np.uint8)
 
 
-def _deflate(buffers: list) -> tuple[bytes, int]:
+def _deflate(buffers: Iterable) -> tuple[bytes, int]:
     """One zlib stream over ``buffers`` in order, and its CRC32.
 
     Equals ``zlib.compress`` of the concatenated buffers at the same
-    level.  It empties ``buffers`` as it goes, so each buffer is freed
-    once compressed; run on a pool thread, it allocates nothing but the
-    compressor's output.
+    level.  Each buffer is dropped once compressed, so over an iterator
+    that builds its buffers as drawn (a path table) it holds one at a
+    time; run on a pool thread, it allocates nothing but the compressor's
+    output.
     """
     compressor = zlib.compressobj(_COMPRESSION_LEVEL)
-    buffers.reverse()
-    pieces = []
-    while buffers:
-        pieces.append(compressor.compress(buffers.pop()))
+    pieces = list(map(compressor.compress, buffers))
     pieces.append(compressor.flush())
     blob = b"".join(pieces)
     return blob, zlib.crc32(blob)
 
 
-def column_block(name: str, data: np.ndarray) -> tuple[list, dict]:
+def column_block(name: str, data: np.ndarray) -> tuple[Iterator, dict]:
     """One numeric column as a block still to be deflated: ``(buffers, meta)``.
 
     ``delta-zlib`` (delta-encoded against the column minimum) for the time
@@ -195,38 +212,60 @@ def column_block(name: str, data: np.ndarray) -> tuple[list, dict]:
         raw = _byte_view(data)
         meta["raw_bytes"] = len(raw)
         meta["codec"] = "zlib"
-    return [raw], meta
+    return iter([raw]), meta
 
 
 def path_table_block(
     name: str, table: PathTable, path_ids: np.ndarray
-) -> tuple[list, dict]:
+) -> tuple[Iterator[bytes], dict]:
     """The paths of ``path_ids`` as a ``strtab-zlib`` block still to be
-    deflated: ``(buffers, meta)`` — the one path-table encoder.
+    deflated: ``(chunks, meta)`` — the one path-table encoder.
 
-    The buffers are the newline-joined UTF-8 text, built
-    :data:`PATH_CHUNK` paths at a time.  ``raw_bytes`` is the joined
-    text's length in characters (not its UTF-8 length), as every
-    archive has recorded it.
+    ``chunks`` yields the newline-joined UTF-8 text, each chunk built
+    only when drawn and holding at most :data:`PATH_CHUNK` paths and
+    about :data:`PATH_CHUNK_CHARS` characters.  A path containing a
+    newline would read back as two paths, so drawing its chunk raises a
+    ``ValueError`` naming it.  Once ``chunks`` is exhausted,
+    ``meta["raw_bytes"]`` is the joined text's length in characters (not
+    its UTF-8 length), as every archive has recorded it.
     """
-    paths = table.paths
-    buffers: list[bytes] = []
-    chars = 0
-    for start in range(0, path_ids.size, PATH_CHUNK):
-        chunk = path_ids[start : start + PATH_CHUNK].tolist()
-        text = "\n".join(map(paths.__getitem__, chunk))
-        if start:
-            buffers.append(b"\n")
-            chars += 1
-        buffers.append(text.encode("utf-8"))
-        chars += len(text)
     meta = {
         "name": name,
         "codec": "strtab-zlib",
         "rows": int(path_ids.size),
-        "raw_bytes": chars,
+        "raw_bytes": 0,
     }
-    return buffers, meta
+    chunks = _path_chunks(table.paths, path_ids, PATH_CHUNK, PATH_CHUNK_CHARS, meta)
+    return chunks, meta
+
+
+def _path_chunks(
+    paths: list[str], path_ids: np.ndarray, most: int, chars: int, meta: dict
+) -> Iterator[bytes]:
+    for start in range(0, path_ids.size, most):
+        batch = list(map(paths.__getitem__, path_ids[start : start + most].tolist()))
+        ends = list(itertools.accumulate(map(len, batch)))
+        lo = 0
+        while lo < len(batch):
+            hi = bisect.bisect_right(ends, (ends[lo - 1] if lo else 0) + chars, lo + 1)
+            piece = batch[lo:hi]
+            if start or lo:
+                piece.insert(0, "")  # the newline that ends the chunk before
+            yield _encoded_chunk(piece, meta)
+            lo = hi
+
+
+def _encoded_chunk(piece: list[str], meta: dict) -> bytes:
+    """``piece`` newline-joined as UTF-8; its text is freed on return."""
+    # a join and a memchr scan: ~10x faster than counting the newlines
+    if "\n" in "".join(piece):
+        bad = next(p for p in piece if "\n" in p)
+        raise ValueError(
+            f"path {bad!r} contains a newline, which a path table cannot store"
+        )
+    text = "\n".join(piece)
+    meta["raw_bytes"] += len(text)
+    return text.encode("utf-8")
 
 
 def _stored(meta: dict, blob: bytes, crc: int) -> tuple[bytes, dict]:
@@ -271,8 +310,9 @@ def path_block_meta(blob: bytes, rows: int, raw_bytes: int) -> dict:
     """Block meta for an externally compressed ``__paths__`` string table.
 
     ``blob`` must be the zlib stream of the newline-joined UTF-8 path
-    strings (``rows`` of them, ``raw_bytes`` before compression) — exactly
-    what an incremental ``zlib.compressobj`` over row chunks produces.
+    strings (``rows`` of them, whose joined text is ``raw_bytes``
+    characters long) — exactly what an incremental ``zlib.compressobj``
+    over row chunks produces.
     """
     return {
         "name": "__paths__",
@@ -342,7 +382,7 @@ class BlockFile(NamedTuple):
 
     ``encode()`` yields the file's ``(payload, meta)`` blocks in file
     order.  A payload is bytes-like (stored verbatim, ``meta`` complete)
-    or a ``list`` of buffers: one zlib stream still to be deflated, whose
+    or an iterator of buffers: one zlib stream still to be deflated, whose
     ``stored_bytes`` and ``crc32`` the writer adds to ``meta``.
     """
 
@@ -361,86 +401,135 @@ def _usable_cpus() -> int:
 
 
 class _Deflates:
-    """The deflates of one write, each started as soon as it is built.
+    """The deflates of one write, each an iterator of buffers;
+    :meth:`run` returns their ``(blob, crc32)`` in order.
 
-    A lone deflate runs inline.  The first is held until a second
-    arrives; then a pool of up to the usable CPUs starts — it adds a
-    thread only while every thread is busy, so min(usable CPUs,
-    deflates) at most — and takes both and every later one.
-    :meth:`add` returns a callable giving ``(blob, crc32)``.
+    With one deflate or one usable CPU, each runs inline: this thread
+    builds and compresses a stream buffer by buffer.  Otherwise a pool of
+    up to the usable CPUs takes the deflates in order, and this thread
+    draws their buffers round-robin, handing each to its deflate through
+    a queue of at most :data:`_QUEUED`.  It waits, on a condition, only
+    while every deflate it still draws has a full queue, so a deflate no
+    pool thread has taken yet is passed over once its queue fills: more
+    deflates than threads cannot deadlock.  The pool threads run only
+    :func:`_deflate` over their queues.  An error on either side stops
+    the hand-off, and the pool is joined before :meth:`run` returns or
+    raises.
     """
 
-    def __init__(self) -> None:
-        self._threads = _usable_cpus()
-        self._pool = None
-        self._first: list | None = None
-        self._first_future = None
+    def __init__(self, streams: list[Iterator]) -> None:
+        self._streams = streams
+        self._cond = threading.Condition()
+        self._queues = [collections.deque() for _ in streams]
+        self._drawn = [False] * len(streams)
+        self._failed = False
 
-    def add(self, buffers: list) -> Callable[[], tuple[bytes, int]]:
-        if self._pool is None and self._first is not None and self._threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    def run(self) -> list[tuple[bytes, int]]:
+        threads = _usable_cpus()
+        if len(self._streams) < 2 or threads < 2:
+            return [_deflate(stream) for stream in self._streams]
+        from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(
-                self._threads, thread_name_prefix="deflate"
-            )
-            self._first_future = self._pool.submit(_deflate, self._first)
-        if self._pool is not None:
-            return self._pool.submit(_deflate, buffers).result
-        if self._first is None:
-            self._first = buffers
-            return self._first_result
-        return functools.partial(_deflate, buffers)
+        pool = ThreadPoolExecutor(threads, thread_name_prefix="deflate")
+        try:
+            futures = [
+                pool.submit(self._deflate_queued, index)
+                for index in range(len(self._streams))
+            ]
+            self._hand_off()
+            return [future.result() for future in futures]
+        except BaseException:
+            self._stop()
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    def _first_result(self) -> tuple[bytes, int]:
-        if self._first_future is not None:
-            return self._first_future.result()
-        return _deflate(self._first)
+    def _stop(self) -> None:
+        with self._cond:
+            self._failed = True
+            self._cond.notify_all()
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+    def _hand_off(self) -> None:
+        queues = self._queues
+        drawing = list(range(len(self._streams)))
+        while drawing:
+            with self._cond:
+                while not self._failed and all(
+                    len(queues[i]) >= _QUEUED for i in drawing
+                ):
+                    self._cond.wait()
+                if self._failed:
+                    return  # a deflate raised: its future carries the error
+            for i in drawing:
+                while not self._drawn[i] and len(queues[i]) < _QUEUED:
+                    self._put(i, next(self._streams[i], None))  # built unlocked
+            drawing = [i for i in drawing if not self._drawn[i]]
+
+    def _put(self, index: int, buffer: Any) -> None:
+        with self._cond:
+            if buffer is None:
+                self._drawn[index] = True
+            else:
+                self._queues[index].append(buffer)
+            self._cond.notify_all()
+
+    def _deflate_queued(self, index: int) -> tuple[bytes, int]:
+        try:
+            return _deflate(self._queued(index))
+        except BaseException:
+            self._stop()
+            raise
+
+    def _queued(self, index: int) -> Iterator:
+        queue = self._queues[index]
+        while True:
+            with self._cond:
+                while not (queue or self._drawn[index] or self._failed):
+                    self._cond.wait()
+                if self._failed or not queue:
+                    return
+                buffer = queue.popleft()
+                self._cond.notify_all()
+            yield buffer
+            del buffer  # not held while waiting for the next
 
 
 def write_block_files(files: list[BlockFile]) -> list[dict]:
     """Write container files whose zlib blocks deflate together; returns
     each file's ``{"raw_bytes", "stored_bytes"}``.
 
-    This thread builds every file's payloads, starting each deflate as
-    soon as its buffers exist, before it waits on any: a week's ``.rpq``
-    path table and its ``.rpd`` blocks compress at the same time.  The
-    pool threads run only :func:`_deflate` — they allocate nothing but
-    compressor output — and the pool is joined before this returns,
-    error or not: no thread outlives the call.  The building happens
-    inside the first file's :func:`write_columnar_blocks` call, so a
-    traced run charges it to a writer.  Bytes are those of compressing
-    each block in turn.
+    This thread encodes every file's blocks — a path table as a stream
+    whose chunks are built only as drawn — and :class:`_Deflates`
+    compresses them all, a week's ``.rpq`` path table and its ``.rpd``
+    blocks at the same time, before any file is written: a path refused
+    by the encoder leaves no file behind.  That work happens inside the
+    first file's :func:`write_columnar_blocks` call, so a traced run
+    charges it to a writer.  No thread outlives the call.  Bytes are
+    those of compressing each block in turn.
     """
-    deflates = _Deflates()
-    # per file, its blocks with every deflate replaced by a callable
-    started: list[list[tuple[Any, dict]]] = []
+    encoded: list[list[tuple[Any, dict]]] = []
+    deflated: list[tuple[bytes, int]] = []
 
     def blocks(index: int):
-        if not started:
-            for f in files:
-                started.append([
-                    (deflates.add(p) if isinstance(p, list) else p, meta)
-                    for p, meta in f.encode()
-                ])
-        for payload, meta in started[index]:
-            if callable(payload):
-                payload, meta = _stored(meta, *payload())
+        if not encoded:
+            encoded.extend(list(f.encode()) for f in files)
+            deflated.extend(_Deflates([
+                payload for file_blocks in encoded for payload, _ in file_blocks
+                if isinstance(payload, Iterator)
+            ]).run())
+            deflated.reverse()
+        for payload, meta in encoded[index]:
+            if isinstance(payload, Iterator):
+                payload, meta = _stored(meta, *deflated.pop())
             yield payload, meta
 
     stats = []
-    try:
-        for index, f in enumerate(files):
-            stored = write_columnar_blocks(
-                f.dest, f.label, f.timestamp, f.rows, blocks(index)
-            )
-            raw = sum(meta["raw_bytes"] for _, meta in started[index])
-            stats.append({"raw_bytes": raw, "stored_bytes": stored})
-    finally:
-        deflates.close()
+    for index, f in enumerate(files):
+        stored = write_columnar_blocks(
+            f.dest, f.label, f.timestamp, f.rows, blocks(index)
+        )
+        raw = sum(meta["raw_bytes"] for _, meta in encoded[index])
+        stats.append({"raw_bytes": raw, "stored_bytes": stored})
     return stats
 
 
@@ -665,49 +754,109 @@ def content_id(header: dict) -> int:
     return zlib.crc32(json.dumps(key, separators=(",", ":")).encode("utf-8"))
 
 
+def _inflate(blob) -> Iterator[bytes]:
+    """The inflated bytes of the zlib stream at the start of ``blob``, in
+    pieces of at most :data:`INFLATE_PIECE`; bytes after the end of the
+    stream are ignored, as ``zlib.decompress`` ignores them."""
+    inflater = zlib.decompressobj()
+    view = memoryview(blob)
+    pos = 0
+    data = b""
+    while not inflater.eof:
+        if not data and pos < len(view):
+            data = view[pos : pos + INFLATE_PIECE]
+            pos += len(data)
+        piece = inflater.decompress(data, INFLATE_PIECE)
+        data = inflater.unconsumed_tail
+        if piece:
+            yield piece
+        elif not (data or inflater.eof) and pos >= len(view):
+            # zlib.decompress's words for the same fault
+            raise zlib.error(
+                "Error -5 while decompressing data: incomplete or truncated stream"
+            )
+
+
 def _decode_strtab(
-    blob: bytes, meta: dict, rows: int, source: str | Path, offset: int
-) -> list[str]:
-    """Decode a ``strtab-zlib`` path table that must hold ``rows`` strings."""
+    blob: bytes,
+    meta: dict,
+    rows: int,
+    source: str | Path,
+    offset: int,
+    keep: bool = True,
+) -> list[str] | None:
+    """Decode a ``strtab-zlib`` path table that must hold ``rows`` strings
+    — the one path-table decoder.
+
+    The text is inflated, UTF-8 decoded and split one piece at a time, so
+    the call holds the returned list plus one piece, never the whole
+    text.  With ``keep=False`` it runs the same checks, counting the
+    paths instead of building the list, and returns None.
+    """
     name = meta["name"]
     if zlib.crc32(blob) != meta["crc32"]:
         raise CorruptSnapshotError(
             source, f"path table {name!r}: checksum mismatch", offset=offset
         )
+    strings: list[str] | None = [] if keep else None
+    partial: list[str] = []  # the pieces of the path still being read
+    newlines = 0
+    chars = 0
+    decoder = codecs.getincrementaldecoder("utf-8")()
     try:
-        text = zlib.decompress(blob).decode("utf-8")
+        for piece in itertools.chain(_inflate(blob), [b""]):
+            text = decoder.decode(piece, final=not piece)
+            chars += len(text)
+            if strings is None:
+                newlines += text.count("\n")
+                continue
+            parts = text.split("\n")
+            partial.append(parts[0])
+            if len(parts) > 1:
+                strings.append("".join(partial))
+                strings.extend(itertools.islice(parts, 1, len(parts) - 1))
+                partial = [parts[-1]]
     except (zlib.error, UnicodeDecodeError) as exc:
         raise CorruptSnapshotError(
             source, f"path table {name!r}: undecodable ({exc})", offset=offset
         ) from exc
-    strings = text.split("\n") if text else []
-    if len(strings) != rows:
+    if strings is None:
+        found = newlines + 1 if chars else 0
+    else:
+        if chars:
+            strings.append("".join(partial))
+        found = len(strings)
+    if found != rows:
         raise CorruptSnapshotError(
-            source, f"path table {name!r}: {len(strings)} paths for {rows} rows",
+            source, f"path table {name!r}: {found} paths for {rows} rows",
             offset=offset,
         )
     return strings
 
 
 def _read_prologue(
-    fh: BinaryIO, source: str | Path
-) -> tuple[dict, list[str], dict[str, tuple[dict, int]]]:
+    fh: BinaryIO, source: str | Path, keep: bool = True
+) -> tuple[dict, list[str] | None, dict[str, tuple[dict, int]]]:
     """The front half every snapshot reader shares.
 
-    Validates the header, decodes the path table, and locates every other
-    block; returns ``(header, path strings, {name: (meta, offset)})``.  A
-    file without a path table, missing a stored numeric column, or with a
-    column block whose row count disagrees with the header's is refused
-    here, before any column decodes or any path is interned.
+    Validates the header, decodes the path table (with ``keep=False``,
+    checks it without building the strings, which come back None), and
+    locates every other block; returns ``(header, path strings, {name:
+    (meta, offset)})``.  A file without a path table, missing a stored
+    numeric column, or with a column block whose row count disagrees with
+    the header's is refused here, before any column decodes or any path
+    is interned.
     """
     header, offsets = _read_header(fh, source)
     rows = header["rows"]
     strings: list[str] | None = None
+    has_paths = False
     blocks: dict[str, tuple[dict, int]] = {}
     for meta, offset in zip(header["columns"], offsets):
         if meta["codec"] == "strtab-zlib":
             blob = _read_block(fh, source, meta, offset)
-            strings = _decode_strtab(blob, meta, rows, source, offset)
+            strings = _decode_strtab(blob, meta, rows, source, offset, keep)
+            has_paths = True
             continue
         if meta["rows"] != rows:
             raise CorruptSnapshotError(
@@ -717,27 +866,12 @@ def _read_prologue(
                 offset=offset,
             )
         blocks[meta["name"]] = (meta, offset)
-    if strings is None:
+    if not has_paths:
         raise CorruptSnapshotError(source, "missing path table block")
     missing = [name for name in _STORED_COLUMNS if name not in blocks]
     if missing:
         raise CorruptSnapshotError(source, f"missing column blocks {missing}")
     return header, strings, blocks
-
-
-def _decode_all(
-    source: str | Path,
-) -> tuple[dict, list[str], dict[str, np.ndarray]]:
-    """Validate the header and decode the path table and every column block."""
-    with open(source, "rb") as fh:
-        header, strings, blocks = _read_prologue(fh, source)
-        columns = {
-            name: _decode_column(
-                _read_block(fh, source, meta, offset), meta, source, offset
-            )
-            for name, (meta, offset) in blocks.items()
-        }
-    return header, strings, columns
 
 
 def verify_columnar(source: str | Path) -> dict:
@@ -746,17 +880,31 @@ def verify_columnar(source: str | Path) -> dict:
 
     Runs every integrity check :func:`read_columnar` runs — the envelope,
     the header, the path table and each column block's CRC, codec and row
-    count — but interns nothing, so no :class:`PathTable` is built and
-    thrown away.  The shard-merge probe and the disk store's
+    count — but builds no path list and interns nothing, and drops each
+    column once checked, so it holds one piece of the path table or one
+    column at a time.  The shard-merge probe and the disk store's
     ``verify="deep"`` use this.
     """
-    header, _, _ = _decode_all(source)
+    with open(source, "rb") as fh:
+        header, _, blocks = _read_prologue(fh, source, keep=False)
+        for meta, offset in blocks.values():
+            _decode_column(_read_block(fh, source, meta, offset), meta, source, offset)
     return {key: header[key] for key in _HEADER_KEYS}
 
 
 def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:
-    """Load a columnar snapshot eagerly, re-interning its paths into ``paths``."""
-    header, strings, columns = _decode_all(source)
+    """Load a columnar snapshot eagerly, re-interning its paths into ``paths``.
+
+    Every block is checked before a path is interned.
+    """
+    with open(source, "rb") as fh:
+        header, strings, blocks = _read_prologue(fh, source)
+        columns = {
+            name: _decode_column(
+                _read_block(fh, source, meta, offset), meta, source, offset
+            )
+            for name, (meta, offset) in blocks.items()
+        }
     columns["path_id"] = paths.intern_many(strings)
     cast = {
         name: np.ascontiguousarray(columns[name], dtype=COLUMN_DTYPES[name])

@@ -195,7 +195,7 @@ def _delta_blocks(delta: SnapshotDelta):
         "sections": _section_rows(delta),
     }
     raw = json.dumps(info).encode("utf-8")
-    yield [raw], {
+    yield iter([raw]), {
         "name": _DELTA_BLOCK,
         "codec": "json-zlib",
         "rows": 0,

@@ -125,24 +125,30 @@ def _merge_week(
                 f"shard part disagrees with siblings "
                 f"(label={part.label!r}, timestamp={part.timestamp})",
             )
-    columns: dict[str, np.ndarray] = {}
-    for name in NUMERIC_COLUMNS:
-        if name == "ino":
-            columns[name] = np.concatenate(
-                [
-                    part.ino.astype(np.int64) + np.int64(shard) * INO_STRIDE
-                    for shard, part in zip(shards, parts)
-                ]
-            )
-        else:
-            columns[name] = np.concatenate([getattr(p, name) for p in parts])
-    order = np.argsort(columns["path_id"], kind="stable")
-    pid = columns["path_id"][order]
+    pid = np.concatenate([p.path_id for p in parts])
+    order = np.argsort(pid, kind="stable")
+    pid = pid[order]
     keep = np.ones(len(pid), dtype=bool)
     keep[1:] = pid[1:] != pid[:-1]
     sel = order[keep]
-    columns = {name: col[sel] for name, col in columns.items()}
+    columns = {"path_id": pid[keep]}
+    del pid, order, keep
+    # one column at a time: each concatenation lives only while gathered
+    for name in NUMERIC_COLUMNS:
+        if name != "path_id":
+            columns[name] = _concatenated(name, parts, shards)[sel]
     return Snapshot.from_columns(label, int(timestamp), table, columns)
+
+
+def _concatenated(name: str, parts: list[Snapshot], shards: list[int]) -> np.ndarray:
+    if name == "ino":
+        return np.concatenate(
+            [
+                part.ino.astype(np.int64) + np.int64(shard) * INO_STRIDE
+                for shard, part in zip(shards, parts)
+            ]
+        )
+    return np.concatenate([getattr(p, name) for p in parts])
 
 
 def merge_shard_parts(
@@ -185,6 +191,7 @@ def merge_shard_parts(
         ]
         parts = [read_columnar(source, table) for source in sources]
         merged = _merge_week(label, parts, sources, merged_shards, table)
+        del parts  # the week's parts are freed before it is written
         stats = write_week(merged, prev, dest)
         records.append(
             {

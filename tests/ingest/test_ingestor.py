@@ -9,7 +9,7 @@ import pytest
 from repro.core.runcontrol import RunController, RunInterrupted
 from repro.ingest import IngestConfig, ValidationLimits, ingest_file, ingest_trace
 from repro.ingest.ingestor import plan_sources
-from repro.scan.columnar import read_columnar
+from repro.scan.columnar import read_columnar, read_columnar_header, write_columnar
 from repro.scan.errors import CorruptSnapshotError, IngestRecordError
 from repro.scan.paths import PathTable
 
@@ -346,3 +346,22 @@ def test_ingest_report_folds_into_archive_health(traces, tmp_path):
     assert health.ingest is result.report
     assert "rejected" in health.summary()
     assert "FIGURE 15" in report.text
+
+
+def test_path_raw_bytes_count_characters_like_every_writer(tmp_path):
+    """A path table's ``raw_bytes`` is its joined text's length in
+    characters whichever writer made it, non-ASCII names included."""
+    names = ["/s/p/u/données.nc", "/s/p/u/日本.h5"]
+    src = _write_trace(tmp_path / "traces" / "20150105.psv",
+                       [_rec(name, ino=i + 1) for i, name in enumerate(names)])
+    ingest_file(src, tmp_path / "arch")
+    ingested = tmp_path / "arch" / "20150105.rpq"
+    rewritten = tmp_path / "rewritten.rpq"
+    write_columnar(read_columnar(ingested, PathTable()), rewritten)
+
+    def path_raw_bytes(f):
+        (meta,) = [c for c in read_columnar_header(f)["columns"]
+                   if c["name"] == "__paths__"]
+        return meta["raw_bytes"]
+
+    assert path_raw_bytes(ingested) == path_raw_bytes(rewritten) == len("\n".join(names))
