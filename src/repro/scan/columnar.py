@@ -12,12 +12,13 @@ pipeline stage with a self-contained format:
 :func:`write_block_files` writes every in-memory snapshot and delta:
 :func:`write_columnar`, the ``.rpd`` writer and the week writer
 (:func:`repro.scan.delta.write_week`) are it applied to one or two files.
-A path table is a stream on both sides: the calling thread builds it as
-bounded UTF-8 chunks only as its deflate draws them, and a reader inflates
-and splits it :data:`INFLATE_PIECE` bytes at a time, so neither holds a
-whole table's text.  When a write has several zlib blocks they deflate on
-a per-call thread pool (zlib releases the GIL); a chunked stream is the
-same bytes as one ``zlib.compress`` call.
+A path table is a stream on both sides: a writer builds it as bounded
+UTF-8 chunks only as its deflate draws them, and a reader inflates and
+splits it :data:`INFLATE_PIECE` bytes at a time, so neither holds a whole
+table's text.  When a write has several zlib blocks they deflate on a
+per-call thread pool, each drawn and compressed by the one thread that
+takes it (zlib releases the GIL); a chunked stream is the same bytes as
+one ``zlib.compress`` call.
 
 Every writer emits one layout, ``RPQ3``::
 
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import bisect
 import codecs
-import collections
 import functools
 import itertools
 import json
@@ -111,9 +111,6 @@ PATH_CHUNK_CHARS = 1 << 18
 #: Bytes a reader inflates at a time: it holds one piece of a path table's
 #: text, never the whole text.
 INFLATE_PIECE = 1 << 16
-
-#: Chunks a pool deflate may have waiting (see :class:`_Deflates`).
-_QUEUED = 2
 
 _HEADER_KEYS = ("label", "timestamp", "rows", "columns")
 _META_COUNTS = ("rows", "stored_bytes", "crc32")
@@ -181,8 +178,8 @@ def _deflate(buffers: Iterable) -> tuple[bytes, int]:
     Equals ``zlib.compress`` of the concatenated buffers at the same
     level.  Each buffer is dropped once compressed, so over an iterator
     that builds its buffers as drawn (a path table) it holds one at a
-    time; run on a pool thread, it allocates nothing but the compressor's
-    output.
+    time.  Run on a pool thread, it builds those buffers there too: a
+    pool holds one chunk per thread.
     """
     compressor = zlib.compressobj(_COMPRESSION_LEVEL)
     pieces = list(map(compressor.compress, buffers))
@@ -400,112 +397,45 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Deflates:
-    """The deflates of one write, each an iterator of buffers;
-    :meth:`run` returns their ``(blob, crc32)`` in order.
+def _deflate_all(streams: list[Iterator]) -> list[tuple[bytes, int]]:
+    """:func:`_deflate` of each stream; their ``(blob, crc32)`` in order.
 
-    With one deflate or one usable CPU, each runs inline: this thread
-    builds and compresses a stream buffer by buffer.  Otherwise a pool of
-    up to the usable CPUs takes the deflates in order, and this thread
-    draws their buffers round-robin, handing each to its deflate through
-    a queue of at most :data:`_QUEUED`.  It waits, on a condition, only
-    while every deflate it still draws has a full queue, so a deflate no
-    pool thread has taken yet is passed over once its queue fills: more
-    deflates than threads cannot deadlock.  The pool threads run only
-    :func:`_deflate` over their queues.  An error on either side stops
-    the hand-off, and the pool is joined before :meth:`run` returns or
-    raises.
+    With one stream or one usable CPU, each deflates inline.  Otherwise
+    a pool of up to the usable CPUs takes the streams in order, and the
+    thread that takes one draws (builds) all of its buffers, so no
+    stream is touched by two threads.  The first error cancels every
+    deflate not yet started, and the pool is joined before this returns
+    or raises.
     """
+    threads = _usable_cpus()
+    if len(streams) < 2 or threads < 2:
+        return [_deflate(stream) for stream in streams]
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-    def __init__(self, streams: list[Iterator]) -> None:
-        self._streams = streams
-        self._cond = threading.Condition()
-        self._queues = [collections.deque() for _ in streams]
-        self._drawn = [False] * len(streams)
-        self._failed = False
-
-    def run(self) -> list[tuple[bytes, int]]:
-        threads = _usable_cpus()
-        if len(self._streams) < 2 or threads < 2:
-            return [_deflate(stream) for stream in self._streams]
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(threads, thread_name_prefix="deflate")
-        try:
-            futures = [
-                pool.submit(self._deflate_queued, index)
-                for index in range(len(self._streams))
-            ]
-            self._hand_off()
-            return [future.result() for future in futures]
-        except BaseException:
-            self._stop()
-            raise
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-    def _stop(self) -> None:
-        with self._cond:
-            self._failed = True
-            self._cond.notify_all()
-
-    def _hand_off(self) -> None:
-        queues = self._queues
-        drawing = list(range(len(self._streams)))
-        while drawing:
-            with self._cond:
-                while not self._failed and all(
-                    len(queues[i]) >= _QUEUED for i in drawing
-                ):
-                    self._cond.wait()
-                if self._failed:
-                    return  # a deflate raised: its future carries the error
-            for i in drawing:
-                while not self._drawn[i] and len(queues[i]) < _QUEUED:
-                    self._put(i, next(self._streams[i], None))  # built unlocked
-            drawing = [i for i in drawing if not self._drawn[i]]
-
-    def _put(self, index: int, buffer: Any) -> None:
-        with self._cond:
-            if buffer is None:
-                self._drawn[index] = True
-            else:
-                self._queues[index].append(buffer)
-            self._cond.notify_all()
-
-    def _deflate_queued(self, index: int) -> tuple[bytes, int]:
-        try:
-            return _deflate(self._queued(index))
-        except BaseException:
-            self._stop()
-            raise
-
-    def _queued(self, index: int) -> Iterator:
-        queue = self._queues[index]
-        while True:
-            with self._cond:
-                while not (queue or self._drawn[index] or self._failed):
-                    self._cond.wait()
-                if self._failed or not queue:
-                    return
-                buffer = queue.popleft()
-                self._cond.notify_all()
-            yield buffer
-            del buffer  # not held while waiting for the next
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="deflate")
+    try:
+        futures = [pool.submit(_deflate, stream) for stream in streams]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # started in order, so the first failure precedes every cancelled one
+    return [future.result() for future in futures]
 
 
 def write_block_files(files: list[BlockFile]) -> list[dict]:
     """Write container files whose zlib blocks deflate together; returns
     each file's ``{"raw_bytes", "stored_bytes"}``.
 
-    This thread encodes every file's blocks — a path table as a stream
-    whose chunks are built only as drawn — and :class:`_Deflates`
-    compresses them all, a week's ``.rpq`` path table and its ``.rpd``
-    blocks at the same time, before any file is written: a path refused
-    by the encoder leaves no file behind.  That work happens inside the
-    first file's :func:`write_columnar_blocks` call, so a traced run
-    charges it to a writer.  No thread outlives the call.  Bytes are
-    those of compressing each block in turn.
+    This thread calls every file's ``encode`` — numeric blocks are
+    built now, a path table is a stream whose chunks are built only as
+    drawn — and :func:`_deflate_all` compresses every stream, a week's
+    ``.rpq`` path table and its ``.rpd`` blocks at the same time (on a
+    pool, the thread that deflates a path table builds its chunks),
+    before any file is written: a path refused by the encoder leaves no
+    file behind.  That work happens inside the first file's
+    :func:`write_columnar_blocks` call, so a traced run charges it to a
+    writer.  No thread outlives the call.  Bytes are those of
+    compressing each block in turn.
     """
     encoded: list[list[tuple[Any, dict]]] = []
     deflated: list[tuple[bytes, int]] = []
@@ -513,10 +443,10 @@ def write_block_files(files: list[BlockFile]) -> list[dict]:
     def blocks(index: int):
         if not encoded:
             encoded.extend(list(f.encode()) for f in files)
-            deflated.extend(_Deflates([
+            deflated.extend(_deflate_all([
                 payload for file_blocks in encoded for payload, _ in file_blocks
                 if isinstance(payload, Iterator)
-            ]).run())
+            ]))
             deflated.reverse()
         for payload, meta in encoded[index]:
             if isinstance(payload, Iterator):

@@ -1,12 +1,13 @@
 """Path tables as bounded streams, on both sides of the container.
 
-The writer builds a path table's chunks only as its deflate draws them and
-hands them to pool threads through queues of at most two; the reader
-inflates, decodes and splits a table ``INFLATE_PIECE`` bytes at a time.
-These tests hold the streaming decoder to the whole-text decode it
-replaced (same list, or the same typed error), check that a path the
-format cannot store is refused before any file exists, and that the
-hand-off neither deadlocks nor leaves a thread behind, whatever fails.
+The writer builds a path table's chunks only as its deflate draws them,
+on the one pool thread that deflates the table; the reader inflates,
+decodes and splits a table ``INFLATE_PIECE`` bytes at a time.  These
+tests hold the streaming decoder to the whole-text decode it replaced
+(same list, or the same typed error), check that a path the format cannot
+store is refused before any file exists, that no stream is drawn by two
+threads, and that the deflate pool neither deadlocks nor leaves a thread
+behind, whatever fails.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def test_names_without_newlines_still_write(tmp_path):
     ]
 
 
-# -- the hand-off ------------------------------------------------------------------
+# -- the deflate pool --------------------------------------------------------------
 
 
 def _snapshot(paths: list[str], label: str = "w0") -> Snapshot:
@@ -176,8 +177,8 @@ def _snapshot(paths: list[str], label: str = "w0") -> Snapshot:
 
 
 def _in_thread(call, seconds: float = 120.0):
-    """Run ``call`` on a daemon thread; a hand-off that deadlocks fails
-    the test instead of hanging it."""
+    """Run ``call`` on a daemon thread; a pool that deadlocks fails the
+    test instead of hanging it."""
     outcome: list = []
 
     def target():
@@ -189,7 +190,7 @@ def _in_thread(call, seconds: float = 120.0):
     worker = threading.Thread(target=target, daemon=True)
     worker.start()
     worker.join(seconds)
-    assert not worker.is_alive(), "the hand-off did not finish"
+    assert not worker.is_alive(), "the write did not finish"
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
     return outcome[0]
@@ -208,10 +209,50 @@ def _weeks(n_paths: int, split: int, overlap: int):
     return week(paths[:split], "w0", 1), week(paths[split - overlap :], "w1", 2)
 
 
-def test_more_tables_than_pool_threads_hand_off_without_deadlock(tmp_path):
+def test_each_stream_is_drawn_by_one_pool_thread(tmp_path):
+    """The thread that deflates a stream draws every buffer of it: no
+    stream is drawn by two threads, nor by the thread that writes."""
+    draws: list[list[tuple[int, str]]] = []
+
+    def stream(seen: list):
+        for _ in range(4):
+            seen.append((threading.get_ident(), threading.current_thread().name))
+            yield b"x" * 512
+        seen.append((threading.get_ident(), threading.current_thread().name))
+
+    def blocks():
+        for i in range(3):
+            draws.append([])
+            yield stream(draws[-1]), {
+                "name": f"c{i}", "dtype": "uint8", "codec": "zlib",
+                "rows": 2048, "raw_bytes": 2048,
+            }
+
+    files = [
+        columnar.BlockFile(tmp_path / f"{label}.rpq", label, 1000, 2048, blocks)
+        for label in ("w0", "w1")
+    ]
+    caller: list[int] = []
+
+    def write():
+        caller.append(threading.get_ident())
+        return columnar.write_block_files(files)
+
+    with mock.patch.object(columnar, "_usable_cpus", return_value=2):
+        stats = _in_thread(write)
+    assert [s["raw_bytes"] for s in stats] == [3 * 2048, 3 * 2048]
+    assert len(draws) == 6
+    for seen in draws:
+        assert len(seen) == 5  # four buffers and the draw that ends it
+        assert len({ident for ident, _ in seen}) == 1
+        assert caller[0] not in {ident for ident, _ in seen}
+        assert all(name.startswith("deflate") for _, name in seen)
+
+
+def test_more_tables_than_pool_threads_write_the_inline_bytes(tmp_path):
     """An ``.rpd`` carries three path tables and its week's ``.rpq`` one:
     with two pool threads and chunks of a few paths, tables wait for a
-    thread with full queues.  The bytes equal the all-inline write."""
+    free thread.  The bytes equal the all-inline write."""
     prev, cur = _weeks(3000, 2000, 1000)
     want, got = tmp_path / "inline", tmp_path / "pooled"
     want.mkdir()
@@ -227,10 +268,9 @@ def test_more_tables_than_pool_threads_hand_off_without_deadlock(tmp_path):
         assert (got / name).read_bytes() == (want / name).read_bytes()
 
 
-def test_a_failing_pool_deflate_stops_the_hand_off(tmp_path):
+def test_a_failing_pool_deflate_surfaces_and_leaves_nothing(tmp_path):
     """A deflate that raises on a pool thread must not leave the calling
-    thread waiting on its full queue: the error surfaces, no file or
-    thread is left."""
+    thread waiting: the error surfaces, no file or thread is left."""
     prev, cur = _weeks(2000, 1200, 400)
     deflate = columnar._deflate
 

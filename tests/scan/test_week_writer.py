@@ -1,12 +1,12 @@
 """The one block writer and the week writer.
 
 ``write_columnar``, ``write_delta`` and ``write_week`` all go through
-``columnar.write_block_files``: the calling thread builds every payload —
-a path table as ``PATH_CHUNK``-path UTF-8 chunks — and a per-call thread
-pool deflates them.  These tests hold that to the bytes of the encoders it
-replaced (one joined string, one ``zlib.compress`` per block, one file at a
-time), across chunk boundaries, and check that no writer thread outlives a
-call.
+``columnar.write_block_files``: the calling thread builds every numeric
+payload, and a per-call thread pool deflates each block on one thread,
+which builds a path table's ``PATH_CHUNK``-path UTF-8 chunks as it draws
+them.  These tests hold that to the bytes of the encoders it replaced (one
+joined string, one ``zlib.compress`` per block, one file at a time),
+across chunk boundaries, and check that no writer thread outlives a call.
 """
 
 from __future__ import annotations
