@@ -22,6 +22,8 @@ Usage::
 
 import argparse
 
+import numpy as np
+
 from repro.analysis.context import AnalysisContext
 from repro.analysis.joblog import (
     compute_storage_footprint,
@@ -67,9 +69,8 @@ def main() -> None:
     by_project = plist.by_project(snapshot)
 
     jobs = job_log.to_table()
-    recent_cutoff = snapshot.timestamp - 14 * 86_400
-    recent = jobs.filter(jobs["start"] > recent_cutoff)
-    active_gids = set(int(g) for g in recent.unique("gid")) if recent.n_rows else set()
+    recent = jobs["start"] > snapshot.timestamp - 14 * 86_400
+    active_gids = {int(g) for g in np.unique(jobs["gid"][recent])}
 
     alerts = sorted(
         ((gid, n) for gid, n in by_project.items() if gid in active_gids),

@@ -14,8 +14,8 @@ The package builds, from scratch, everything the study needs:
 * :mod:`repro.scan` — the LustreDU metadata scanner, PSV snapshot codec,
   columnar snapshot store, and purge-list generation;
 * :mod:`repro.query`, :mod:`repro.stats`, :mod:`repro.graph` — the
-  columnar query engine, statistics, and graph algorithms the analyses
-  are built on;
+  fused kernel pass (the SparkSQL stand-in) and its parallel execution
+  engine, statistics, and graph algorithms the analyses are built on;
 * :mod:`repro.analysis` — one module per paper artifact (Tables 1–3,
   Figures 5–20) plus the Observations scorecard and CSV exporters;
 * :mod:`repro.core` — the end-to-end pipeline and the ``repro-pipeline``

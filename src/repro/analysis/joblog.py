@@ -43,8 +43,9 @@ class JobFileCorrelation:
 def job_file_correlation(ctx: AnalysisContext, job_log: JobLog) -> JobFileCorrelation:
     """Correlate weekly job activity with weekly file production per project."""
     jobs = job_log.to_table()
-    if len(ctx.collection) < 2 or jobs.n_rows == 0:
-        return JobFileCorrelation(0, float("nan"), jobs.n_rows, 0)
+    n_jobs = len(job_log)
+    if len(ctx.collection) < 2 or n_jobs == 0:
+        return JobFileCorrelation(0, float("nan"), n_jobs, 0)
 
     week_len = 7 * SECONDS_PER_DAY
     origin = ctx.collection[0].timestamp - week_len
@@ -71,7 +72,7 @@ def job_file_correlation(ctx: AnalysisContext, job_log: JobLog) -> JobFileCorrel
 
     keys = sorted(set(job_cells) | set(file_cells))
     if len(keys) < 3:
-        return JobFileCorrelation(len(keys), float("nan"), jobs.n_rows, files_total)
+        return JobFileCorrelation(len(keys), float("nan"), n_jobs, files_total)
     x = np.array([job_cells.get(k, 0) for k in keys], dtype=np.float64)
     y = np.array([file_cells.get(k, 0) for k in keys], dtype=np.float64)
     if x.std() == 0 or y.std() == 0:
@@ -79,7 +80,7 @@ def job_file_correlation(ctx: AnalysisContext, job_log: JobLog) -> JobFileCorrel
     else:
         r = float(np.corrcoef(x, y)[0, 1])
     return JobFileCorrelation(
-        n_cells=len(keys), pearson_r=r, jobs_total=jobs.n_rows,
+        n_cells=len(keys), pearson_r=r, jobs_total=n_jobs,
         files_total=files_total,
     )
 
@@ -110,14 +111,14 @@ def workflow_chains(job_log: JobLog, window_days: float = 14.0) -> WorkflowChain
     window = int(window_days * SECONDS_PER_DAY)
 
     sims_by_gid: dict[int, np.ndarray] = {}
-    sims = jobs.filter(jobs["kind"] == sim_kind)
-    for gid in np.unique(sims["gid"]):
-        mask = sims["gid"] == gid
-        sims_by_gid[int(gid)] = np.sort(sims["end"][mask])
+    is_sim = jobs["kind"] == sim_kind
+    sim_gids, sim_ends = jobs["gid"][is_sim], jobs["end"][is_sim]
+    for gid in np.unique(sim_gids):
+        sims_by_gid[int(gid)] = np.sort(sim_ends[sim_gids == gid])
 
-    analyses = jobs.filter(jobs["kind"] == ana_kind)
+    is_analysis = jobs["kind"] == ana_kind
     chained = 0
-    for gid, start in zip(analyses["gid"], analyses["start"]):
+    for gid, start in zip(jobs["gid"][is_analysis], jobs["start"][is_analysis]):
         ends = sims_by_gid.get(int(gid))
         if ends is None:
             continue
@@ -125,8 +126,8 @@ def workflow_chains(job_log: JobLog, window_days: float = 14.0) -> WorkflowChain
         if idx >= 0 and start - ends[idx] <= window:
             chained += 1
     return WorkflowChains(
-        n_simulation_jobs=sims.n_rows,
-        n_analysis_jobs=analyses.n_rows,
+        n_simulation_jobs=int(is_sim.sum()),
+        n_analysis_jobs=int(is_analysis.sum()),
         n_chained=chained,
         window_days=window_days,
     )
@@ -152,7 +153,7 @@ def compute_storage_footprint(
 ) -> ComputeStorageFootprint:
     jobs = job_log.to_table()
     node_seconds: dict[str, int] = {}
-    if jobs.n_rows:
+    if len(job_log):
         runtime = (jobs["end"] - jobs["start"]) * jobs["nodes"]
         dom = ctx.domain_ids_of_gids(jobs["gid"].astype(np.int64))
         for code in ctx.domain_codes:

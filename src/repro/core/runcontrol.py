@@ -21,6 +21,8 @@ together into *run-level* behavior:
   snapshot cache (:class:`~repro.scan.store.DiskSnapshotCollection`
   evicts by bytes against ``cache_bytes``) and in-flight dispatch waves
   (the engine caps concurrent workers against ``wave_bytes``).
+* :func:`usable_cpus` — the CPUs this process may run on, which sizes
+  the engine's default pool and the block writer's deflate threads.
 * :class:`RunInterrupted` — the typed stop.  Carries the reason, the
   partial result accumulated so far, the run's
   :class:`~repro.query.engine.ExecutionStats`, and a ``resume_hint``
@@ -34,6 +36,7 @@ stuck worker into a stop anyway.
 
 from __future__ import annotations
 
+import os
 import re
 import signal
 import threading
@@ -47,6 +50,7 @@ __all__ = [
     "RunController",
     "RunInterrupted",
     "parse_bytes",
+    "usable_cpus",
 ]
 
 #: Suffix multipliers accepted by :func:`parse_bytes` (binary, like ulimit).
@@ -77,6 +81,15 @@ def parse_bytes(value: int | float | str) -> int:
     if result <= 0:
         raise ValueError(f"byte size must be positive, got {value!r}")
     return result
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (``taskset``, a
+    cgroup cpuset) where the platform has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 class CancelToken:

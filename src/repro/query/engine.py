@@ -25,7 +25,7 @@ production:
   raises either quarantines its snapshot (the circuit breaker, below) or
   fails the run with a structured :class:`TaskError` carrying the snapshot
   index and the task traceback — never a hang, never a silent partial
-  result.  A worker that dies outright trips the ``task_timeout``
+  result.  A worker that dies outright trips the :data:`TASK_TIMEOUT_S`
   watchdog on every pooled pass.  Any *downgrade* to serial execution (no
   usable start method, unpicklable work under spawn) is warned about and
   recorded in the stats, never silent.
@@ -81,6 +81,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import runcontrol
 from repro.core.runcontrol import RunController, RunInterrupted
 from repro.query import shm as shm_transport
 from repro.scan.snapshot import SnapshotCollection
@@ -91,6 +92,17 @@ START_METHOD_ENV = "REPRO_START_METHOD"
 
 #: Pseudo start method: run everything inline in the calling process.
 SERIAL = "serial"
+
+#: Chunks per worker a pooled pass aims for: tasks are batched so each
+#: worker gets about this many scheduling units.
+CHUNKS_PER_WORKER = 4
+
+#: Dead-worker watchdog: seconds a pooled pass waits for the *next* chunk
+#: result before declaring the pool dead.  A hard-crashed worker never
+#: answers, and a plain ``Pool`` would wait on it forever while respawning
+#: replacements.  Per-task analysis work here is sub-second to seconds, so a
+#: legitimate run never trips it.
+TASK_TIMEOUT_S = 300.0
 
 
 def _identity(state: Any) -> Any:
@@ -368,41 +380,6 @@ class ExecutionStats:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Execution policy for :class:`ExecutionEngine`.
-
-    A task runs once.  Transient I/O is retried below it, by the collection
-    (the disk store's ``io_retries``); whether a failed task quarantines
-    its snapshot or raises is the collection's ``on_error`` policy (see
-    :meth:`ExecutionEngine.run_kernels`).
-
-    Parameters
-    ----------
-    processes:
-        Worker count; None picks half the cores (capped at the task count),
-        1 forces serial.
-    start_method:
-        ``fork`` / ``spawn`` / ``forkserver`` / ``serial``; None defers to
-        ``$REPRO_START_METHOD``, then the platform default (fork where
-        available) — see :func:`resolve_start_method`.
-    chunk_size:
-        Tasks per scheduling unit; None targets ~4 chunks per worker.
-    task_timeout:
-        Watchdog seconds to wait for the *next* chunk result before
-        declaring the pool dead (catches hard-crashed workers, which a
-        plain ``Pool`` would otherwise wait on forever while respawning
-        replacements); None disables the watchdog.  The default is generous
-        — per-task analysis work here is sub-second to seconds — so a
-        legitimate run never trips it.
-    """
-
-    processes: int | None = None
-    start_method: str | None = None
-    chunk_size: int | None = None
-    task_timeout: float | None = 300.0
-
-
 class QuarantinedRow:
     """Placeholder row for a snapshot the circuit breaker quarantined.
 
@@ -600,10 +577,22 @@ def resolve_start_method(configured: str | None = None) -> str:
 
 
 class ExecutionEngine:
-    """Runs fused kernel passes over a snapshot collection under one policy."""
+    """Runs fused kernel passes over a snapshot collection under one policy.
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config if config is not None else EngineConfig()
+    ``processes`` is the worker count: None picks half the CPUs this
+    process may use (capped at the task count), 1 runs serial.
+    ``start_method`` is ``fork`` / ``spawn`` / ``forkserver`` / ``serial``;
+    None defers to :func:`resolve_start_method`.  A task runs once:
+    transient I/O is retried below it, by the collection, and whether a
+    failed task quarantines its snapshot or raises is the collection's
+    ``on_error`` policy (see :meth:`run_kernels`).
+    """
+
+    def __init__(
+        self, processes: int | None = None, start_method: str | None = None
+    ) -> None:
+        self.processes = processes
+        self.start_method = start_method
 
     # -- public API --------------------------------------------------------
 
@@ -834,9 +823,9 @@ class ExecutionEngine:
     # -- policy resolution -------------------------------------------------
 
     def _resolve_processes(self, n_tasks: int) -> int:
-        if self.config.processes is not None:
-            return max(1, int(self.config.processes))
-        return max(1, min(n_tasks, (os.cpu_count() or 2) // 2))
+        if self.processes is not None:
+            return max(1, int(self.processes))
+        return max(1, min(n_tasks, runcontrol.usable_cpus() // 2))
 
     # -- execution ---------------------------------------------------------
 
@@ -925,9 +914,9 @@ class ExecutionEngine:
                 processes = min(processes, int(cap))
         if processes <= 1:
             return run_serial()
-        method = resolve_start_method(self.config.start_method)
+        method = resolve_start_method(self.start_method)
         if method == SERIAL:
-            # explicit policy choice (config or $REPRO_START_METHOD=serial)
+            # explicit policy choice (start_method or $REPRO_START_METHOD=serial)
             return run_serial()
         if mp.current_process().daemon:
             # nested run inside a pool worker: daemonic processes cannot
@@ -983,7 +972,7 @@ class ExecutionEngine:
         stats.processes = processes
         stats.start_method = method
         stats.transport = transport
-        chunk_size = self.config.chunk_size or max(1, -(-n // (processes * 4)))
+        chunk_size = max(1, -(-n // (processes * CHUNKS_PER_WORKER)))
         chunks = [indices[i : i + chunk_size] for i in range(0, n, chunk_size)]
         payload = (specs, transport, data)
         # Dispatch in bounded waves — at most ``wave`` chunks in flight,
@@ -995,6 +984,7 @@ class ExecutionEngine:
         # keeps one chunk queued behind the one it is executing.
         wave = min(len(chunks), processes if budget is not None else processes * 2)
         poll = 0.2  # controller polling cadence while waiting for results
+        timeout = TASK_TIMEOUT_S if controller is None else min(poll, TASK_TIMEOUT_S)
         results: dict[int, Any] = {}
         failure: tuple[int, str] | None = None
         cancel_reason: str | None = None
@@ -1035,24 +1025,15 @@ class ExecutionEngine:
                         and time.monotonic() >= drain_deadline
                     ):
                         break  # grace expired: abandon in-flight chunks
-                    timeout = self.config.task_timeout
-                    if controller is not None:
-                        timeout = poll if timeout is None else min(poll, timeout)
                     try:
-                        if timeout is None:
-                            kind, item = inbox.get()
-                        else:
-                            kind, item = inbox.get(timeout=timeout)
+                        kind, item = inbox.get(timeout=timeout)
                     except queue.Empty:
                         waited += timeout
-                        if (
-                            self.config.task_timeout is not None
-                            and waited >= self.config.task_timeout
-                        ):
+                        if waited >= TASK_TIMEOUT_S:
                             pending = sorted(set(indices) - set(results))
                             stats.failures += 1
                             raise TaskError(
-                                f"no result within {self.config.task_timeout}s — a worker "
+                                f"no result within {TASK_TIMEOUT_S}s — a worker "
                                 f"crashed or a task is stuck; pending snapshot indices "
                                 f"{pending[:8]}{'…' if len(pending) > 8 else ''}",
                                 index=pending[0] if pending else None,

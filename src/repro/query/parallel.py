@@ -13,11 +13,12 @@ Failure semantics are the engine's: a task runs once; one that raises
 quarantines its snapshot when the collection's ``on_error`` policy allows
 it and otherwise surfaces as a structured
 :class:`~repro.query.engine.TaskError` carrying the snapshot index and the
-task traceback; a worker that dies trips the engine's ``task_timeout``
-watchdog on every pooled pass.  Any fallback to serial execution is warned
-about and recorded in the run's :class:`~repro.query.engine.ExecutionStats`
-— never silent.  Set ``$REPRO_START_METHOD`` to pin the start method
-suite-wide (``fork`` / ``spawn`` / ``forkserver`` / ``serial``).
+task traceback; a worker that dies trips the engine's dead-worker
+watchdog (:data:`~repro.query.engine.TASK_TIMEOUT_S`) on every pooled
+pass.  Any fallback to serial execution is warned about and recorded in
+the run's :class:`~repro.query.engine.ExecutionStats` — never silent.
+Set ``$REPRO_START_METHOD`` to pin the start method suite-wide
+(``fork`` / ``spawn`` / ``forkserver`` / ``serial``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Any
 from repro.core.runcontrol import RunController, RunInterrupted
 from repro.query.engine import (
     DeltaPlan,
-    EngineConfig,
     ExecutionEngine,
     ExecutionStats,
     Kernel,
@@ -38,7 +38,6 @@ from repro.scan.snapshot import SnapshotCollection
 
 __all__ = [
     "DeltaPlan",
-    "EngineConfig",
     "ExecutionStats",
     "Kernel",
     "RunController",
@@ -53,8 +52,10 @@ class SnapshotExecutor:
 
     The analysis suite takes one of these so callers choose the policy once
     (``SnapshotExecutor(processes=1)`` in unit tests, parallel in benches).
-    It sets only the pool's size and start method; chunking and the
-    dead-worker watchdog keep the :class:`EngineConfig` defaults.  After
+    It sets the pool's size and start method, the engine's two settings;
+    chunking and the dead-worker watchdog are the engine's module
+    constants (:data:`~repro.query.engine.CHUNKS_PER_WORKER`,
+    :data:`~repro.query.engine.TASK_TIMEOUT_S`).  After
     every pass the run's :class:`ExecutionStats` is available as
     ``last_stats``, and ``stats`` keeps the lifetime aggregate across runs.
     """
@@ -63,15 +64,9 @@ class SnapshotExecutor:
         self, processes: int | None = 1, start_method: str | None = None
     ) -> None:
         self.processes = processes
-        self._engine = ExecutionEngine(
-            EngineConfig(processes=processes, start_method=start_method)
-        )
+        self._engine = ExecutionEngine(processes, start_method)
         self.last_stats: ExecutionStats | None = None
         self.stats = ExecutionStats()
-
-    @property
-    def config(self) -> EngineConfig:
-        return self._engine.config
 
     def _record(self, stats: ExecutionStats) -> None:
         self.last_stats = stats

@@ -6,7 +6,8 @@ Mirrors the paper's data path (§2.2, §3, Figure 4):
   emits a metadata record per entry, exactly the Figure 2 schema — PATH,
   ATIME, CTIME, MTIME, UID, GID, MODE, INODE, OST (and, like LustreDU, *no
   file size*);
-* :mod:`repro.scan.psv` encodes/decodes the pipe-separated text snapshots;
+* :mod:`repro.scan.psv` writes the pipe-separated text snapshots and parses
+  one record (:mod:`repro.ingest` reads whole dumps through it);
 * :mod:`repro.scan.columnar` converts PSV into a compressed, columnar,
   dictionary-encoded binary format (the paper used Apache Parquet; we ship a
   self-contained "parquet-lite");
@@ -24,7 +25,6 @@ from repro.scan.psv import (
     ParsedRecord,
     escape_path,
     parse_record,
-    read_psv,
     unescape_path,
     write_psv,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "LustreDuScanner",
     "escape_path",
     "parse_record",
-    "read_psv",
     "unescape_path",
     "write_psv",
     "read_columnar",

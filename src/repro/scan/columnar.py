@@ -65,7 +65,6 @@ import functools
 import itertools
 import json
 import mmap
-import os
 import threading
 import time
 import zlib
@@ -75,6 +74,7 @@ from typing import Any, BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from repro.core import runcontrol
 from repro.core.durable import atomic_write
 from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
@@ -390,13 +390,6 @@ class BlockFile(NamedTuple):
     encode: Callable[[], Iterable[tuple[Any, dict]]]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _deflate_all(streams: list[Iterator]) -> list[tuple[bytes, int]]:
     """:func:`_deflate` of each stream; their ``(blob, crc32)`` in order.
 
@@ -407,7 +400,7 @@ def _deflate_all(streams: list[Iterator]) -> list[tuple[bytes, int]]:
     deflate not yet started, and the pool is joined before this returns
     or raises.
     """
-    threads = _usable_cpus()
+    threads = runcontrol.usable_cpus()
     if len(streams) < 2 or threads < 2:
         return [_deflate(stream) for stream in streams]
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait

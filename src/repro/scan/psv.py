@@ -13,7 +13,8 @@ One record per line, in the field order of the paper's Figure 2::
 Paths are untrusted: a real scratch file system contains names with
 embedded ``|``, backslashes, and even newlines.  The writer escapes those
 (``\\`` ``\|`` ``\n`` ``\r`` — see :func:`escape_path`) so one record is
-always one line with exactly eight field separators; the reader splits with
+always one line with exactly eight field separators; :func:`parse_record`
+(the parser behind :mod:`repro.ingest`, the one PSV reader) splits with
 ``rsplit("|", 8)`` (the eight numeric/OST fields never contain a pipe, so
 any unescaped pipe from a foreign dump still lands in the path) and
 unescapes.  Every parse failure raises a typed
@@ -27,10 +28,7 @@ import io
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.scan.errors import IngestRecordError
-from repro.scan.paths import PathTable
 from repro.scan.snapshot import Snapshot
 
 _GOLDEN = 2654435761  # Knuth multiplicative hash constant
@@ -251,61 +249,3 @@ def _write_psv_stream(
         )
         written += fh.write(line + "\n")
     return written
-
-
-def read_psv(
-    source: str | Path | io.TextIOBase,
-    paths: PathTable,
-    label: str,
-    timestamp: int,
-) -> Snapshot:
-    """Parse a PSV snapshot back into columnar form.
-
-    The OST field is reduced back to ``(stripe_start, stripe_count)``; the
-    synthesized object ids are not needed downstream.  The first malformed
-    line raises a typed :class:`~repro.scan.errors.IngestRecordError`
-    (file, line number, field) — for degradation policies over hostile
-    multi-GB dumps use :func:`repro.ingest.ingest_trace`, which quarantines
-    bad records instead of stopping at the first one.
-    """
-    own = isinstance(source, (str, Path))
-    fh: io.TextIOBase = open(source) if own else source  # type: ignore[assignment]
-    source_name = str(source) if own else getattr(source, "name", "<stream>")
-    names: list[str] = []
-    cols: dict[str, list[int]] = {
-        name: [] for name in
-        ("atime", "ctime", "mtime", "uid", "gid", "mode", "ino",
-         "stripe_start", "stripe_count")
-    }
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rec = parse_record(line, source_name, lineno)
-            names.append(rec.path)
-            cols["atime"].append(rec.atime)
-            cols["ctime"].append(rec.ctime)
-            cols["mtime"].append(rec.mtime)
-            cols["uid"].append(rec.uid)
-            cols["gid"].append(rec.gid)
-            cols["mode"].append(rec.mode)
-            cols["ino"].append(rec.ino)
-            cols["stripe_start"].append(rec.stripe_start)
-            cols["stripe_count"].append(rec.stripe_count)
-    finally:
-        if own:
-            fh.close()
-    columns = {
-        "path_id": paths.intern_many(names),
-        "ino": np.asarray(cols["ino"], dtype=np.int64),
-        "mode": np.asarray(cols["mode"], dtype=np.uint32),
-        "uid": np.asarray(cols["uid"], dtype=np.int32),
-        "gid": np.asarray(cols["gid"], dtype=np.int32),
-        "atime": np.asarray(cols["atime"], dtype=np.int64),
-        "mtime": np.asarray(cols["mtime"], dtype=np.int64),
-        "ctime": np.asarray(cols["ctime"], dtype=np.int64),
-        "stripe_count": np.asarray(cols["stripe_count"], dtype=np.int32),
-        "stripe_start": np.asarray(cols["stripe_start"], dtype=np.int32),
-    }
-    return Snapshot.from_columns(label, timestamp, paths, columns)

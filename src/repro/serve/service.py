@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.core.runcontrol import RunController, RunInterrupted
 from repro.query.engine import (
-    EngineConfig,
     ExecutionEngine,
     Kernel,
     QuarantinedRow,
@@ -250,9 +249,7 @@ class ArchiveService:
         #: serial slices: a task runs once (the engine has no task retry);
         #: transient I/O retries at the block layer, and corruption
         #: surfaces on the first attempt
-        self._engine = ExecutionEngine(
-            EngineConfig(processes=1, start_method="serial")
-        )
+        self._engine = ExecutionEngine(processes=1)
 
     # -- warm-up / revalidation ---------------------------------------------
 

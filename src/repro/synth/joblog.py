@@ -16,8 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from repro.query.table import ColumnTable
-
 
 class JobKind(Enum):
     SIMULATION = 0  # bulk-producing runs on the big machine
@@ -100,27 +98,19 @@ class JobLog:
             end_time=self._end[job_id],
         )
 
-    def to_table(self) -> ColumnTable:
-        """Columnar view for the analysis layer."""
-        if not self._kind:
-            empty = np.empty(0, dtype=np.int64)
-            return ColumnTable(
-                {name: empty for name in
-                 ("job_id", "kind", "uid", "gid", "nodes", "submit", "start", "end")}
-            )
-        n = len(self._kind)
-        return ColumnTable(
-            {
-                "job_id": np.arange(n, dtype=np.int64),
-                "kind": np.asarray(self._kind, dtype=np.int64),
-                "uid": np.asarray(self._uid, dtype=np.int64),
-                "gid": np.asarray(self._gid, dtype=np.int64),
-                "nodes": np.asarray(self._nodes, dtype=np.int64),
-                "submit": np.asarray(self._submit, dtype=np.int64),
-                "start": np.asarray(self._start, dtype=np.int64),
-                "end": np.asarray(self._end, dtype=np.int64),
-            }
-        )
+    def to_table(self) -> dict[str, np.ndarray]:
+        """Columnar view for the analysis layer: eight int64 columns of one
+        length, whose rows are selected with boolean masks."""
+        return {
+            "job_id": np.arange(len(self._kind), dtype=np.int64),
+            "kind": np.asarray(self._kind, dtype=np.int64),
+            "uid": np.asarray(self._uid, dtype=np.int64),
+            "gid": np.asarray(self._gid, dtype=np.int64),
+            "nodes": np.asarray(self._nodes, dtype=np.int64),
+            "submit": np.asarray(self._submit, dtype=np.int64),
+            "start": np.asarray(self._start, dtype=np.int64),
+            "end": np.asarray(self._end, dtype=np.int64),
+        }
 
 
 def sample_job_shape(

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from repro.core.runcontrol import RunController, RunInterrupted
-from repro.query.engine import DeltaPlan, EngineConfig, ExecutionEngine, Kernel
+from repro.query.engine import DeltaPlan, ExecutionEngine, Kernel
 from repro.scan.delta import compute_delta
 
 from .test_engine import _build_collection, _depth_sum, _row_count
@@ -45,7 +45,7 @@ def _plan_for(coll, split):
 
 def test_replay_matches_full_pass():
     coll = _build_collection()
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     full, _ = engine.run_kernels(coll, [_rowsum_kernel()])
 
     plan = _plan_for(coll, split=2)
@@ -69,7 +69,7 @@ def test_fallback_warns_only_on_genuine_incremental_attempt():
     """A kernel without ``update_fn`` under a stateful plan forces a warned
     full pass for *every* kernel — no kernel replays beside a mapped one."""
     coll = _build_collection()
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     plan = _plan_for(coll, split=2)
     with pytest.warns(RuntimeWarning, match="no journaled state for depths"):
         results, stats = engine.run_kernels(
@@ -86,7 +86,7 @@ def test_fallback_warns_only_on_genuine_incremental_attempt():
 
 def test_bootstrap_capture_without_states_is_silent():
     coll = _build_collection()
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     plan = DeltaPlan()  # no journaled state: nothing to warn about
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -101,7 +101,7 @@ def test_bootstrap_capture_without_states_is_silent():
 
 def test_interrupt_mid_replay_leaves_states_untouched():
     coll = _build_collection()
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     plan = _plan_for(coll, split=2)
     controller = RunController(max_seconds=0)  # pre-expired deadline
     with pytest.raises(RunInterrupted, match="delta replay"):

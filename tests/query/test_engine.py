@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro.fs.filesystem import FileSystem
-from repro.query.engine import EngineConfig, ExecutionEngine, Kernel, TaskError
+from repro.query import engine as engine_module
+from repro.query.engine import ExecutionEngine, Kernel, TaskError
 from repro.query.parallel import SnapshotExecutor
 from repro.scan.columnar import write_columnar
 from repro.scan.lustredu import LustreDuScanner
@@ -76,6 +77,10 @@ def _fail_on_largest(snapshot):
     if len(snapshot) > 70:
         raise ValueError(f"rigged failure at {len(snapshot)} rows")
     return len(snapshot)
+
+
+def _worker_pid(snapshot):
+    return os.getpid()
 
 
 def _ids_slow_first(snapshot):
@@ -210,29 +215,32 @@ def test_failed_run_still_records_stats():
     assert ex.last_stats.failures == 1
 
 
-def test_crashed_worker_detected_by_watchdog():
+def _die_hard(snapshot):
+    if len(snapshot) > 70:
+        os._exit(13)  # hard crash, bypasses exception handling
+    return len(snapshot)
+
+
+@pytest.mark.skipif("fork" not in METHODS, reason="fork required")
+def test_crashed_worker_detected_by_watchdog(monkeypatch):
     coll = _build_collection(weeks=4, files_per_week=20)
-
-    def die_hard(snapshot):
-        if len(snapshot) > 70:
-            os._exit(13)  # hard crash, bypasses exception handling
-        return len(snapshot)
-
-    if "fork" not in mp.get_all_start_methods():
-        pytest.skip("fork required for the closure")
-    engine = ExecutionEngine(
-        EngineConfig(
-            processes=2, start_method="fork", chunk_size=1, task_timeout=3.0
-        )
-    )
-    with pytest.raises(TaskError, match="crashed or a task is stuck"):
-        engine.run_kernels(coll, [Kernel("k", die_hard, list)])
+    monkeypatch.setattr(engine_module, "TASK_TIMEOUT_S", 3.0)
+    engine = ExecutionEngine(processes=2, start_method="fork")
+    with pytest.raises(TaskError, match="no result within 3.0s — a worker crashed"):
+        engine.run_kernels(coll, [Kernel("k", _die_hard, list)])
 
 
-def test_snapshot_executor_keeps_the_engine_watchdog():
+@pytest.mark.skipif("fork" not in METHODS, reason="fork required")
+def test_snapshot_executor_keeps_the_engine_watchdog(monkeypatch):
     """A pooled pass through the analysis suite's executor is guarded by
     the engine's dead-worker watchdog, not run without one."""
-    assert SnapshotExecutor(2).config.task_timeout == EngineConfig().task_timeout
+    assert engine_module.TASK_TIMEOUT_S == 300.0
+    coll = _build_collection(weeks=4, files_per_week=20)
+    monkeypatch.setattr(engine_module, "TASK_TIMEOUT_S", 3.0)
+    ex = SnapshotExecutor(2, start_method="fork")
+    with pytest.raises(TaskError, match="crashed or a task is stuck"):
+        _partials(ex, coll, _die_hard)
+    assert ex.last_stats.failures == 1
 
 
 def test_empty_collection_all_methods():
@@ -258,13 +266,30 @@ def test_env_var_bad_method_raises(monkeypatch):
 
 
 def test_engine_config_chunking():
-    coll = _build_collection(weeks=6, files_per_week=3)
-    engine = ExecutionEngine(
-        EngineConfig(processes=2, start_method=METHODS[0], chunk_size=2)
+    """9 tasks on 2 workers make chunks of 2 (about 4 chunks per worker),
+    and a chunk runs in one worker."""
+    coll = _build_collection(weeks=9, files_per_week=3)
+    engine = ExecutionEngine(processes=2, start_method=METHODS[0])
+    results, stats = engine.run_kernels(
+        coll, [Kernel("k", _row_count, list), Kernel("pid", _worker_pid, list)]
     )
-    results, stats = engine.run_kernels(coll, [Kernel("k", _row_count, list)])
     assert results["k"] == _map(coll, _row_count)
-    assert stats.n_tasks == 6
+    assert stats.n_tasks == 9
+    pids = results["pid"]
+    assert all(pids[i] == pids[i + 1] for i in range(0, 8, 2))
+
+
+def test_default_pool_sized_from_usable_cpus(monkeypatch):
+    """``processes=None`` sizes the pool from the CPUs this process may
+    run on, not from every CPU of the host: pinned to one CPU of 64, a
+    pass runs serial."""
+    coll = _build_collection(weeks=10, files_per_week=3)
+    expected = _map(coll, _row_count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    ex = SnapshotExecutor(None)
+    assert _partials(ex, coll, _row_count) == expected
+    assert ex.last_stats.processes == 1
 
 
 @pytest.mark.skipif("fork" not in METHODS, reason="fork required")
@@ -280,9 +305,7 @@ def test_pooled_disk_pass_path_ids_follow_serial_interning(tmp_path):
         write_columnar(snap, tmp_path / f"{i:02d}.rpq")
     expected = [s.path_strings() for s in DiskSnapshotCollection(tmp_path)]
     disk = DiskSnapshotCollection(tmp_path)
-    engine = ExecutionEngine(
-        EngineConfig(processes=2, start_method="fork", chunk_size=1)
-    )
+    engine = ExecutionEngine(processes=2, start_method="fork")
     results, _ = engine.run_kernels(disk, [Kernel("k", _ids_slow_first, list)])
     ids = results["k"]
     assert [[disk.paths.paths[p] for p in pids] for pids in ids] == expected

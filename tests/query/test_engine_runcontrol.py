@@ -10,7 +10,6 @@ import multiprocessing as mp
 import pytest
 
 from repro.query.engine import (
-    EngineConfig,
     ExecutionEngine,
     ExecutionStats,
     Kernel,
@@ -44,7 +43,7 @@ def test_precancelled_controller_stops_before_first_task():
     coll = _build_collection(weeks=4)
     controller = RunController()
     controller.token.cancel("test cancel")
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     with pytest.raises(RunInterrupted) as exc_info:
         engine.run_kernels(coll, _kernels(), controller=controller)
     err = exc_info.value
@@ -58,7 +57,7 @@ def test_serial_deadline_cancels_remaining_tasks():
     # t=1 at construction (deadline 4); one reading per task boundary ->
     # tasks 0 and 1 run, the check before task 2 reads t=4 and expires
     controller = RunController(max_seconds=3, clock=_TickingClock())
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     with pytest.raises(RunInterrupted) as exc_info:
         engine.run_kernels(coll, _kernels(), controller=controller)
     stats = exc_info.value.stats
@@ -72,9 +71,7 @@ def test_pool_cancellation_stops_submission_and_drains(method):
     # pre-expired deadline: the first poll in the dispatch loop cancels;
     # the already-submitted wave drains, unsubmitted chunks are cancelled
     controller = RunController(max_seconds=0)
-    engine = ExecutionEngine(
-        EngineConfig(processes=2, start_method=method, chunk_size=1)
-    )
+    engine = ExecutionEngine(processes=2, start_method=method)
     with pytest.raises(RunInterrupted) as exc_info:
         engine.run_kernels(coll, _kernels(), controller=controller)
     err = exc_info.value
@@ -89,7 +86,7 @@ def test_pool_cancellation_stops_submission_and_drains(method):
 
 def test_uncancelled_run_unaffected_by_controller():
     coll = _build_collection(weeks=4)
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     plain, _ = engine.run_kernels(coll, _kernels())
     governed, stats = engine.run_kernels(
         coll, _kernels(), controller=RunController(max_seconds=10_000)
@@ -115,7 +112,7 @@ def test_memory_budget_caps_waves_to_serial():
     coll = _SizedCollection(base.paths)
     for snap in base:
         coll.append(snap)
-    engine = ExecutionEngine(EngineConfig(processes=4, start_method=METHODS[0]))
+    engine = ExecutionEngine(processes=4, start_method=METHODS[0])
     plain, _ = engine.run_kernels(coll, _kernels())
     # wave share ~2MB vs 2*1TB per-task estimate -> cap = 1 -> serial path
     controller = RunController(memory_budget="4M")
@@ -128,7 +125,7 @@ def test_budget_ignored_without_size_estimate():
     # a plain collection has no max_snapshot_nbytes: the budget cannot
     # size waves, and the run must still complete correctly
     coll = _build_collection(weeks=3)
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     results, _ = engine.run_kernels(
         coll, _kernels(), controller=RunController(memory_budget="1M")
     )
@@ -198,10 +195,9 @@ def test_breaker_quarantines_and_reduces_over_survivors(route):
     for snap in base:
         coll.append(snap)
     if route == "serial":
-        config = EngineConfig(processes=1)
+        engine = ExecutionEngine(processes=1)
     else:
-        config = EngineConfig(processes=2, start_method=route)
-    engine = ExecutionEngine(config)
+        engine = ExecutionEngine(processes=2, start_method=route)
     # the collection's on_error="skip" arms the breaker
     results, stats = engine.run_kernels(
         coll, [Kernel("rows", _fail_on_small, sum)]
@@ -218,7 +214,7 @@ def test_breaker_quarantines_and_reduces_over_survivors(route):
 
 def test_breaker_requires_nonraise_policy():
     coll = _build_collection(weeks=2)  # plain collection: on_error absent
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     with pytest.raises(TaskError):
         engine.run_kernels(coll, [Kernel("rows", _fail_on_small, sum)])
 
@@ -232,7 +228,7 @@ def test_deadline_remaining_reported_on_zero_task_run():
     # server can log one field for every request
     coll = SnapshotCollection(_build_collection(weeks=1).paths)
     controller = RunController(max_seconds=100, clock=_TickingClock())
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     results, stats = engine.run_kernels(coll, _kernels(), controller=controller)
     assert results == {"rows": 0}
     assert isinstance(stats.deadline_remaining_s, float)
@@ -241,7 +237,7 @@ def test_deadline_remaining_reported_on_zero_task_run():
 
 def test_deadline_remaining_none_without_deadline_on_zero_task_run():
     coll = SnapshotCollection(_build_collection(weeks=1).paths)
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     _, stats = engine.run_kernels(coll, _kernels(), controller=RunController())
     assert stats.deadline_remaining_s is None
 
@@ -249,7 +245,7 @@ def test_deadline_remaining_none_without_deadline_on_zero_task_run():
 def test_deadline_remaining_reported_on_empty_kernel_list():
     coll = _build_collection(weeks=2)
     controller = RunController(max_seconds=100, clock=_TickingClock())
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     results, stats = engine.run_kernels(coll, [], controller=controller)
     assert results == {}
     assert isinstance(stats.deadline_remaining_s, float)
@@ -261,7 +257,7 @@ def test_deadline_remaining_reported_on_empty_kernel_list():
 def test_serial_interrupt_carries_completed_prefix_as_partial():
     coll = _build_collection(weeks=5)
     controller = RunController(max_seconds=3, clock=_TickingClock())
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     with pytest.raises(RunInterrupted) as exc_info:
         engine.run_kernels(coll, _kernels(), controller=controller)
     partial = exc_info.value.partial

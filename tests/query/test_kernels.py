@@ -10,7 +10,7 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.query.engine import EngineConfig, ExecutionEngine, Kernel
+from repro.query.engine import ExecutionEngine, Kernel
 from repro.query.parallel import SnapshotExecutor
 
 from .test_engine import _build_collection, _pair_growth, _row_count
@@ -43,7 +43,7 @@ def _expected(coll):
 
 def test_run_kernels_serial_matches_direct():
     coll = _build_collection()
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     results, stats = engine.run_kernels(coll, _kernels())
     assert results == _expected(coll)
     assert stats.n_tasks == len(coll)
@@ -58,9 +58,7 @@ def test_run_kernels_serial_matches_direct():
 @pytest.mark.parametrize("method", METHODS)
 def test_run_kernels_parallel_matches_serial(method):
     coll = _build_collection()
-    engine = ExecutionEngine(
-        EngineConfig(processes=2, start_method=method)
-    )
+    engine = ExecutionEngine(processes=2, start_method=method)
     results, stats = engine.run_kernels(coll, _kernels())
     assert results == _expected(coll)
     assert not stats.downgraded
@@ -69,7 +67,7 @@ def test_run_kernels_parallel_matches_serial(method):
 
 def test_duplicate_kernel_names_rejected():
     coll = _build_collection(weeks=2)
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     with pytest.raises(ValueError, match="duplicate kernel names"):
         engine.run_kernels(
             coll, [Kernel("k", _row_count, sum), Kernel("k", _depth_total, sum)]
@@ -78,14 +76,14 @@ def test_duplicate_kernel_names_rejected():
 
 def test_no_kernels_and_empty_reduces():
     coll = _build_collection(weeks=2)
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     results, _ = engine.run_kernels(coll, [])
     assert results == {}
 
 
 def test_single_snapshot_pair_kernel_reduces_empty():
     coll = _build_collection(weeks=1)
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     results, _ = engine.run_kernels(
         coll,
         [
@@ -106,7 +104,7 @@ def test_shared_map_fn_evaluated_once_per_snapshot():
         return len(snapshot)
 
     coll = _build_collection()
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     results, stats = engine.run_kernels(
         coll, [Kernel("a", counted, sum), Kernel("b", counted, max)]
     )
@@ -122,7 +120,7 @@ def test_shared_map_fn_evaluated_once_per_snapshot():
 @pytest.mark.skipif("spawn" not in mp.get_all_start_methods(), reason="no spawn")
 def test_unpicklable_kernel_downgrades_with_warning():
     coll = _build_collection(weeks=3)
-    engine = ExecutionEngine(EngineConfig(processes=2, start_method="spawn"))
+    engine = ExecutionEngine(processes=2, start_method="spawn")
     bonus = 7
     kernel = Kernel("closure", lambda s: len(s) + bonus, sum)
     with pytest.warns(RuntimeWarning, match="downgraded to serial"):

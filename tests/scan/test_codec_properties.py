@@ -1,6 +1,7 @@
-"""Property-based tests for the snapshot codecs (PSV and columnar)."""
+"""Property-based tests for the snapshot codecs (PSV and columnar).
 
-import io
+PSV text is read back the one supported way, through :mod:`repro.ingest`.
+"""
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from repro.fs.inode import S_IFDIR, S_IFREG
 from repro.scan.columnar import read_columnar, write_columnar
+from repro.scan.errors import IngestRecordError
 from repro.scan.paths import PathTable
-from repro.scan.psv import read_psv, write_psv
+from repro.scan.psv import write_psv
 from repro.scan.snapshot import Snapshot
+
+from .test_lustredu_psv_columnar import _ingest
 
 _NAME_ALPHABET = st.characters(
     whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters="._-"
@@ -77,11 +81,11 @@ def _key_view(snap):
 
 @settings(max_examples=40, deadline=None)
 @given(snapshots())
-def test_psv_round_trip_property(snap):
-    buf = io.StringIO()
-    write_psv(snap, buf, ost_count=2016)
-    buf.seek(0)
-    back = read_psv(buf, PathTable(), label=snap.label, timestamp=snap.timestamp)
+def test_psv_round_trip_property(tmp_path_factory, snap):
+    src = tmp_path_factory.mktemp("psv") / f"{snap.label}.psv"
+    with open(src, "w", encoding="utf-8") as fh:
+        write_psv(snap, fh, ost_count=2016)
+    back = _ingest(src, src.parent)
     assert _key_view(back) == _key_view(snap)
 
 
@@ -107,14 +111,16 @@ def test_file_dir_counts_preserved(tmp_path_factory, snap):
     assert back.n_dirs == snap.n_dirs
 
 
-def test_psv_rejects_malformed_line():
-    table = PathTable()
-    with pytest.raises(ValueError):
-        read_psv(io.StringIO("not|enough|fields\n"), table, "x", 0)
+def test_psv_rejects_malformed_line(tmp_path):
+    src = tmp_path / "x.psv"
+    src.write_text("not|enough|fields\n")
+    with pytest.raises(IngestRecordError, match="expected 9"):
+        _ingest(src, tmp_path)
 
 
-def test_psv_skips_blank_lines():
-    table = PathTable()
+def test_psv_skips_blank_lines(tmp_path):
+    src = tmp_path / "x.psv"
     line = "/p/f.nc|1|2|3|10|20|100664|7|0:abc\n"
-    snap = read_psv(io.StringIO("\n" + line + "\n"), table, "x", 0)
+    src.write_text("\n" + line + "\n")
+    snap = _ingest(src, tmp_path)
     assert len(snap) == 1

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.fs.filesystem import FileSystem
+from repro.ingest import IngestConfig, ingest_file
 from repro.scan.columnar import describe_sections, read_columnar, write_columnar
 from repro.scan.lustredu import LustreDuScanner
 from repro.scan.paths import PathTable
-from repro.scan.psv import format_record, read_psv, write_psv
+from repro.scan.psv import format_record, write_psv
 from repro.scan.snapshot import NUMERIC_COLUMNS
 
 
@@ -97,15 +98,22 @@ def test_format_record_directory_has_empty_ost():
     assert line.endswith("|")
 
 
-def test_psv_round_trip(fs):
+def _ingest(src, out):
+    """Read a PSV file back the one supported way, through ``repro.ingest``
+    (``raise``: a record the validator rejects fails the test)."""
+    stats = ingest_file(src, out, IngestConfig(on_error="raise"))
+    return read_columnar(out / stats.output, PathTable())
+
+
+def test_psv_round_trip(tmp_path, fs):
     scanner = LustreDuScanner()
     snap = scanner.scan(fs, label="w1")
     buf = io.StringIO()
     nbytes = write_psv(snap, buf, ost_count=fs.osts.ost_count)
     assert nbytes == len(buf.getvalue())
-    buf.seek(0)
-    table2 = PathTable()
-    snap2 = read_psv(buf, table2, label="w1", timestamp=snap.timestamp)
+    src = tmp_path / "w1.psv"
+    src.write_text(buf.getvalue(), encoding="utf-8")
+    snap2 = _ingest(src, tmp_path / "out")
     assert len(snap2) == len(snap)
     assert sorted(snap2.path_strings()) == sorted(snap.path_strings())
     # numeric columns identical after aligning by path string
@@ -122,7 +130,7 @@ def test_psv_file_round_trip(tmp_path, fs):
     snap = scanner.scan(fs)
     dest = tmp_path / "snap.psv"
     write_psv(snap, dest)
-    snap2 = read_psv(dest, PathTable(), label=snap.label, timestamp=snap.timestamp)
+    snap2 = _ingest(dest, tmp_path / "out")
     assert len(snap2) == len(snap)
 
 

@@ -16,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.core import runcontrol
 from repro.scan import columnar
 from repro.scan.columnar import (
     open_columnar,
@@ -76,7 +77,7 @@ def wide():
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_writing_a_snapshot_holds_a_fraction_of_its_path_table(wide, tmp_path, cpus):
     snap, text = wide
-    with mock.patch.object(columnar, "_usable_cpus", return_value=cpus):
+    with mock.patch.object(runcontrol, "usable_cpus", return_value=cpus):
         peak, _ = _peak(lambda: write_columnar(snap, tmp_path / "w1.rpq"))
     # the parent held every chunk before its deflate ran, and a chunk of
     # 4,096 deep paths as one string besides: 1.57x
@@ -92,7 +93,7 @@ def test_writing_a_week_holds_a_fraction_of_its_path_tables(wide, tmp_path, cpus
     empty = Snapshot.from_columns("w0", 0, snap.paths, {
         n: np.zeros(0, COLUMN_DTYPES[n]) for n in NUMERIC_COLUMNS
     })
-    with mock.patch.object(columnar, "_usable_cpus", return_value=cpus):
+    with mock.patch.object(runcontrol, "usable_cpus", return_value=cpus):
         peak, _ = _peak(lambda: write_week(snap, empty, tmp_path))
     # the parent held both tables' text before the first wait: 2.66x
     assert peak < 0.5 * text

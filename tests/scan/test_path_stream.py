@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fs.filesystem import FileSystem
+from repro.core import runcontrol
 from repro.scan import columnar
 from repro.scan.columnar import (
     read_columnar,
@@ -146,7 +147,7 @@ def test_a_newline_in_a_name_is_refused_and_nothing_is_written(
     prev, cur = _namespace_with(["c.dat", "bad\nname.dat", "d.dat"])
     assert "/lustre/atlas1/cli/p1/u1/bad\nname.dat" in cur.paths
     before = threading.active_count()
-    with mock.patch.object(columnar, "_usable_cpus", return_value=cpus), \
+    with mock.patch.object(runcontrol, "usable_cpus", return_value=cpus), \
             pytest.raises(ValueError, match=r"bad\\nname\.dat"):
         if writer == "write_columnar":
             write_columnar(cur, tmp_path / "w1.rpq")
@@ -238,7 +239,7 @@ def test_each_stream_is_drawn_by_one_pool_thread(tmp_path):
         caller.append(threading.get_ident())
         return columnar.write_block_files(files)
 
-    with mock.patch.object(columnar, "_usable_cpus", return_value=2):
+    with mock.patch.object(runcontrol, "usable_cpus", return_value=2):
         stats = _in_thread(write)
     assert [s["raw_bytes"] for s in stats] == [3 * 2048, 3 * 2048]
     assert len(draws) == 6
@@ -257,9 +258,9 @@ def test_more_tables_than_pool_threads_write_the_inline_bytes(tmp_path):
     want, got = tmp_path / "inline", tmp_path / "pooled"
     want.mkdir()
     got.mkdir()
-    with mock.patch.object(columnar, "_usable_cpus", return_value=1):
+    with mock.patch.object(runcontrol, "usable_cpus", return_value=1):
         write_week(cur, prev, want)
-    with mock.patch.object(columnar, "_usable_cpus", return_value=2), \
+    with mock.patch.object(runcontrol, "usable_cpus", return_value=2), \
             mock.patch.object(columnar, "PATH_CHUNK_CHARS", 200):
         before = threading.active_count()
         _in_thread(lambda: write_week(cur, prev, got))
@@ -280,7 +281,7 @@ def test_a_failing_pool_deflate_surfaces_and_leaves_nothing(tmp_path):
         return deflate(buffers)
 
     before = threading.active_count()
-    with mock.patch.object(columnar, "_usable_cpus", return_value=2), \
+    with mock.patch.object(runcontrol, "usable_cpus", return_value=2), \
             mock.patch.object(columnar, "PATH_CHUNK_CHARS", 100), \
             mock.patch.object(columnar, "_deflate", failing), \
             pytest.raises(MemoryError):

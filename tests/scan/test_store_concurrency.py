@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import ReproPipeline
-from repro.query.engine import EngineConfig, ExecutionEngine, Kernel
+from repro.query.engine import ExecutionEngine, Kernel
 from repro.scan import columnar as columnar_mod
 from repro.scan.columnar import LazySnapshot
 from repro.scan.errors import CorruptSnapshotError
@@ -182,7 +182,7 @@ def test_engine_stats_count_block_level_io_retries(archived, monkeypatch):
     disk = DiskSnapshotCollection(directory, io_retries=2, io_backoff=0.0)
     flaky, state = _make_flaky(failures=2)
     monkeypatch.setattr(LazySnapshot, "_decode_block", flaky)
-    engine = ExecutionEngine(EngineConfig(processes=1))
+    engine = ExecutionEngine(processes=1)
     results, stats = engine.run_kernels(disk, [Kernel("t", _max_atime, list)])
     assert len(results["t"]) == len(disk)
     assert stats.retries == disk.health.io_retries == 2

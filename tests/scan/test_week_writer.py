@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import runcontrol
 from repro.core.pipeline import ReproPipeline
 from repro.scan import columnar
 from repro.scan.columnar import (
@@ -287,13 +288,13 @@ def test_pool_only_for_two_or_more_deflates(weeks, tmp_path):
 
     prev, cur = weeks[0], weeks[1]
     with mock.patch("concurrent.futures.ThreadPoolExecutor", Recording), \
-            mock.patch.object(columnar, "_usable_cpus", return_value=3):
+            mock.patch.object(runcontrol, "usable_cpus", return_value=3):
         write_columnar(cur, tmp_path / "one.rpq")  # one deflate: inline
         assert sizes == []
         write_week(cur, prev, tmp_path)
         assert sizes == [3]
     with mock.patch("concurrent.futures.ThreadPoolExecutor", Recording), \
-            mock.patch.object(columnar, "_usable_cpus", return_value=1):
+            mock.patch.object(runcontrol, "usable_cpus", return_value=1):
         serial = tmp_path / "serial"
         serial.mkdir()
         write_week(cur, prev, serial)  # one CPU: every deflate inline
@@ -308,12 +309,12 @@ def test_more_deflate_threads_than_cores_write_the_same_bytes(weeks, tmp_path):
     prev, cur = weeks[0], weeks[1]
     want = tmp_path / "inline"
     want.mkdir()
-    with mock.patch.object(columnar, "_usable_cpus", return_value=1):
+    with mock.patch.object(runcontrol, "usable_cpus", return_value=1):
         write_week(cur, prev, want)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(columnar, "_usable_cpus", return_value=8), \
+        with mock.patch.object(runcontrol, "usable_cpus", return_value=8), \
                 mock.patch.object(columnar, "PATH_CHUNK", 64):
             for attempt in range(3):
                 got = tmp_path / f"pooled-{attempt}"

@@ -4,6 +4,8 @@ import pytest
 from repro.synth.driver import SimulationConfig, run_simulation
 from repro.synth.joblog import JobKind, JobLog, sample_job_shape
 
+COLUMNS = ["job_id", "kind", "uid", "gid", "nodes", "submit", "start", "end"]
+
 
 def test_submit_and_read_back():
     log = JobLog()
@@ -31,14 +33,16 @@ def test_to_table_roundtrip():
     log.submit(JobKind.SIMULATION, 1, 2, 8, 100, 50)
     log.submit(JobKind.ANALYSIS, 3, 4, 1, 300, 20)
     table = log.to_table()
-    assert table.n_rows == 2
+    assert list(table) == COLUMNS
+    assert all(col.dtype == np.int64 and len(col) == 2 for col in table.values())
     assert table["gid"].tolist() == [2, 4]
     assert table["end"].tolist() == [150, 320]
 
 
 def test_to_table_empty():
     table = JobLog().to_table()
-    assert table.n_rows == 0
+    assert list(table) == COLUMNS
+    assert all(col.dtype == np.int64 and len(col) == 0 for col in table.values())
 
 
 def test_job_shapes_kind_ordering():
