@@ -73,17 +73,10 @@ def depths_from_census(
         top = int(sample.max())
         quartile_sample = sample
         if exclude_deepest_chain and sample.size > 1:
-            # ancestors of the deepest directory form the chain to drop
+            # the deepest directory and its ancestors form the chain to drop
             deepest_pid = int(uniq[mask][np.argmax(sample)])
-            chain = table.path_of(deepest_pid) + "/"
-            keep = np.fromiter(
-                (
-                    not chain.startswith(table.path_of(int(p)) + "/")
-                    for p in uniq[mask]
-                ),
-                dtype=bool,
-                count=sample.size,
-            )
+            chain = np.asarray(table.lineage(deepest_pid), dtype=np.int64)
+            keep = ~np.isin(uniq[mask], chain)
             if keep.any():
                 quartile_sample = sample[keep]
         summary = five_number_summary(quartile_sample)

@@ -251,27 +251,26 @@ class Namespace:
 
     # -- traversal ------------------------------------------------------------
 
-    def walk(self, start: int | None = None) -> Iterator[tuple[int, str, int]]:
-        """Depth-first traversal yielding ``(inode, path, depth)``.
+    def walk(self, start: int | None = None) -> Iterator[tuple[int, int, str]]:
+        """Depth-first traversal yielding ``(inode, parent inode, name)``.
 
-        The root itself is not yielded; the scan exports only entries below
+        Every directory's entries come out before anything below them, so
+        a parent is yielded before its children; the walk builds no path
+        string (:meth:`path` does, on demand).  The root itself, and
+        ``start``, are not yielded: the scan exports only entries below
         it, matching LustreDU which scans from the file system mount point.
         """
-        start = self.root if start is None else start
-        base = "" if start == self.root else self.path(start)
-        base_depth = 0 if start == self.root else self.depth(start)
-        stack: list[tuple[int, str, int]] = [(start, base, base_depth)]
+        children = self._children
+        stack = [self.root if start is None else start]
         while stack:
-            ino, prefix, depth = stack.pop()
-            entries = self._children.get(ino)
+            ino = stack.pop()
+            entries = children.get(ino)
             if entries is None:
                 continue
             for name, child in entries.items():
-                child_path = f"{prefix}/{name}"
-                child_depth = depth + 1
-                yield child, child_path, child_depth
-                if child in self._children:
-                    stack.append((child, child_path, child_depth))
+                yield child, ino, name
+                if child in children:
+                    stack.append(child)
 
     def iter_dirs(self) -> Iterator[int]:
         """All live directory inodes, including the root."""

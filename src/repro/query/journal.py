@@ -37,6 +37,11 @@ from typing import Any
 
 _VERSION = 1
 
+#: :class:`KernelStateStore`'s file version.  2: the pickled path table is
+#: the tree's compact arrays (``repro.scan.paths``), so a version-1 state,
+#: which holds a flat table, is discarded once with a warning.
+_STATE_VERSION = 2
+
 
 def _labels_crc(labels: list[str]) -> int:
     return zlib.crc32("\n".join(labels).encode("utf-8"))
@@ -231,7 +236,7 @@ class KernelStateStore:
             if (
                 not isinstance(meta, dict)
                 or meta.get("kind") != "repro-kernel-state"
-                or meta.get("version") != _VERSION
+                or meta.get("version") != _STATE_VERSION
                 or zlib.crc32(payload) != meta.get("crc32")
             ):
                 raise ValueError("bad header or payload CRC")
@@ -279,7 +284,7 @@ class KernelStateStore:
         )
         meta = {
             "kind": "repro-kernel-state",
-            "version": _VERSION,
+            "version": _STATE_VERSION,
             "fingerprint": self._fingerprint,
             "labels": list(labels),
             "snapshots": [int(c) for c in content_ids or []],

@@ -9,9 +9,11 @@ under both start methods.
 
 One :class:`~multiprocessing.shared_memory.SharedMemory` segment holds every
 numeric column of every snapshot, then the path table's derived columns
-(component depth, extension id), then the interned path strings as a single
-newline-joined UTF-8 blob.  The :class:`CollectionHandle` is the small
-picklable description of that layout (segment name + offsets); a worker
+(component depth, extension id), then the table's tree — each node's
+parent, ``/`` count and length, each path id's node, and the node names
+as one ``/``-joined UTF-8 blob (a name never holds a ``/``).  The
+:class:`CollectionHandle` is the small picklable description of that
+layout (segment name + offsets); a worker
 attaches the segment and rebuilds zero-copy, read-only NumPy views over the
 mapped buffer — the column data itself is never pickled and exists exactly
 once in physical memory regardless of the worker count.
@@ -25,6 +27,7 @@ the parent's unlink.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any
@@ -32,6 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.scan.extensions import ExtensionTable
+from repro.scan.paths import PathTable
 from repro.scan.snapshot import (
     COLUMN_DTYPES,
     NUMERIC_COLUMNS,
@@ -40,6 +44,9 @@ from repro.scan.snapshot import (
 )
 
 _ALIGN = 8
+
+#: The path table's tree arrays, as :meth:`PathTable.__getstate__` names them.
+_TREE_ARRAYS = ("parent", "slashes", "length", "node")
 
 
 def _aligned(offset: int) -> int:
@@ -70,8 +77,10 @@ class CollectionHandle:
     n_paths: int
     depth_offset: int
     ext_id_offset: int
-    strings_offset: int
-    strings_nbytes: int
+    #: ``(offset, count)`` of each int64 tree array, by its state key
+    tree: tuple[tuple[str, int, int], ...]
+    names_offset: int
+    names_nbytes: int
     extensions: ExtensionTable
     total_nbytes: int
 
@@ -148,9 +157,17 @@ def export_collection(collection: SnapshotCollection) -> CollectionExport:
     ext_id_offset = offset
     plan.append((offset, ext_id))
     offset += ext_id.nbytes
-    blob = "\n".join(paths.paths).encode("utf-8")
+    state = paths.__getstate__()
+    tree = []
+    for key in _TREE_ARRAYS:
+        arr = np.array(state[key], dtype=np.int64)
+        offset = _aligned(offset)
+        tree.append((key, offset, arr.size))
+        plan.append((offset, arr))
+        offset += arr.nbytes
+    blob = state["names"].encode("utf-8")
     offset = _aligned(offset)
-    strings_offset = offset
+    names_offset = offset
     offset += len(blob)
     total = max(offset, 1)  # zero-size segments are not allowed
     shm = shared_memory.SharedMemory(create=True, size=total)
@@ -159,15 +176,16 @@ def export_collection(collection: SnapshotCollection) -> CollectionExport:
             dst = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=off)
             dst[:] = arr
     if blob:
-        shm.buf[strings_offset : strings_offset + len(blob)] = blob
+        shm.buf[names_offset : names_offset + len(blob)] = blob
     handle = CollectionHandle(
         segment=shm.name,
         snapshots=tuple(specs),
         n_paths=n_paths,
         depth_offset=depth_offset,
         ext_id_offset=ext_id_offset,
-        strings_offset=strings_offset,
-        strings_nbytes=len(blob),
+        tree=tuple(tree),
+        names_offset=names_offset,
+        names_nbytes=len(blob),
         extensions=paths.extensions,
         total_nbytes=total,
     )
@@ -186,29 +204,35 @@ class SharedPathTable:
     """Worker-side, read-only stand-in for :class:`~repro.scan.paths.PathTable`.
 
     Covers the surface the snapshot analyses use — ``depths_of`` /
-    ``ext_ids_of`` gathers, path/extension lookups — over shared-memory
-    views.  Path *strings* are decoded lazily on first use; most
-    per-snapshot functions only touch the numeric derived columns and never
-    pay for the blob decode.
+    ``ext_ids_of`` gathers over shared-memory views, and path lookups.
+    The tree behind the lookups is rebuilt from the segment on first use;
+    most per-snapshot functions only touch the numeric derived columns
+    and never pay for it.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, handle: CollectionHandle) -> None:
         self._shm = shm
+        self._handle = handle
         self._n = handle.n_paths
         self.extensions = handle.extensions
         self.depth = _view(shm, handle.depth_offset, np.int16, self._n)
         self.ext_id = _view(shm, handle.ext_id_offset, np.int32, self._n)
-        self._strings_span = (handle.strings_offset, handle.strings_nbytes)
-        self._paths: list[str] | None = None
-        self._ids: dict[str, int] | None = None
+        self._table: PathTable | None = None
 
-    @property
-    def paths(self) -> list[str]:
-        if self._paths is None:
-            off, nbytes = self._strings_span
-            text = bytes(self._shm.buf[off : off + nbytes]).decode("utf-8")
-            self._paths = text.split("\n") if text else []
-        return self._paths
+    def _tree(self) -> PathTable:
+        if self._table is None:
+            handle, buf = self._handle, self._shm.buf
+            state: dict[str, Any] = {
+                key: array("q", bytes(buf[off : off + 8 * count]))
+                for key, off, count in handle.tree
+            }
+            names = handle.names_offset
+            state["names"] = bytes(buf[names : names + handle.names_nbytes]).decode("utf-8")
+            state.update(extensions=self.extensions, depth=self.depth, ext_id=self.ext_id)
+            table = PathTable.__new__(PathTable)
+            table.__setstate__(state)
+            self._table = table
+        return self._table
 
     def depths_of(self, pids: np.ndarray) -> np.ndarray:
         return self.depth[pids].astype(np.int64)
@@ -217,23 +241,18 @@ class SharedPathTable:
         return self.ext_id[pids].astype(np.int64)
 
     def path_of(self, pid: int) -> str:
-        return self.paths[pid]
+        return self._tree().path_of(pid)
+
+    def paths_of(self, pids) -> list[str]:
+        return self._tree().paths_of(pids)
 
     def id_of(self, path: str) -> int | None:
-        if self._ids is None:
-            self._ids = {p: i for i, p in enumerate(self.paths)}
-        return self._ids.get(path)
-
-    def component(self, pid: int, index: int) -> str | None:
-        parts = self.paths[pid].strip("/").split("/")
-        if 0 <= index < len(parts):
-            return parts[index]
-        return None
+        return self._tree().id_of(path)
 
     def intern(self, path: str) -> int:
         raise TypeError("shared path table is read-only; intern in the parent")
 
-    intern_many = intern
+    intern_many = intern_rows = intern
 
     def __len__(self) -> int:
         return self._n

@@ -13,7 +13,8 @@ Mirrors the paper's data path (§2.2, §3, Figure 4):
   self-contained "parquet-lite");
 * :mod:`repro.scan.snapshot` holds the in-memory columnar form — all paths
   are interned into a collection-wide :class:`~repro.scan.paths.PathTable`
-  so week-over-week set operations (Figure 13) are integer operations.
+  (a tree of ``(parent, name)`` pairs) so week-over-week set operations
+  (Figure 13) are integer operations.
 """
 
 from repro.scan.extensions import NO_EXTENSION, ExtensionTable, split_extension

@@ -7,18 +7,23 @@ pipeline stage with a self-contained format:
 
 * numeric columns are stored one block each, so an analysis touching only
   ``atime``/``mtime`` never decompresses paths;
-* path strings are stored as a newline-joined, zlib-compressed string table.
+* paths are stored as a tree, one zlib stream per block: each row's
+  parent as the int32 row of its parent path in the same block (-1 when
+  that path is not an earlier row), then the rows' names newline-joined
+  — a row's own name under a parent row, its full path otherwise
+  (``tree-zlib``, :func:`path_table_block`).  A block is self-contained.
 
 :func:`write_block_files` writes every in-memory snapshot and delta:
 :func:`write_columnar`, the ``.rpd`` writer and the week writer
 (:func:`repro.scan.delta.write_week`) are it applied to one or two files.
-A path table is a stream on both sides: a writer builds it as bounded
-UTF-8 chunks only as its deflate draws them, and a reader inflates and
-splits it :data:`INFLATE_PIECE` bytes at a time, so neither holds a whole
-table's text.  When a write has several zlib blocks they deflate on a
-per-call thread pool, each drawn and compressed by the one thread that
-takes it (zlib releases the GIL); a chunked stream is the same bytes as
-one ``zlib.compress`` call.
+A path table is a stream on both sides: a writer builds its names as
+bounded UTF-8 chunks only as its deflate draws them, and a reader
+inflates and splits it :data:`INFLATE_PIECE` bytes at a time, splitting a
+row's full path into its directory and name as it reads it, so neither
+holds a whole table's text.  When a write has several zlib blocks they
+deflate on a per-call thread pool, each drawn and compressed by the one
+thread that takes it (zlib releases the GIL); a chunked stream is the
+same bytes as one ``zlib.compress`` call.
 
 Every writer emits one layout, ``RPQ3``::
 
@@ -32,9 +37,11 @@ be mapped straight out of the file (``mmap`` + ``np.frombuffer``) without
 any inflation.  Per block the codec is a flag: ``raw`` (snapshot numeric
 columns), ``zlib``/``delta-zlib`` (compressed numeric columns — the
 streaming ingest and the ``.rpd`` delta sidecars write these), and
-``strtab-zlib`` for a path table; a block tagged with any other codec is
-refused with a typed error naming it.  Integrity is layered: a header
-CRC, per-block CRC32s, and the total-length trailer.
+``tree-zlib`` or ``strtab-zlib`` for a path table — the flat table of full
+paths that archives written before the tree codec hold, and that the
+streaming ingest, which has no parent index, still writes; a block tagged
+with any other codec is refused with a typed error naming it.  Integrity
+is layered: a header CRC, per-block CRC32s, and the total-length trailer.
 
 ``RPQ2`` — the same envelope with blocks back to back and no recorded
 offsets — stays readable: files written before ``RPQ3`` became the only
@@ -47,6 +54,8 @@ Reading is either eager (:func:`read_columnar` — decode everything now) or
 lazy (:func:`open_columnar` — decode the path table eagerly so interning
 order matches an eager load, then decode each numeric block on first
 attribute touch; ``raw`` blocks become read-only mmap-backed views).
+Either path codec decodes to :class:`~repro.scan.paths.PathRows`, which
+the reader interns in row order.
 Block CRCs are verified on first touch either way.  :func:`verify_columnar`
 runs every check of an eager read and interns nothing.
 
@@ -77,7 +86,7 @@ import numpy as np
 from repro.core import runcontrol
 from repro.core.durable import atomic_write
 from repro.scan.errors import CorruptSnapshotError
-from repro.scan.paths import PathTable
+from repro.scan.paths import PathRows, PathTable, split_paths
 from repro.scan.snapshot import COLUMN_DTYPES, NUMERIC_COLUMNS, Snapshot
 
 MAGIC_V2 = b"RPQ2"
@@ -215,54 +224,72 @@ def column_block(name: str, data: np.ndarray) -> tuple[Iterator, dict]:
 def path_table_block(
     name: str, table: PathTable, path_ids: np.ndarray
 ) -> tuple[Iterator[bytes], dict]:
-    """The paths of ``path_ids`` as a ``strtab-zlib`` block still to be
-    deflated: ``(chunks, meta)`` — the one path-table encoder.
+    """The paths of ``path_ids`` as a ``tree-zlib`` block still to be
+    deflated: ``(buffers, meta)`` — the one path-table encoder.
 
-    ``chunks`` yields the newline-joined UTF-8 text, each chunk built
-    only when drawn and holding at most :data:`PATH_CHUNK` paths and
-    about :data:`PATH_CHUNK_CHARS` characters.  A path containing a
-    newline would read back as two paths, so drawing its chunk raises a
-    ``ValueError`` naming it.  Once ``chunks`` is exhausted,
-    ``meta["raw_bytes"]`` is the joined text's length in characters (not
-    its UTF-8 length), as every archive has recorded it.
+    The stream holds each row's parent, as the int32 row of its parent
+    path when that is an earlier row of the block (-1, "none",
+    otherwise), then the rows' names, newline-joined UTF-8: a row under
+    an earlier row stores its own name, a row with no parent in the block
+    its full path.  The block is self-contained.  ``buffers`` yields the
+    parent rows, then the names in chunks built only when drawn, each
+    holding at most :data:`PATH_CHUNK` rows and about
+    :data:`PATH_CHUNK_CHARS` characters.  A name containing a newline
+    would read back as two, so drawing its chunk raises a ``ValueError``
+    naming the path.  Once ``buffers`` is exhausted, ``meta["raw_bytes"]``
+    is the inflated stream's length in bytes.
     """
+    parents = table.parent_rows(path_ids)
     meta = {
         "name": name,
-        "codec": "strtab-zlib",
+        "codec": "tree-zlib",
         "rows": int(path_ids.size),
         "raw_bytes": 0,
     }
-    chunks = _path_chunks(table.paths, path_ids, PATH_CHUNK, PATH_CHUNK_CHARS, meta)
-    return chunks, meta
+    return _tree_buffers(table, path_ids, parents, meta), meta
 
 
-def _path_chunks(
-    paths: list[str], path_ids: np.ndarray, most: int, chars: int, meta: dict
+def _tree_buffers(
+    table: PathTable, path_ids: np.ndarray, parents: np.ndarray, meta: dict
 ) -> Iterator[bytes]:
+    head = parents.astype("<i4").tobytes()
+    meta["raw_bytes"] += len(head)
+    yield head
+    most, chars = PATH_CHUNK, PATH_CHUNK_CHARS
     for start in range(0, path_ids.size, most):
-        batch = list(map(paths.__getitem__, path_ids[start : start + most].tolist()))
-        ends = list(itertools.accumulate(map(len, batch)))
+        ids = path_ids[start : start + most]
+        pids = ids.tolist()
+        # a row under a parent row stores its own name (the table's own
+        # string); a row with none, its full path, whose length the table
+        # knows, so a piece builds only its own full paths
+        names = table.own_names(pids)
+        outside = np.flatnonzero(parents[start : start + most] < 0)
+        lengths = list(map(len, names))
+        for row, length in zip(outside.tolist(), table.lengths_of(ids[outside]).tolist()):
+            lengths[row] = length
+        ends = list(itertools.accumulate(lengths))
         lo = 0
-        while lo < len(batch):
+        while lo < len(ends):
             hi = bisect.bisect_right(ends, (ends[lo - 1] if lo else 0) + chars, lo + 1)
-            piece = batch[lo:hi]
+            piece = names[lo:hi]
+            full = outside[(outside >= lo) & (outside < hi)].tolist()
+            for row, path in zip(full, table.outside_names([pids[r] for r in full])):
+                piece[row - lo] = path
             if start or lo:
                 piece.insert(0, "")  # the newline that ends the chunk before
-            yield _encoded_chunk(piece, meta)
+            text = "\n".join(piece)
+            if text.count("\n") != len(piece) - 1:
+                bad = next(i for i, n in enumerate(piece[-(hi - lo):]) if "\n" in n)
+                raise ValueError(
+                    f"path {table.path_of(pids[lo + bad])!r} contains a "
+                    "newline, which a path table cannot store"
+                )
+            del piece  # the built names go before the deflate draws them
+            data = text.encode("utf-8")
+            del text
+            meta["raw_bytes"] += len(data)
+            yield data
             lo = hi
-
-
-def _encoded_chunk(piece: list[str], meta: dict) -> bytes:
-    """``piece`` newline-joined as UTF-8; its text is freed on return."""
-    # a join and a memchr scan: ~10x faster than counting the newlines
-    if "\n" in "".join(piece):
-        bad = next(p for p in piece if "\n" in p)
-        raise ValueError(
-            f"path {bad!r} contains a newline, which a path table cannot store"
-        )
-    text = "\n".join(piece)
-    meta["raw_bytes"] += len(text)
-    return text.encode("utf-8")
 
 
 def _stored(meta: dict, blob: bytes, crc: int) -> tuple[bytes, dict]:
@@ -304,12 +331,14 @@ def column_block_meta(
 
 
 def path_block_meta(blob: bytes, rows: int, raw_bytes: int) -> dict:
-    """Block meta for an externally compressed ``__paths__`` string table.
+    """Block meta for an externally compressed ``strtab-zlib`` path table.
 
     ``blob`` must be the zlib stream of the newline-joined UTF-8 path
     strings (``rows`` of them, whose joined text is ``raw_bytes``
     characters long) — exactly what an incremental ``zlib.compressobj``
-    over row chunks produces.
+    over row chunks produces.  The streaming ingest, which writes foreign
+    rows without a parent index, is the one writer of this codec left;
+    every reader still decodes it.
     """
     return {
         "name": "__paths__",
@@ -484,9 +513,9 @@ def write_columnar(snapshot: Snapshot, dest: str | Path) -> dict:
     """Serialize a snapshot (atomically); returns size statistics.
 
     Numeric columns are stored ``raw`` (the little-endian array bytes, so
-    :func:`open_columnar` maps them zero-copy).  The snapshot's referenced
-    path strings are embedded (the file must be self-contained) as one
-    ``strtab-zlib`` block in row order.  The write goes through a
+    :func:`open_columnar` maps them zero-copy).  The snapshot's paths are
+    embedded (the file must be self-contained) as one ``tree-zlib`` block
+    in row order.  The write goes through a
     same-directory temp file with fsync + atomic rename, so a crash never
     leaves a torn ``.rpq``.
     """
@@ -708,8 +737,7 @@ def _decode_strtab(
     offset: int,
     keep: bool = True,
 ) -> list[str] | None:
-    """Decode a ``strtab-zlib`` path table that must hold ``rows`` strings
-    — the one path-table decoder.
+    """Decode a ``strtab-zlib`` path table that must hold ``rows`` strings.
 
     The text is inflated, UTF-8 decoded and split one piece at a time, so
     the call holds the returned list plus one piece, never the whole
@@ -722,33 +750,20 @@ def _decode_strtab(
             source, f"path table {name!r}: checksum mismatch", offset=offset
         )
     strings: list[str] | None = [] if keep else None
-    partial: list[str] = []  # the pieces of the path still being read
-    newlines = 0
-    chars = 0
-    decoder = codecs.getincrementaldecoder("utf-8")()
+    found = 0
+    last = ""
     try:
-        for piece in itertools.chain(_inflate(blob), [b""]):
-            text = decoder.decode(piece, final=not piece)
-            chars += len(text)
-            if strings is None:
-                newlines += text.count("\n")
-                continue
-            parts = text.split("\n")
-            partial.append(parts[0])
-            if len(parts) > 1:
-                strings.append("".join(partial))
-                strings.extend(itertools.islice(parts, 1, len(parts) - 1))
-                partial = [parts[-1]]
+        for found, last in enumerate(_lines(_inflate(blob))):
+            if strings is not None:
+                strings.append(last)
+        found += 1
     except (zlib.error, UnicodeDecodeError) as exc:
         raise CorruptSnapshotError(
             source, f"path table {name!r}: undecodable ({exc})", offset=offset
         ) from exc
-    if strings is None:
-        found = newlines + 1 if chars else 0
-    else:
-        if chars:
-            strings.append("".join(partial))
-        found = len(strings)
+    if found == 1 and not last:
+        found = 0  # the empty text holds no path
+        strings = [] if keep else None
     if found != rows:
         raise CorruptSnapshotError(
             source, f"path table {name!r}: {found} paths for {rows} rows",
@@ -757,14 +772,138 @@ def _decode_strtab(
     return strings
 
 
+def _split_stream(pieces: Iterator[bytes], n: int) -> tuple[bytes, Iterator[bytes]]:
+    """The first ``n`` bytes of ``pieces`` (fewer when they end first) and
+    an iterator over the rest."""
+    buf = bytearray()
+    for piece in pieces:
+        take = n - len(buf)
+        if len(piece) >= take:
+            buf += piece[:take]
+            rest = piece[take:]
+            return bytes(buf), itertools.chain([rest] if rest else [], pieces)
+        buf += piece
+    return bytes(buf), iter(())
+
+
+def _lines(pieces: Iterable[bytes]) -> Iterator[str]:
+    """The newline-separated strings of UTF-8 ``pieces``, decoded and split
+    one piece at a time (at least one: empty text is one empty string)."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    partial: list[str] = []
+    for piece in itertools.chain(pieces, [b""]):
+        parts = decoder.decode(piece, final=not piece).split("\n")
+        partial.append(parts[0])
+        if len(parts) > 1:
+            yield "".join(partial)
+            yield from itertools.islice(parts, 1, len(parts) - 1)
+            partial = [parts[-1]]
+    yield "".join(partial)
+
+
+def _decode_tree(
+    blob: bytes,
+    meta: dict,
+    rows: int,
+    source: str | Path,
+    offset: int,
+    keep: bool = True,
+) -> PathRows | None:
+    """Decode a ``tree-zlib`` path table that must hold ``rows`` rows.
+
+    The stream is inflated and split one piece at a time.  A row with no
+    parent in the block carries its full path; it is split at its last
+    ``/`` as it is read, so the call holds the rows' names and their
+    distinct outside directories, never the full paths.  With
+    ``keep=False`` it runs the same checks and returns None.  A parent
+    reference below "none", at or after its own row or past the block, a
+    name under a row holding a ``/``, a names count other than ``rows``
+    and a truncated stream are all refused, naming the block.
+    """
+    name = meta["name"]
+
+    def corrupt(reason: str) -> CorruptSnapshotError:
+        return CorruptSnapshotError(
+            source, f"path table {name!r}: {reason}", offset=offset
+        )
+
+    if zlib.crc32(blob) != meta["crc32"]:
+        raise corrupt("checksum mismatch")
+    names: list[str] | None = [] if keep else None
+    dir_of: dict[str, int] = {}
+    found = 0
+    last = ""
+    try:
+        head, rest = _split_stream(_inflate(blob), 4 * rows)
+        if len(head) < 4 * rows:
+            raise corrupt(
+                f"stream ends after {len(head) // 4} of {rows} parent rows"
+            )
+        refs = np.frombuffer(head, dtype="<i4")
+        bad = np.flatnonzero((refs < -1) | (refs >= np.arange(rows)))
+        if bad.size:
+            row, ref = int(bad[0]), int(refs[bad[0]])
+            where = (
+                "below none" if ref < -1
+                else "past the block" if ref >= rows
+                else "at or after its own row"
+            )
+            raise corrupt(f"row {row}: parent reference {ref} is {where}")
+        parents = refs.tolist()
+        del head, refs
+        for found, last in enumerate(_lines(rest)):
+            if found >= rows:
+                continue
+            if parents[found] >= 0:
+                if "/" in last:
+                    raise corrupt(f"row {found}: name {last!r} holds a '/'")
+                if names is not None:
+                    names.append(last)
+            elif names is not None:
+                directory, sep, leaf = last.rpartition("/")
+                if sep:
+                    parents[found] = -2 - dir_of.setdefault(directory, len(dir_of))
+                    last = leaf
+                names.append(last)
+        found += 1
+    except (zlib.error, UnicodeDecodeError) as exc:
+        raise corrupt(f"undecodable ({exc})") from exc
+    if not rows and found == 1 and not last:
+        found = 0  # no rows: the empty text
+    if found != rows:
+        raise corrupt(f"{found} names for {rows} rows")
+    return None if names is None else PathRows(parents, names, list(dir_of))
+
+
+#: Codecs a path-table block may carry: :func:`path_table_block`'s, and
+#: the flat table every archive before it (and the ingest) holds.
+_PATH_CODECS = ("tree-zlib", "strtab-zlib")
+
+
+def _decode_paths(
+    blob: bytes,
+    meta: dict,
+    rows: int,
+    source: str | Path,
+    offset: int,
+    keep: bool = True,
+) -> PathRows | None:
+    """Decode either path-table codec into :class:`PathRows` (None with
+    ``keep=False``) — the one entry every reader decodes paths through."""
+    if meta["codec"] == "tree-zlib":
+        return _decode_tree(blob, meta, rows, source, offset, keep)
+    strings = _decode_strtab(blob, meta, rows, source, offset, keep)
+    return None if strings is None else split_paths(strings)
+
+
 def _read_prologue(
     fh: BinaryIO, source: str | Path, keep: bool = True
-) -> tuple[dict, list[str] | None, dict[str, tuple[dict, int]]]:
+) -> tuple[dict, PathRows | None, dict[str, tuple[dict, int]]]:
     """The front half every snapshot reader shares.
 
     Validates the header, decodes the path table (with ``keep=False``,
-    checks it without building the strings, which come back None), and
-    locates every other block; returns ``(header, path strings, {name:
+    checks it without building its rows, which come back None), and
+    locates every other block; returns ``(header, path rows, {name:
     (meta, offset)})``.  A file without a path table, missing a stored
     numeric column, or with a column block whose row count disagrees with
     the header's is refused here, before any column decodes or any path
@@ -772,13 +911,13 @@ def _read_prologue(
     """
     header, offsets = _read_header(fh, source)
     rows = header["rows"]
-    strings: list[str] | None = None
+    paths: PathRows | None = None
     has_paths = False
     blocks: dict[str, tuple[dict, int]] = {}
     for meta, offset in zip(header["columns"], offsets):
-        if meta["codec"] == "strtab-zlib":
+        if meta["codec"] in _PATH_CODECS:
             blob = _read_block(fh, source, meta, offset)
-            strings = _decode_strtab(blob, meta, rows, source, offset, keep)
+            paths = _decode_paths(blob, meta, rows, source, offset, keep)
             has_paths = True
             continue
         if meta["rows"] != rows:
@@ -794,7 +933,7 @@ def _read_prologue(
     missing = [name for name in _STORED_COLUMNS if name not in blocks]
     if missing:
         raise CorruptSnapshotError(source, f"missing column blocks {missing}")
-    return header, strings, blocks
+    return header, paths, blocks
 
 
 def verify_columnar(source: str | Path) -> dict:
@@ -821,14 +960,14 @@ def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:
     Every block is checked before a path is interned.
     """
     with open(source, "rb") as fh:
-        header, strings, blocks = _read_prologue(fh, source)
+        header, rows, blocks = _read_prologue(fh, source)
         columns = {
             name: _decode_column(
                 _read_block(fh, source, meta, offset), meta, source, offset
             )
             for name, (meta, offset) in blocks.items()
         }
-    columns["path_id"] = paths.intern_many(strings)
+    columns["path_id"] = paths.intern_rows(rows)
     cast = {
         name: np.ascontiguousarray(columns[name], dtype=COLUMN_DTYPES[name])
         for name in NUMERIC_COLUMNS
@@ -842,7 +981,7 @@ def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:
 
 
 def read_columnar_paths(source: str | Path, paths: PathTable) -> np.ndarray:
-    """Intern only a snapshot's path strings; returns the row → id column.
+    """Intern only a snapshot's paths; returns the row → id column.
 
     Reads the header plus the ``__paths__`` block (seeking past the numeric
     blocks) — the cheap way to reproduce the PathTable state a full
@@ -851,8 +990,8 @@ def read_columnar_paths(source: str | Path, paths: PathTable) -> np.ndarray:
     snapshots, keeping path ids consistent across a crash boundary.
     """
     with open(source, "rb") as fh:
-        _, strings, _ = _read_prologue(fh, source)
-    return paths.intern_many(strings)
+        _, rows, _ = _read_prologue(fh, source)
+    return paths.intern_rows(rows)
 
 
 def retry_transient_io(
@@ -1052,9 +1191,9 @@ def open_columnar(
     """
     src = Path(source)
     with open(src, "rb") as fh:
-        header, strings, blocks = _read_prologue(fh, src)
+        header, rows, blocks = _read_prologue(fh, src)
     pid = np.ascontiguousarray(
-        paths.intern_many(strings), dtype=COLUMN_DTYPES["path_id"]
+        paths.intern_rows(rows), dtype=COLUMN_DTYPES["path_id"]
     )
     order: np.ndarray | None = None
     if pid.size and not bool(np.all(pid[1:] >= pid[:-1])):

@@ -19,8 +19,13 @@ Container: the sidecar reuses the ``.rpq`` block machinery verbatim —
 the same per-block CRCs, the header CRC, the total-length trailer, the
 atomic write — so every truncation/corruption guarantee of
 :mod:`repro.scan.columnar` applies.  Sections (``added`` / ``removed`` /
-``changed``) are encoded as prefixed compressed column blocks plus one
-``__delta__`` JSON block carrying the interval metadata.  Reading is a
+``changed``) are encoded as prefixed compressed column blocks, each
+section's paths as a ``tree-zlib`` block of its own (self-contained: a row
+whose parent path is not an earlier row of the section carries its full
+path), plus one ``__delta__`` JSON block carrying the interval metadata.
+Sidecars written before the tree codec hold ``strtab-zlib`` path blocks;
+each block names its codec, so :data:`DELTA_FORMAT_VERSION` is unchanged
+and both read.  Reading is a
 parse that checks every block and section (:func:`parse_delta`), then an
 intern step that cannot fail (:meth:`ParsedDelta.intern`).
 
@@ -41,9 +46,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.scan.columnar import (
+    _PATH_CODECS,
     BlockFile,
     _decode_column,
-    _decode_strtab,
+    _decode_paths,
     _read_block,
     _read_header,
     column_block,
@@ -52,7 +58,7 @@ from repro.scan.columnar import (
     write_block_files,
 )
 from repro.scan.errors import CorruptSnapshotError
-from repro.scan.paths import PathTable
+from repro.scan.paths import PathRows, PathTable
 from repro.scan.snapshot import COLUMN_DTYPES, NUMERIC_COLUMNS, Snapshot
 
 #: Sidecar filename suffix (lives next to the ``.rpq`` it describes).
@@ -63,7 +69,7 @@ DELTA_SUFFIX = ".rpd"
 DELTA_FORMAT_VERSION = 1
 
 #: Numeric columns stored per delta row (everything but the table-relative
-#: path id, which is carried as strings and re-interned on read).
+#: path id, which each section's path table carries and a read re-interns).
 DELTA_COLUMNS = tuple(name for name in NUMERIC_COLUMNS if name != "path_id")
 
 _SECTIONS = ("added", "removed", "changed")
@@ -272,8 +278,8 @@ class ParsedDelta:
 
     #: the scalar fields of :class:`SnapshotDelta`
     fields: dict
-    #: per section (``added``, ``removed``, ``changed``), its path strings
-    strings: dict[str, list[str]] = field(repr=False)
+    #: per section (``added``, ``removed``, ``changed``), its paths
+    paths: dict[str, PathRows] = field(repr=False)
     #: per row group (``added``, ``removed``, ``changed.prev``,
     #: ``changed.cur``), its numeric columns
     columns: dict[str, dict[str, np.ndarray]] = field(repr=False)
@@ -294,8 +300,8 @@ class ParsedDelta:
         do so in the snapshot's own row order).
         """
         ids = {
-            section: paths.intern_many(strings)
-            for section, strings in self.strings.items()
+            section: paths.intern_rows(rows)
+            for section, rows in self.paths.items()
         }
 
         def group(key: str) -> dict[str, np.ndarray]:
@@ -332,7 +338,7 @@ def parse_delta(source: str | Path) -> ParsedDelta:
     with open(source, "rb") as fh:
         header, offsets = _read_header(fh, source)
         info: dict | None = None
-        strtabs: dict[str, list[str]] = {}
+        tables: dict[str, PathRows] = {}
         columns: dict[str, np.ndarray] = {}
         for meta, offset in zip(header["columns"], offsets):
             blob = _read_block(fh, source, meta, offset)
@@ -350,8 +356,8 @@ def parse_delta(source: str | Path) -> ParsedDelta:
                         source, f"delta header block: undecodable ({exc})",
                         offset=offset,
                     ) from exc
-            elif meta["codec"] == "strtab-zlib":
-                strtabs[name] = _decode_strtab(
+            elif meta["codec"] in _PATH_CODECS:
+                tables[name] = _decode_paths(
                     blob, meta, meta["rows"], source, offset
                 )
             else:
@@ -375,14 +381,14 @@ def parse_delta(source: str | Path) -> ParsedDelta:
             f"delta format version {info['version']} "
             f"(this build reads {DELTA_FORMAT_VERSION})",
         )
-    parsed = ParsedDelta(fields=fields, strings={}, columns={})
+    parsed = ParsedDelta(fields=fields, paths={}, columns={})
     for section, sides in _GROUPS:
-        strings = strtabs.get(f"{section}.__paths__")
-        if strings is None or len(strings) != rows[section]:
+        table = tables.get(f"{section}.__paths__")
+        if table is None or len(table.names) != rows[section]:
             raise CorruptSnapshotError(
                 source, f"delta section {section!r}: missing or short path table"
             )
-        parsed.strings[section] = strings
+        parsed.paths[section] = table
         for side in sides:
             key = section if side is None else f"{section}.{side}"
             group: dict[str, np.ndarray] = {}

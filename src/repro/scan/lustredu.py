@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fs.filesystem import FileSystem
-from repro.scan.paths import PathTable
+from repro.scan.paths import PathRows, PathTable
 from repro.scan.snapshot import Snapshot
 
 
@@ -45,18 +45,24 @@ class LustreDuScanner:
         ts = fs.clock.now if timestamp is None else int(timestamp)
         label = fs.clock.datestamp() if label is None else label
         inos: list[int] = []
-        paths: list[str] = []
-        # intern_many derives depth as the "/" count, which equals the
-        # walk's depth because names cannot contain "/"
-        for ino, path, _depth in fs.namespace.walk():
+        parents: list[int] = []
+        names: list[str] = []
+        # the walk yields a parent before its children, so each row's
+        # parent is an earlier row — or the root, whose path is the ""
+        # directory of PathRows.dirs (code -2)
+        row_of = {fs.namespace.root: -2}
+        for row, (ino, parent, name) in enumerate(fs.namespace.walk()):
             inos.append(ino)
-            paths.append(path)
+            parents.append(row_of[parent])
+            names.append(name)
+            row_of[ino] = row
+        path_id = self.paths.intern_rows(PathRows(parents, names, [""]))
         # fixed-width numeric tail estimate of 64 bytes per PSV line
-        psv_bytes = sum(map(len, paths)) + 64 * len(paths)
+        psv_bytes = int(self.paths.lengths_of(path_id).sum()) + 64 * len(inos)
         ino_arr = np.asarray(inos, dtype=np.int64)
         table = fs.inodes
         columns = {
-            "path_id": self.paths.intern_many(paths),
+            "path_id": path_id,
             "ino": ino_arr,
             "mode": table.mode[ino_arr] if ino_arr.size else np.empty(0, np.uint32),
             "uid": table.uid[ino_arr] if ino_arr.size else np.empty(0, np.int32),

@@ -14,13 +14,15 @@ of the pipeline uses:
   records the fault in the :class:`~repro.scan.store.ArchiveHealthReport`
   (a shard is merged for *all* weeks or none — a partially merged shard
   would make week-over-week diffs silently wrong);
-* **merge pass** — per week, part rows are concatenated in shard order
-  with each shard's ``ino`` column offset by ``shard * INO_STRIDE`` (the
-  per-shard inode allocators all start from the same base), stably sorted
-  by ``path_id``, and deduplicated keep-first (every shard materializes
-  the shared structural directories — ``/lustre``, the atlas roots, the
-  domain directories — exactly once survives, from the lowest merged
-  shard);
+* **merge pass** — every part is read into one cross-week path table,
+  which interns a row as ``(parent, name)``: the structural directories
+  every shard materializes (``/lustre``, the atlas roots, the domain
+  directories) get one path id however many parts name them.  Per week,
+  part rows are concatenated in shard order with each shard's ``ino``
+  column offset by ``shard * INO_STRIDE`` (the per-shard inode
+  allocators all start from the same base), stably sorted by
+  ``path_id``, and deduplicated keep-first (of each shared directory,
+  the row of the lowest merged shard survives);
 * **manifest fencing** — all merged ``.rpq`` files and ``.rpd`` delta
   sidecars are written (atomically, each week's pair by
   :func:`~repro.scan.delta.write_week`) first, the generation-bumped manifest

@@ -230,11 +230,11 @@ def _write_psv_stream(
     snapshot: Snapshot, fh: io.TextIOBase, ost_count: int
 ) -> int:
     written = 0
-    paths = snapshot.paths.paths
+    paths = snapshot.path_strings()
     is_dir = snapshot.is_dir
     for row in range(len(snapshot)):
         line = format_record(
-            paths[snapshot.path_id[row]],
+            paths[row],
             int(snapshot.atime[row]),
             int(snapshot.ctime[row]),
             int(snapshot.mtime[row]),

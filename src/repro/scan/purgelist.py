@@ -34,8 +34,7 @@ class PurgeList:
 
     def paths(self, snapshot: Snapshot) -> list[str]:
         """Materialize candidate path strings (for the operator's review)."""
-        table = snapshot.paths.paths
-        return [table[int(p)] for p in self.path_ids]
+        return snapshot.paths.paths_of(self.path_ids)
 
     def by_project(self, snapshot: Snapshot) -> dict[int, int]:
         """Candidate count per gid — the per-project purge notice."""

@@ -159,8 +159,7 @@ class Snapshot:
 
     def path_strings(self) -> list[str]:
         """Materialized path strings, row-aligned (test/debug helper)."""
-        table = self.paths.paths
-        return [table[pid] for pid in self.path_id]
+        return self.paths.paths_of(self.path_id)
 
     # -- week-over-week set algebra (§4.2.3) ---------------------------------
 

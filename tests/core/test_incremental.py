@@ -10,7 +10,6 @@ the same bytes, loudly.  A broken sidecar link (missing, corrupt or mislinked) i
 recomputed from its two snapshots: same bytes, two snapshot loads.
 """
 
-import dataclasses
 import os
 import re
 import shutil
@@ -32,10 +31,10 @@ from repro.query.parallel import SnapshotExecutor
 from repro.scan.columnar import write_columnar
 from repro.scan.delta import compute_delta, sidecar_path, write_delta
 from repro.scan.snapshot import Snapshot
-from repro.serve.encode import dumps, to_jsonable
 from repro.serve.service import ArchiveService
 from repro.synth.driver import SimulationConfig
 from repro.testing.faults import bit_flip
+from repro.testing.oracle import figure_bodies
 
 TINY = SimulationConfig(
     seed=47, scale=1.5e-6, weeks=6, min_project_files=4, stress_depths=False
@@ -76,16 +75,6 @@ def _bootstrap_then_append(pipeline, directory):
     assert (directory / KERNEL_STATE_FILENAME).exists()
     _fresh_archive(pipeline, directory)  # rewrites + appends snapshot N
     return directory
-
-
-def _figure_bodies(report):
-    """Every figure body, encoded exactly as ``ArchiveService.warm`` serves it."""
-    bodies = {}
-    for f in dataclasses.fields(type(report)):
-        value = getattr(report, f.name)
-        if f.name != "text" and value is not None:
-            bodies[f.name] = dumps({"figure": f.name, "data": to_jsonable(value)})
-    return bodies
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +228,7 @@ def test_all_analyses_replay_with_zero_loads(
     assert set(executor.stats.kernel_update_seconds) == ALL_KERNELS
     assert pipeline.context.collection.cache_info().misses == 0
     assert report.text == cold_all_report.text
-    assert _figure_bodies(report) == _figure_bodies(cold_all_report)
+    assert figure_bodies(report) == figure_bodies(cold_all_report)
 
 
 def test_burstiness_threshold_switch_between_incremental_runs(
@@ -274,7 +263,7 @@ def test_burstiness_threshold_switch_between_incremental_runs(
     assert executor.stats.delta_kernels == 1
     assert executor.stats.n_tasks == 0
     assert report.text == at_new.text
-    assert _figure_bodies(report) == _figure_bodies(at_new)
+    assert figure_bodies(report) == figure_bodies(at_new)
 
 
 def test_reused_executor_still_journals_after_an_earlier_quarantine(
@@ -378,7 +367,7 @@ def test_broken_link_of_a_multi_link_append_is_recomputed(
     assert victim.name in messages[0]
     assert re.search(LINK_DAMAGE[damage], messages[0]), messages[0]
     assert report.text == cold_report.text
-    assert _figure_bodies(report) == _figure_bodies(cold_report)
+    assert figure_bodies(report) == figure_bodies(cold_report)
     assert pipeline.context.collection.cache_info().misses == 2
     assert executor.stats.delta_kernels == len(DELTA_KERNELS)
 
@@ -421,6 +410,42 @@ def test_multi_link_append_reads_each_sidecar_once(
     assert sorted(opened) == [f"{label}.rpd" for label in labels[-3:]]
     assert report.text == cold_report.text
     assert pipeline.context.collection.cache_info().misses == 0
+
+
+def test_state_file_from_an_older_build_is_discarded_once(
+    simulated, baseline, tmp_path_factory
+):
+    """A ``kernel_state.bin`` of the previous version (its path table was
+    the flat one, which this build does not unpickle) is refused by its
+    version before anything is unpickled: exactly one warning, the append
+    matches a full analysis, and the re-journaled state replays."""
+    import json
+
+    directory = _bootstrap_then_append(
+        simulated, tmp_path_factory.mktemp("older")
+    )
+    state = directory / KERNEL_STATE_FILENAME
+    head, _, payload = state.read_bytes().partition(b"\n")
+    meta = json.loads(head)
+    assert meta["version"] == 2
+    meta["version"] = 1
+    state.write_bytes(json.dumps(meta).encode("utf-8") + b"\n" + payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, report = analyze_archive(
+            directory, config=TINY, analyses=DELTA_ANALYSES, incremental=True
+        )
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(runtime) == 1, [str(w.message) for w in runtime]
+    assert "unreadable or corrupt" in str(runtime[0].message)
+    assert report.text == baseline
+    executor = SnapshotExecutor(1)
+    _, report = analyze_archive(
+        directory, config=TINY, executor=executor,
+        analyses=DELTA_ANALYSES, incremental=True,
+    )
+    assert report.text == baseline
+    assert executor.stats.delta_kernels == len(DELTA_KERNELS)
 
 
 def test_corrupt_state_file_falls_back_and_reheals(

@@ -16,7 +16,7 @@ from repro.query.parallel import SnapshotExecutor
 from repro.scan.columnar import MAGIC_V2, MAGIC_V3
 from repro.synth.driver import SimulationConfig
 
-from tests.scan.test_faults import _rewrite_as_rpq2
+from repro.testing.oracle import rewrite_as_rpq2
 
 TINY = SimulationConfig(
     seed=47, scale=1.5e-6, weeks=6, min_project_files=4, stress_depths=False
@@ -31,7 +31,7 @@ def _legacy_copy(src, dest) -> None:
     dest.mkdir(exist_ok=True)
     for path in sorted(src.iterdir()):
         if path.suffix in (".rpq", ".rpd"):
-            _rewrite_as_rpq2(path, dest / path.name)
+            rewrite_as_rpq2(path, dest / path.name)
         elif path.is_file():
             shutil.copy(path, dest / path.name)
 

@@ -134,12 +134,21 @@ def test_walk_yields_every_entry_with_depth(ns):
     b = _mkdir(ns, a, "b")
     f1 = _mkfile(ns, ns.root, "top.txt")
     f2 = _mkfile(ns, b, "deep.txt")
-    seen = {ino: (path, depth) for ino, path, depth in ns.walk()}
-    assert seen[a] == ("/a", 1)
-    assert seen[b] == ("/a/b", 2)
-    assert seen[f1] == ("/top.txt", 1)
-    assert seen[f2] == ("/a/b/deep.txt", 3)
+    walked = list(ns.walk())
+    seen = {ino: (parent, name) for ino, parent, name in walked}
+    assert seen[a] == (ns.root, "a")
+    assert seen[b] == (a, "b")
+    assert seen[f1] == (ns.root, "top.txt")
+    assert seen[f2] == (b, "deep.txt")
     assert ns.root not in seen
+    # a parent comes out before its children, so paths and depths follow
+    # from the pairs in one pass
+    paths, depths = {ns.root: ""}, {ns.root: 0}
+    for ino, parent, name in walked:
+        paths[ino] = f"{paths[parent]}/{name}"
+        depths[ino] = depths[parent] + 1
+    assert (paths[f2], depths[f2]) == ("/a/b/deep.txt", 3)
+    assert all(paths[i] == ns.path(i) and depths[i] == ns.depth(i) for i in seen)
 
 
 def test_walk_subtree(ns):

@@ -349,8 +349,13 @@ def test_ingest_report_folds_into_archive_health(traces, tmp_path):
 
 
 def test_path_raw_bytes_count_characters_like_every_writer(tmp_path):
-    """A path table's ``raw_bytes`` is its joined text's length in
-    characters whichever writer made it, non-ASCII names included."""
+    """A ``strtab-zlib`` path table's ``raw_bytes`` is its joined text's
+    length in characters whichever writer made it, non-ASCII names
+    included: the ingest, and every flat writer before the tree codec
+    (the oracle's ``strtab`` rewrite reproduces theirs).  A ``tree-zlib``
+    table records its inflated stream's bytes."""
+    from repro.testing.oracle import rewrite_as_strtab
+
     names = ["/s/p/u/données.nc", "/s/p/u/日本.h5"]
     src = _write_trace(tmp_path / "traces" / "20150105.psv",
                        [_rec(name, ino=i + 1) for i, name in enumerate(names)])
@@ -358,10 +363,14 @@ def test_path_raw_bytes_count_characters_like_every_writer(tmp_path):
     ingested = tmp_path / "arch" / "20150105.rpq"
     rewritten = tmp_path / "rewritten.rpq"
     write_columnar(read_columnar(ingested, PathTable()), rewritten)
+    flat = tmp_path / "flat.rpq"
+    rewrite_as_strtab(rewritten, flat)
 
     def path_raw_bytes(f):
         (meta,) = [c for c in read_columnar_header(f)["columns"]
                    if c["name"] == "__paths__"]
         return meta["raw_bytes"]
 
-    assert path_raw_bytes(ingested) == path_raw_bytes(rewritten) == len("\n".join(names))
+    assert path_raw_bytes(ingested) == path_raw_bytes(flat) == len("\n".join(names))
+    # two int32 parent rows (neither parent is a row), then the full paths
+    assert path_raw_bytes(rewritten) == 8 + len("\n".join(names).encode("utf-8"))

@@ -308,4 +308,4 @@ def test_pooled_disk_pass_path_ids_follow_serial_interning(tmp_path):
     engine = ExecutionEngine(processes=2, start_method="fork")
     results, _ = engine.run_kernels(disk, [Kernel("k", _ids_slow_first, list)])
     ids = results["k"]
-    assert [[disk.paths.paths[p] for p in pids] for pids in ids] == expected
+    assert [disk.paths.paths_of(pids) for pids in ids] == expected

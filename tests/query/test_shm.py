@@ -77,7 +77,7 @@ def test_attached_path_strings_lazy_decode():
             assert attached[0].path_strings() == coll[0].path_strings()
             table = attached.paths
             assert len(table) == len(coll.paths)
-            some_path = coll.paths.paths[1]
+            some_path = coll.paths.path_of(1)
             assert some_path in table
             assert table.id_of(some_path) == 1
         finally:
@@ -102,7 +102,7 @@ def test_empty_collection_export():
         try:
             assert len(attached) == 0
             assert len(attached.paths) == 0
-            assert attached.paths.paths == []
+            assert attached.paths.paths_of([]) == []
         finally:
             seg.close()
 

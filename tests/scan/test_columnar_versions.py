@@ -27,7 +27,9 @@ from repro.scan.errors import CorruptSnapshotError
 from repro.scan.paths import PathTable
 from repro.scan.snapshot import NUMERIC_COLUMNS
 
-from tests.scan.test_faults import _make_snapshot, _rewrite_as_rpq2
+from repro.testing.oracle import rewrite_as_rpq2
+
+from tests.scan.test_faults import _make_snapshot
 
 VERSIONS = ("v2", "v3")
 
@@ -39,7 +41,7 @@ def matrix(tmp_path_factory):
     snap = _make_snapshot(n_rows=9)
     files = {"v2": root / "v2.rpq", "v3": root / "v3.rpq"}
     write_columnar(snap, files["v3"])
-    _rewrite_as_rpq2(files["v3"], files["v2"])
+    rewrite_as_rpq2(files["v3"], files["v2"])
     return files, snap
 
 
@@ -80,9 +82,7 @@ def test_eager_read_round_trips(matrix, version):
         np.testing.assert_array_equal(
             getattr(loaded, name), getattr(snap, name), err_msg=name
         )
-    assert loaded.path_strings() == [
-        snap.paths.paths[p] for p in snap.path_id
-    ]
+    assert loaded.path_strings() == snap.path_strings()
 
 
 @pytest.mark.parametrize("version", VERSIONS)
@@ -107,8 +107,8 @@ def test_paths_only_read_matches_full_interning(matrix, version):
     replay_table = PathTable()
     pids = read_columnar_paths(files[version], replay_table)
     np.testing.assert_array_equal(pids, full.path_id)
-    assert replay_table.paths[: len(replay_table)] == \
-        full_table.paths[: len(full_table)]
+    assert replay_table.paths_of(range(len(replay_table))) == \
+        full_table.paths_of(range(len(full_table)))
 
 
 @pytest.mark.parametrize("version", VERSIONS)

@@ -41,12 +41,12 @@ def two_weeks():
 def test_compute_delta_sections(two_weeks):
     _, _, prev, cur = two_weeks
     delta = compute_delta(prev, cur)
-    names = prev.paths.paths
-    added = sorted(names[p] for p in delta.added["path_id"])
-    removed = sorted(names[p] for p in delta.removed["path_id"])
+    names = prev.paths.path_of
+    added = sorted(map(names, delta.added["path_id"]))
+    removed = sorted(map(names, delta.removed["path_id"]))
     assert added == ["/lustre/proj/a/g0", "/lustre/proj/a/g1", "/lustre/proj/a/g2"]
     assert removed == ["/lustre/proj/a/f0", "/lustre/proj/a/f1"]
-    changed = {names[p] for p in delta.changed_prev["path_id"]}
+    changed = set(map(names, delta.changed_prev["path_id"]))
     # 3 reads + 2 writes + 1 chown touch files; the parent dir's mtime
     # moved too (creates/unlinks bump it)
     assert {f"/lustre/proj/a/f{i}" for i in range(2, 8)} <= changed
@@ -79,8 +79,8 @@ def test_roundtrip_through_disk(two_weeks, tmp_path):
     for section in ("added", "removed", "changed_prev", "changed_cur"):
         mine = getattr(delta, section)
         theirs = getattr(got, section)
-        strings_mine = [prev.paths.paths[p] for p in mine["path_id"]]
-        strings_theirs = [table.paths[p] for p in theirs["path_id"]]
+        strings_mine = prev.paths.paths_of(mine["path_id"])
+        strings_theirs = table.paths_of(theirs["path_id"])
         assert strings_mine == strings_theirs, section
         for name in NUMERIC_COLUMNS:
             if name == "path_id":
@@ -102,7 +102,9 @@ def test_delta_interning_matches_full_load(two_weeks, tmp_path):
     incremental = PathTable()
     loaded_prev = read_columnar(tmp_path / "w1.rpq", incremental)
     delta = read_delta(sidecar_path(tmp_path, "w2"), incremental)
-    assert incremental.paths == full.paths  # identical id assignment
+    # identical id assignment
+    assert incremental.paths_of(range(len(incremental))) == \
+        full.paths_of(range(len(full)))
 
     rebuilt = apply_delta(loaded_prev, delta)
     reread = read_columnar(tmp_path / "w2.rpq", PathTable())

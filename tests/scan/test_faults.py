@@ -21,8 +21,6 @@ import numpy as np
 import pytest
 
 from repro.scan.columnar import (
-    BLOCK_ALIGN,
-    END_MAGIC,
     MAGIC_V2,
     MAGIC_V3,
     describe_sections,
@@ -47,6 +45,7 @@ from repro.testing.faults import (
     padding_spans,
     truncate_at,
 )
+from repro.testing.oracle import _envelope, _split, rewrite_as_rpq2
 
 
 def _row(pid, **over):
@@ -66,13 +65,21 @@ def _row(pid, **over):
     return base
 
 
+def _path(i: int) -> str:
+    """Row 0 is the project directory; every later row a file in it, so a
+    path block holds a row with no parent in the block (its full path)
+    and rows under an earlier row (their names)."""
+    return "/lustre/atlas1/phy/p1" + (f"/run.{i}" if i else "")
+
+
 def _make_snapshot(n_rows: int = 5) -> Snapshot:
     paths = PathTable()
     rows = [
         _row(
-            paths.intern(f"/lustre/atlas1/phy/p1/run.{i}"),
+            paths.intern(_path(i)),
             ino=100 + i,
             atime=1_420_000_000 + i * 3600,
+            **({} if i else {"mode": 0o040775}),
         )
         for i in range(n_rows)
     ]
@@ -83,63 +90,13 @@ def _make_snapshot(n_rows: int = 5) -> Snapshot:
     return Snapshot(label="w0", timestamp=1000, paths=paths, **columns)
 
 
-def _split(blob: bytes) -> tuple[dict, int]:
-    """The JSON header of a container and where its data section starts."""
-    header_len = int.from_bytes(blob[4:8], "little")
-    base = 12 + header_len
-    if blob[:4] == MAGIC_V3:
-        base = -(-base // BLOCK_ALIGN) * BLOCK_ALIGN
-    return json.loads(blob[12 : 12 + header_len]), base
-
-
-def _envelope(magic: bytes, header: dict, data: bytes) -> bytes:
-    """``data`` wrapped in a container: preamble with header CRC, header,
-    alignment padding for ``RPQ3``, and the total-length trailer."""
-    header_bytes = json.dumps(header).encode("utf-8")
-    head = (
-        magic
-        + len(header_bytes).to_bytes(4, "little")
-        + zlib.crc32(header_bytes).to_bytes(4, "little")
-        + header_bytes
-    )
-    if magic == MAGIC_V3:
-        head += b"\0" * (-len(head) % BLOCK_ALIGN)
-    total = len(head) + len(data) + 12
-    return head + data + total.to_bytes(8, "little") + END_MAGIC
-
-
-def _rewrite_as_rpq2(src, dest) -> None:
-    """Rewrite an ``RPQ3`` ``.rpq``/``.rpd`` in the legacy ``RPQ2`` layout.
-
-    ``RPQ2`` is what older writers emitted: blocks back to back after the
-    header, no ``offset`` keys, and snapshot numeric columns compressed with
-    :func:`encode_column` instead of stored ``raw``.  No writer emits it
-    any more, but archives written before ``RPQ3`` hold it, so the readers
-    must keep decoding it.
-    """
-    blob = Path(src).read_bytes()
-    assert blob[:4] == MAGIC_V3
-    header, base = _split(blob)
-    blocks, metas = [], []
-    for meta in header["columns"]:
-        start = base + meta.pop("offset")
-        data = blob[start : start + meta["stored_bytes"]]
-        if meta["codec"] == "raw":
-            values = np.frombuffer(data, dtype=np.dtype(meta["dtype"]))
-            data, meta = encode_column(meta["name"], values)
-        blocks.append(data)
-        metas.append(meta)
-    header["columns"] = metas
-    Path(dest).write_bytes(_envelope(MAGIC_V2, header, b"".join(blocks)))
-
-
 @pytest.fixture(params=["v2", "v3"])
 def valid_rpq(tmp_path, request):
     snap = _make_snapshot()
     dest = tmp_path / "w0.rpq"
     write_columnar(snap, dest)
     if request.param == "v2":
-        _rewrite_as_rpq2(dest, dest)
+        rewrite_as_rpq2(dest, dest)
     return dest, snap
 
 
@@ -318,12 +275,12 @@ def test_empty_and_tiny_files_raise_typed(tmp_path):
         "rows": len(snap), "raw_bytes": len(atime),
         "stored_bytes": len(atime), "crc32": zlib.crc32(atime),
     }))
-    strings = "\n".join(snap.paths.paths[pid] for pid in snap.path_id)
+    strings = "\n".join(snap.path_strings())
     str_blob = zlib.compress(strings.encode("utf-8"))
     blocks.append((str_blob, path_block_meta(str_blob, len(snap), len(strings))))
     v3, v2 = tmp_path / "lz4-v3.rpq", tmp_path / "lz4-v2.rpq"
     write_columnar_blocks(v3, "w0", 1000, len(snap), blocks)
-    _rewrite_as_rpq2(v3, v2)
+    rewrite_as_rpq2(v3, v2)
     for foreign in (v2, v3):
         with pytest.raises(CorruptSnapshotError, match="unknown codec 'lz4'"):
             read_columnar(foreign, PathTable())
@@ -402,10 +359,10 @@ def _touch_every_column(path):
         np.asarray(getattr(snap, col))
 
 
-def _read_sidecar(path):
+def _read_sidecar(path, table=None):
     from repro.scan.delta import read_delta
 
-    read_delta(path, PathTable())
+    read_delta(path, PathTable() if table is None else table)
 
 
 _ENTRY_POINTS = {
@@ -513,6 +470,165 @@ def test_short_column_block_refused_typed(tmp_path, entry):
     assert err.value.path == str(victim)
 
 
+# -- the tree path block: content faults behind valid CRCs ---------------------
+
+
+def _payload_faults():
+    """Each fault as ``(payload, rows) -> stored block``: the inflated
+    stream of a ``tree-zlib`` block (int32 parent rows, then the names)
+    altered, then deflated — every CRC stays valid."""
+
+    def parents(edit):
+        def fault(payload, rows):
+            refs = np.frombuffer(payload[: 4 * rows], dtype="<i4").copy()
+            edit(refs)
+            return zlib.compress(refs.tobytes() + payload[4 * rows :])
+        return fault
+
+    def names(edit):
+        def fault(payload, rows):
+            text = payload[4 * rows :].decode("utf-8").split("\n")
+            return zlib.compress(payload[: 4 * rows] + "\n".join(edit(text)).encode())
+        return fault
+
+    def set_at(row, value):
+        def edit(refs):
+            refs[row] = value
+        return edit
+
+    return {
+        "below-none": (parents(set_at(1, -2)), "parent reference -2 is below none"),
+        "own-row": (parents(set_at(1, 1)), "parent reference 1 is at or after its own row"),
+        "later-row": (parents(set_at(1, 2)), "parent reference 2 is at or after its own row"),
+        "past-block": (parents(set_at(1, 99)), "parent reference 99 is past the block"),
+        "extra-name": (names(lambda t: t + ["extra"]), r"\d+ names for \d+ rows"),
+        "missing-name": (names(lambda t: t[:-1]), r"\d+ names for \d+ rows"),
+        "slash-name": (names(lambda t: [t[0], "a/b", *t[2:]]), "holds a '/'"),
+        "short-parents": (
+            lambda payload, rows: zlib.compress(payload[: 4 * rows - 2]),
+            "stream ends after",
+        ),
+        "truncated-stream": (
+            lambda payload, rows: zlib.compress(payload)[:-6], "undecodable",
+        ),
+    }
+
+
+_PAYLOAD_FAULTS = _payload_faults()
+
+
+def _with_path_payload(src, dest, block: str, fault) -> None:
+    """Copy a container with path block ``block`` replaced by
+    ``fault(payload, rows)``; the block's CRC, the header CRC and the
+    layout are rewritten to match."""
+    blob = Path(src).read_bytes()
+    header, base = _split(blob)
+    blocks = []
+    for meta in header["columns"]:
+        start = base + meta.pop("offset")
+        data = blob[start : start + meta["stored_bytes"]]
+        if meta["name"] == block:
+            assert meta["codec"] == "tree-zlib"
+            data = fault(zlib.decompress(data), meta["rows"])
+            meta.update(stored_bytes=len(data), crc32=zlib.crc32(data))
+        blocks.append((data, meta))
+    write_columnar_blocks(
+        dest, header["label"], header["timestamp"], header["rows"], blocks
+    )
+
+
+@pytest.mark.parametrize("entry", ["eager", "lazy", "paths", "verify", "delta", "merge"])
+@pytest.mark.parametrize("fault", sorted(_PAYLOAD_FAULTS))
+def test_bad_tree_path_block_refused_typed(tmp_path, fault, entry):
+    """A ``tree-zlib`` block whose parent rows or names are wrong — every
+    CRC valid — is refused with CorruptSnapshotError naming the block, by
+    every reader and by the intern-free checks (verify, the merge probe),
+    never an IndexError or rows interned under the wrong parent."""
+    damage, reason = _PAYLOAD_FAULTS[fault]
+    if entry == "delta":
+        src, block = _make_delta_sidecar(tmp_path), "added.__paths__"
+    else:
+        src, block = tmp_path / "w0.rpq", "__paths__"
+        write_columnar(_make_snapshot(6), src)
+    victim = tmp_path / f"bad{src.suffix}"
+    _with_path_payload(src, victim, block, damage)
+    if entry == "merge":
+        from repro.scan.merge import probe_shard_parts, shard_part_path
+
+        part = shard_part_path(tmp_path / "parts", 0, "w0")
+        part.parent.mkdir(parents=True)
+        shutil.copy(victim, part)
+        victim = part
+    table = PathTable()
+    calls = {
+        **_ENTRY_POINTS,
+        "eager": lambda path: read_columnar(path, table),
+        "paths": lambda path: read_columnar_paths(path, table),
+        "lazy": lambda path: open_columnar(path, table),
+        "delta": lambda path: _read_sidecar(path, table),
+        "merge": lambda path: probe_shard_parts(path.parents[1], ["w0"], [0]),
+    }
+    with pytest.raises(CorruptSnapshotError, match=reason) as err:
+        calls[entry](victim)
+    assert err.value.path == str(victim)
+    assert f"path table {block!r}" in err.value.reason
+    assert len(table) == 0, "a refused block interned paths"
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "field,value",
+    [("offset", "x"), ("stored_bytes", None), ("rows", "x"), ("name", ["x"]),
+     ("codec", 7)],
+    ids=["offset", "stored_bytes", "rows", "name", "codec"],
+)
+def test_malformed_path_block_table_raises_typed(tmp_path, field, value, entry):
+    """The path block's own block-table entry of the wrong type is refused
+    by every entry point, as a numeric block's is."""
+    if entry == "delta":
+        src = _make_delta_sidecar(tmp_path)
+    else:
+        src = tmp_path / "w0.rpq"
+        write_columnar(_make_snapshot(), src)
+    blob = src.read_bytes()
+    header, base = _split(blob)
+    next(m for m in header["columns"] if m["codec"] == "tree-zlib")[field] = value
+    victim = tmp_path / f"bad{src.suffix}"
+    victim.write_bytes(_envelope(blob[:4], header, blob[base:-12]))
+    with pytest.raises(CorruptSnapshotError) as err:
+        _ENTRY_POINTS[entry](victim)
+    assert err.value.path == str(victim)
+
+
+def test_merge_drops_a_shard_with_a_bad_tree_block(tmp_path):
+    """Under ``skip`` the merge probe drops the shard whose path block is
+    bad, naming the block, and merges the rest."""
+    src = tmp_path / "w0.rpq"
+    write_columnar(_make_snapshot(6), src)
+    victim = tmp_path / "bad.rpq"
+    _with_path_payload(src, victim, "__paths__", _PAYLOAD_FAULTS["past-block"][0])
+    from repro.scan.merge import merge_shard_parts, shard_part_path
+    from repro.scan.store import ArchiveHealthReport
+    from repro.synth.driver import SimulationConfig
+
+    root = tmp_path / "parts"
+    healthy, bad = (shard_part_path(root, s, "w0") for s in (0, 1))
+    for part in (healthy, bad):
+        part.parent.mkdir(parents=True)
+    write_columnar(_make_snapshot(6), healthy)
+    shutil.copy(victim, bad)
+    report = ArchiveHealthReport()
+    records = merge_shard_parts(
+        root, tmp_path / "merged", SimulationConfig(), ["w0"], [0, 1],
+        on_error="skip", report=report,
+    )
+    [fault] = report.faults
+    assert fault.path == str(bad)
+    assert "shard 1 dropped from merge" in fault.reason
+    assert "path table '__paths__'" in fault.reason
+    assert [rec["rows"] for rec in records] == [6]
+
+
 # -- sweep: .rpd delta sidecars ----------------------------------------------
 #
 # The sidecar is an .rpq container (per-block CRCs, header CRC, aligned
@@ -528,9 +644,10 @@ def _make_delta_sidecar(tmp_path):
     paths = PathTable()
     rows0 = [
         _row(
-            paths.intern(f"/lustre/atlas1/phy/p1/run.{i}"),
+            paths.intern(_path(i)),
             ino=100 + i,
             atime=1_420_000_000 + i * 3600,
+            **({} if i else {"mode": 0o040775}),
         )
         for i in range(5)
     ]
@@ -544,10 +661,12 @@ def _make_delta_sidecar(tmp_path):
         },
     )
     rows1 = [dict(r) for r in rows0[:-1]]  # run.4 removed
-    rows1[0] = dict(rows1[0], mtime=rows1[0]["mtime"] + 50)  # run.0 changed
-    rows1.append(  # one added path
-        _row(paths.intern("/lustre/atlas1/phy/p1/new.0"), ino=900)
-    )
+    rows1[0] = dict(rows1[0], mtime=rows1[0]["mtime"] + 50)  # p1 changed
+    rows1 += [  # an added directory, and files in it
+        _row(paths.intern("/lustre/atlas1/phy/p1/new"), ino=900, mode=0o040775),
+        _row(paths.intern("/lustre/atlas1/phy/p1/new/f.0"), ino=901),
+        _row(paths.intern("/lustre/atlas1/phy/p1/new/f.1"), ino=902),
+    ]
     cur = Snapshot(
         label="w1",
         timestamp=2000,

@@ -46,8 +46,9 @@ def test_scan_columns_match_stat(fs):
 
 
 def test_scan_depth_equals_walk_depth(fs):
-    """The scanner interns by separator count; the walk tracks depth as it
-    descends — the two agree on every entry, since names hold no "/"."""
+    """The scanner derives depth from the parent's separator count; the
+    namespace counts the hops to the root — the two agree on every
+    entry, since names hold no "/"."""
     fs.create(fs.namespace.lookup("/lustre/atlas1/cli/cli001/user1"),
               ".hidden", uid=100, gid=200)
     scanner = LustreDuScanner()
@@ -55,7 +56,8 @@ def test_scan_depth_equals_walk_depth(fs):
     table = scanner.paths
     scanned = {table.path_of(int(pid)): int(table.depth[pid])
                for pid in snap.path_id}
-    walked = {path: depth for _, path, depth in fs.namespace.walk()}
+    ns = fs.namespace
+    walked = {ns.path(ino): ns.depth(ino) for ino, _, _ in ns.walk()}
     assert scanned == walked
 
 

@@ -114,8 +114,10 @@ def test_reading_holds_the_paths_it_returns_plus_a_fraction(deep_file, reader):
     dest, text = deep_file
     read = read_columnar if reader == "read_columnar" else open_columnar
     peak, retained = _peak(lambda: read(dest, PathTable()))
-    # the interned strings are the table's text, once
-    assert retained > text
+    # the tree holds each directory of the seven stress chains once, as a
+    # name under its parent, not each path's text: 0.42x (1.0x and more
+    # while the table interned full strings)
+    assert retained < 0.5 * text
     # the parent also held the inflated bytes and the decoded text: +1.93x
     assert peak - retained < 0.15 * text
 

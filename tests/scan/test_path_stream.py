@@ -161,9 +161,7 @@ def test_names_without_newlines_still_write(tmp_path):
     prev, cur = _namespace_with(["c.dat", "tab\tname.dat", "ü ß.dat"])
     write_week(cur, prev, tmp_path)
     back = read_columnar(tmp_path / "w1.rpq", PathTable())
-    assert [back.paths.paths[i] for i in back.path_id] == [
-        cur.paths.paths[i] for i in cur.path_id
-    ]
+    assert back.path_strings() == cur.path_strings()
 
 
 # -- the deflate pool --------------------------------------------------------------
@@ -292,14 +290,18 @@ def test_a_failing_pool_deflate_surfaces_and_leaves_nothing(tmp_path):
 
 @pytest.mark.parametrize("chars", [1, 50, columnar.PATH_CHUNK_CHARS])
 def test_chunks_bound_characters_and_keep_every_path_whole(chars):
+    """No path's parent is a row here, so every row stores its full path:
+    after the parent rows, the chunks are the joined paths."""
     paths = ["/" + "d/" * n + "f" for n in (0, 3, 40, 1, 200, 2, 0)]
     table = PathTable()
     ids = table.intern_many(paths)
     with mock.patch.object(columnar, "PATH_CHUNK_CHARS", chars):
         chunks, meta = columnar.path_table_block("__paths__", table, ids)
-    texts = [chunk.decode("utf-8") for chunk in chunks]
+        parents, *rest = list(chunks)
+    assert parents == np.full(len(paths), -1, dtype="<i4").tobytes()
+    texts = [chunk.decode("utf-8") for chunk in rest]
     assert "".join(texts) == "\n".join(paths)
-    assert meta["raw_bytes"] == len("\n".join(paths))
+    assert meta["raw_bytes"] == len(parents) + len("\n".join(paths))
     for text in texts:
         # a chunk's paths exceed the bound only when it holds one path
         body = text.removeprefix("\n")
@@ -312,4 +314,4 @@ def test_verify_reads_a_table_it_would_return(tmp_path):
     with mock.patch.object(columnar, "INFLATE_PIECE", 3):
         assert verify_columnar(tmp_path / "w0.rpq")["rows"] == 4
         back = read_columnar(tmp_path / "w0.rpq", PathTable())
-    assert [back.paths.paths[i] for i in back.path_id] == ["/", "/a", "/a/ü", "/a/日本.h5"]
+    assert back.path_strings() == ["/", "/a", "/a/ü", "/a/日本.h5"]

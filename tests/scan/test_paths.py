@@ -1,9 +1,13 @@
+import pickle
+import zlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.scan import columnar
 from repro.scan.extensions import ExtensionTable, split_extension
-from repro.scan.paths import PathTable
+from repro.scan.paths import PathRows, PathTable
 
 
 def test_intern_is_stable():
@@ -46,14 +50,6 @@ def test_vectorized_lookups():
     assert table.depths_of(ids).tolist() == [2, 3, 4]
     ext_names = [table.extensions.name_of(int(e)) for e in table.ext_ids_of(ids)]
     assert ext_names[:2] == ["h5", "nc"]
-
-
-def test_component_accessor():
-    table = PathTable()
-    pid = table.intern("/lustre/atlas1/cli/p1/u1/f.nc")
-    assert table.component(pid, 0) == "lustre"
-    assert table.component(pid, 2) == "cli"
-    assert table.component(pid, 99) is None
 
 
 def test_contains_and_id_of():
@@ -159,9 +155,142 @@ def test_intern_many_matches_per_path_loop(pool, picks):
         assert got.tolist() == refs[i % 2].intern_many(batch)
     for table, ref in zip(tables, refs):
         n = len(ref.paths)
-        assert table.paths == ref.paths
+        assert [table.path_of(i) for i in range(n)] == ref.paths
         assert len(table) == n
         assert table.depth[:n].tolist() == ref.depth
         assert table.ext_id[:n].tolist() == ref.ext_id
         assert [table.intern(p) for p in ref.paths] == list(range(n))
     assert shared.names == ref_shared.names
+
+
+# -- the tree against the flat table it replaced ---------------------------------
+
+
+class _FlatTable:
+    """The flat ``PathTable`` the tree replaced, frozen: one dict from each
+    full string to its id, and its derived columns."""
+
+    def __init__(self, extensions: ExtensionTable) -> None:
+        self._ids: dict[str, int] = {}
+        self.paths: list[str] = []
+        self.extensions = extensions
+        self.depth = np.zeros(0, dtype=np.int16)
+        self.ext_id = np.zeros(0, dtype=np.int32)
+
+    def intern_many(self, paths: list[str]) -> np.ndarray:
+        ids = self._ids
+        new = list(dict.fromkeys([p for p in paths if p not in ids]))
+        if new:
+            start = len(self.paths)
+            ids.update(zip(new, range(start, start + len(new))))
+            self.paths.extend(new)
+            depth = np.fromiter(
+                (p.count("/") - p.endswith("/") for p in new),
+                np.int64, count=len(new),
+            )
+            self.depth = np.concatenate(
+                [self.depth, np.minimum(depth, np.iinfo(np.int16).max).astype(np.int16)]
+            )
+            intern_ext = self.extensions.intern
+            self.ext_id = np.concatenate([self.ext_id, np.fromiter(
+                (intern_ext(split_extension(p.rpartition("/")[2])) for p in new),
+                np.int32, count=len(new),
+            )])
+        return np.fromiter(map(ids.__getitem__, paths), np.int64, count=len(paths))
+
+
+#: foreign strings: trailing "/", "//", relative, empty, "/" and non-ASCII
+_FOREIGN = st.lists(
+    st.sampled_from(["", "", "a", "b", "x.nc", ".h", "é.日本", "run.0", "c.tar.gz"]),
+    min_size=1, max_size=6,
+).map("/".join)
+
+
+def _through_dirs(table: PathTable, batch: list[str]) -> np.ndarray:
+    """Every row with a ``/`` named under its directory string."""
+    dirs: dict[str, int] = {}
+    parents, names = [], []
+    for path in batch:
+        head, sep, name = path.rpartition("/")
+        parents.append(-2 - dirs.setdefault(head, len(dirs)) if sep else -1)
+        names.append(name)
+    return table.intern_rows(PathRows(parents, names, list(dirs)))
+
+
+def _through_tree_block(table: PathTable, batch: list[str]) -> np.ndarray:
+    """The batch encoded as a ``tree-zlib`` block from a scratch table,
+    decoded, and interned."""
+    scratch = PathTable()
+    buffers, meta = columnar.path_table_block(
+        "__paths__", scratch, scratch.intern_many(batch)
+    )
+    blob, crc = columnar._deflate(buffers)
+    meta.update(stored_bytes=len(blob), crc32=crc)
+    rows = columnar._decode_paths(blob, meta, len(batch), "t.rpq", 0)
+    return table.intern_rows(rows)
+
+
+def _through_strtab_block(table: PathTable, batch: list[str]) -> np.ndarray:
+    if batch == [""]:  # the flat codec reads empty text as no rows
+        return table.intern_many(batch)
+    blob = zlib.compress("\n".join(batch).encode("utf-8"), 6)
+    meta = {"name": "__paths__", "codec": "strtab-zlib", "crc32": zlib.crc32(blob)}
+    return table.intern_rows(columnar._decode_paths(blob, meta, len(batch), "t.rpq", 0))
+
+
+_ROUTES = {
+    "strings": lambda table, batch: table.intern_many(batch),
+    "dirs": _through_dirs,
+    "tree-zlib": _through_tree_block,
+    "strtab-zlib": _through_strtab_block,
+    "pickled": lambda table, batch: table.intern_many(batch),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batches=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_ROUTES)),
+            st.lists(st.one_of(_FOREIGN, st.sampled_from(_SPECIAL_PATHS)), max_size=12),
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+def test_tree_table_equals_the_flat_table(batches):
+    """Whatever mix of full strings, pairs and codec round trips a table
+    is fed, its ids, ``len``, ``depth``, ``ext_id`` and the extension
+    table's order equal the flat table's for the same strings — and so
+    does a table that went through pickle between batches."""
+    tree, flat = PathTable(), _FlatTable(ExtensionTable())
+    for route, batch in batches:
+        if route == "pickled":
+            tree = pickle.loads(pickle.dumps(tree))
+        got = _ROUTES[route](tree, batch)
+        assert got.tolist() == flat.intern_many(batch).tolist(), route
+    n = len(flat.paths)
+    assert len(tree) == n
+    assert [tree.path_of(i) for i in range(n)] == flat.paths
+    assert tree.paths_of(np.arange(n)) == flat.paths
+    assert tree.depth[:n].tolist() == flat.depth.tolist()
+    assert tree.ext_id[:n].tolist() == flat.ext_id.tolist()
+    assert tree.extensions.names == flat.extensions.names
+    assert tree.lengths_of(np.arange(n)).tolist() == [len(p) for p in flat.paths]
+    for pid, path in enumerate(flat.paths):
+        assert tree.id_of(path) == pid
+        # the parent-chain walk the depth analysis uses is the prefix test
+        # it replaced
+        chain = path + "/"
+        prefixed = {q for q, other in enumerate(flat.paths)
+                    if chain.startswith(other + "/")}
+        assert set(tree.lineage(pid)) == prefixed
+
+
+def test_lookups_create_nothing():
+    table = PathTable()
+    table.intern("/a/b/c.nc")
+    assert table.id_of("/a/b") is None  # an internal node, not a path
+    assert "/a/b/x" not in table
+    assert len(table) == 1
+    assert table.intern("/a/b") == 1
+    assert table.lineage(0) == [0, 1]

@@ -3,10 +3,13 @@
 ``write_columnar``, ``write_delta`` and ``write_week`` all go through
 ``columnar.write_block_files``: the calling thread builds every numeric
 payload, and a per-call thread pool deflates each block on one thread,
-which builds a path table's ``PATH_CHUNK``-path UTF-8 chunks as it draws
-them.  These tests hold that to the bytes of the encoders it replaced (one
-joined string, one ``zlib.compress`` per block, one file at a time),
-across chunk boundaries, and check that no writer thread outlives a call.
+which builds a path table's ``PATH_CHUNK``-row UTF-8 chunks as it draws
+them.  These tests hold a path block to a frozen reference of its
+``tree-zlib`` payload, and every written file — its path blocks rewritten
+to ``strtab-zlib`` by the oracle — to the bytes of the flat encoders the
+writer replaced (one joined string, one ``zlib.compress`` per block, one
+file at a time), across chunk boundaries, and check that no writer thread
+outlives a call.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from repro.scan.delta import (
 from repro.scan.paths import PathTable
 from repro.scan.snapshot import COLUMN_DTYPES, NUMERIC_COLUMNS, Snapshot
 from repro.synth.driver import SimulationConfig
+from repro.testing.oracle import rewrite_archive, rewrite_as_strtab
 
 CHUNKS = [1, 2, 7, columnar.PATH_CHUNK]
 
@@ -74,7 +78,7 @@ def _frozen_encode_column(name, data):
 
 
 def _frozen_path_block(name, table, path_ids):
-    strings = "\n".join(map(table.paths.__getitem__, path_ids.tolist()))
+    strings = "\n".join(map(table.path_of, path_ids.tolist()))
     blob = zlib.compress(strings.encode("utf-8"), 6)
     return blob, {
         "name": name,
@@ -148,6 +152,25 @@ def _frozen_write_delta(delta, dest):
 # -- the path table encoder ----------------------------------------------------
 
 
+def _tree_payload(paths: list[str]) -> bytes:
+    """A ``tree-zlib`` block's inflated stream, frozen: each row's int32
+    parent row (the first earlier row whose text is the row's up to its
+    last "/", else -1), then the names newline-joined — a row's own name
+    under a parent row, its full path otherwise."""
+    first: dict[str, int] = {}
+    parents, names = [], []
+    for row, path in enumerate(paths):
+        head, sep, name = path.rpartition("/")
+        parent = first.get(head, -1) if sep else -1
+        parents.append(parent)
+        names.append(name if parent >= 0 else path)
+        first.setdefault(path, row)
+    return (
+        np.array(parents, dtype="<i4").tobytes()
+        + "\n".join(names).encode("utf-8")
+    )
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 @settings(max_examples=60, deadline=None)
 @given(paths=st.lists(_PATH, max_size=40))
@@ -156,12 +179,12 @@ def test_path_block_is_one_zlib_stream_of_the_joined_text(chunk, paths):
     ids = table.intern_many(paths)
     with mock.patch.object(columnar, "PATH_CHUNK", chunk):
         buffers, meta = columnar.path_table_block("__paths__", table, ids)
-    text = "\n".join(paths)
+    payload = _tree_payload(paths)
     blob, crc = columnar._deflate(buffers)
-    assert blob == zlib.compress(text.encode("utf-8"), 6)
+    assert blob == zlib.compress(payload, 6)
     assert crc == zlib.crc32(blob)
-    # characters, not UTF-8 bytes: the value every archive has recorded
-    assert meta["raw_bytes"] == len(text)
+    # the inflated stream's bytes
+    assert meta["raw_bytes"] == len(payload)
     assert meta["rows"] == len(paths)
 
 
@@ -183,9 +206,17 @@ def test_written_path_table_matches_one_compress_and_reads_back(
         s for s in describe_sections(dest) if s[0] == "column:__paths__"
     ]
     stored = dest.read_bytes()[offset : offset + length]
-    assert stored == zlib.compress("\n".join(paths).encode("utf-8"), 6)
+    assert stored == zlib.compress(_tree_payload(paths), 6)
     back = read_columnar(dest, PathTable())
-    assert [back.paths.paths[i] for i in back.path_id] == paths
+    assert back.path_strings() == paths
+    # rewritten flat, the block is the one a flat writer stored
+    flat = dest.with_name("flat.rpq")
+    rewrite_as_strtab(dest, flat)
+    (_, offset, length), = [
+        s for s in describe_sections(flat) if s[0] == "column:__paths__"
+    ]
+    stored = flat.read_bytes()[offset : offset + length]
+    assert stored == zlib.compress("\n".join(paths).encode("utf-8"), 6)
 
 
 # -- the week writer against the frozen encoders ---------------------------------
@@ -202,6 +233,8 @@ def weeks():
 
 @pytest.mark.parametrize("chunk", [7, 1000, columnar.PATH_CHUNK])
 def test_week_writer_bytes_equal_the_frozen_encoders(weeks, tmp_path, chunk):
+    """Each file, rewritten flat, is the frozen flat encoders' file, and
+    smaller as written."""
     assert min(len(week) for week in weeks) > chunk
     new, old = tmp_path / "new", tmp_path / "old"
     new.mkdir()
@@ -217,8 +250,10 @@ def test_week_writer_bytes_equal_the_frozen_encoders(weeks, tmp_path, chunk):
     written = sorted(p.name for p in new.iterdir())
     assert written == sorted(p.name for p in old.iterdir())
     assert sum(name.endswith(".rpd") for name in written) == len(weeks) - 1
+    flat = rewrite_archive(new, tmp_path / "flat", rewrite_as_strtab)
     for name in written:
-        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+        assert (flat / name).read_bytes() == (old / name).read_bytes(), name
+        assert (new / name).stat().st_size < (old / name).stat().st_size, name
 
 
 def test_one_file_writers_match_the_week_writer(weeks, tmp_path):

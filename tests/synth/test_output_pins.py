@@ -4,7 +4,10 @@ The sharding, supervisor and incremental suites compare routes of the same
 code with each other, so a change that moves every route's bytes together
 passes them all.  These digests are absolute: the sha256 of every ``.rpq``,
 ``.rpd`` and ``accounts.json`` that one unsharded archive and one 2-shard
-merged archive hold.
+merged archive hold — as written (``tree-zlib`` path blocks), and after
+the oracle rewrites every path block to ``strtab-zlib``.  The ``strtab``
+digests are the files every writer emitted before the tree codec, so they
+also prove that codec lossless and path-id order kept.
 
 Pinned with numpy 2.4.6 and zlib 1.2.13: the draws come from numpy's
 ``Generator`` streams and the blocks are zlib-compressed, so another
@@ -21,6 +24,7 @@ from pathlib import Path
 from repro.core.pipeline import ReproPipeline
 from repro.synth.driver import SimulationConfig
 from repro.synth.sharding import run_sharded
+from repro.testing.oracle import rewrite_archive, rewrite_as_strtab
 
 #: stress depths on (the default): the depth-2,030 chain is in the archive
 PIPELINE = SimulationConfig(seed=1, scale=1e-6, weeks=3)
@@ -32,6 +36,26 @@ SHARDED = SimulationConfig(
 ACCOUNTS = "eb0e4a5586bbcbb66d93099ccf0b2cbd2bb4ba867e41841eeec81380831d8e97"
 
 PIPELINE_DIGESTS = {
+    "20150112.rpq": "f3e23e0401f11cc576615b49f0732682895093ef3cf3aa4e800ab7366db38189",
+    "20150119.rpq": "953560d87c0a6128d47529bb137b227d0e19f341c15113b20df01201a5c35c34",
+    "20150126.rpq": "3f66ebfc0b75f59c2244d3bdabb1ffac23a55ee9893f317b3afc6c5f85344d68",
+    "20150119.rpd": "9cf38f320974c9e3e86764b753ca79f69aec35943c7577774d49ea9e71920ece",
+    "20150126.rpd": "2cc3cf81e9d1d6eafe196518b0a280ab4409f513d63c970ba40dd60d94be0540",
+    "accounts.json": ACCOUNTS,
+}
+
+SHARDED_DIGESTS = {
+    "20150112.rpq": "bbf622045e2176967276344e53a114cd61950f0306c5a12f51f80ed459444c75",
+    "20150119.rpq": "3d2bac7a31a008f1c73225e20fb4d0080aeaaac41cd1428545f0e5f6c3d4773c",
+    "20150126.rpq": "d73901d666d2f0148312bb19e220b3edc7c137e12efe40a06a217090309dca59",
+    "20150119.rpd": "932ef700f2c754029605f8ab4e2d5e462e91e795f0cb7db0889ba23144d121c1",
+    "20150126.rpd": "faa1397b715c76e6f4b84ae82a5842169a37376c4d7b5b95d3402b3dad16db6a",
+    "accounts.json": ACCOUNTS,
+}
+
+#: the same archives with every path block rewritten flat: each file's
+#: digest before the tree codec
+PIPELINE_STRTAB_DIGESTS = {
     "20150112.rpq": "931fdb2559cc63acfe2bd5435705d41f2b28ab478b142c80f462fdf7789dfb1c",
     "20150119.rpq": "c4ed2d36dceb514954b7ff7da78bb59d3b4cecb59ea9ae3e28ed8a6c35ff4f86",
     "20150126.rpq": "805faa92d5ed7e8505d707887bbc80c8294e31b1596f301ae5edeb2ac8af7116",
@@ -40,7 +64,7 @@ PIPELINE_DIGESTS = {
     "accounts.json": ACCOUNTS,
 }
 
-SHARDED_DIGESTS = {
+SHARDED_STRTAB_DIGESTS = {
     "20150112.rpq": "740dabacd09d8b7e80059ee8d015264c9624dc1e09655639d1c61eb548f5f0ca",
     "20150119.rpq": "d9a86c8e3031f985a7c429adffa17e7424fab66deeafc40066a2e07d9366b171",
     "20150126.rpq": "9ddb619cae4b72c49eb24adf9f7b0d61f188bb52fc6664ff19c864af1a8fa177",
@@ -62,11 +86,15 @@ def output_digests(directory: Path) -> dict[str, str]:
 def test_pipeline_archive_bytes_pinned(tmp_path):
     pipeline = ReproPipeline(PIPELINE)
     pipeline.simulate()
-    pipeline.archive(tmp_path)
-    assert output_digests(tmp_path) == PIPELINE_DIGESTS
+    pipeline.archive(tmp_path / "written")
+    assert output_digests(tmp_path / "written") == PIPELINE_DIGESTS
+    flat = rewrite_archive(tmp_path / "written", tmp_path / "flat", rewrite_as_strtab)
+    assert output_digests(flat) == PIPELINE_STRTAB_DIGESTS
 
 
 def test_sharded_archive_bytes_pinned(tmp_path):
     # two workers: the shard phase runs on the active start method
-    run_sharded(SHARDED, 2, tmp_path, workers=2)
-    assert output_digests(tmp_path) == SHARDED_DIGESTS
+    run_sharded(SHARDED, 2, tmp_path / "written", workers=2)
+    assert output_digests(tmp_path / "written") == SHARDED_DIGESTS
+    flat = rewrite_archive(tmp_path / "written", tmp_path / "flat", rewrite_as_strtab)
+    assert output_digests(flat) == SHARDED_STRTAB_DIGESTS

@@ -137,7 +137,7 @@ def test_merge_dedupes_shared_structure(baseline) -> None:
     snap = read_columnar(out / f"{labels[0]}.rpq", table)
     # path_ids are unique after the keep-first dedupe
     assert len(np.unique(snap.path_id)) == len(snap.path_id)
-    paths = [table.paths[pid] for pid in snap.path_id[:50]]
+    paths = table.paths_of(snap.path_id[:50])
     assert any(p == "/lustre" for p in paths)
 
 
