@@ -57,7 +57,10 @@ attribute touch; ``raw`` blocks become read-only mmap-backed views).
 Either path codec decodes to :class:`~repro.scan.paths.PathRows`, which
 the reader interns in row order.
 Block CRCs are verified on first touch either way.  :func:`verify_columnar`
-runs every check of an eager read and interns nothing.
+runs every check of an eager read and interns nothing, and
+:func:`read_tree_columns` returns every block as arrays (the shard
+merge's reader).  Every decoder of a ``tree-zlib`` block checks it the
+same way, with NumPy over each inflated piece (:func:`_tree_stream`).
 
 Every integrity failure raises :class:`~repro.scan.errors.
 CorruptSnapshotError` carrying the file, byte offset, and reason — never a
@@ -138,8 +141,10 @@ def _align_up(offset: int) -> int:
 
 
 def _decode_column(
-    blob: bytes, meta: dict, source: str | Path, offset: int
+    blob: bytes, meta: dict, source: str | Path, offset: int, copy: bool = True
 ) -> np.ndarray:
+    """One numeric block, checked and decoded; ``copy=False`` returns a
+    read-only view of the decoded bytes instead of a writable copy."""
     name = meta["name"]
     if zlib.crc32(blob) != meta["crc32"]:
         raise CorruptSnapshotError(
@@ -161,7 +166,9 @@ def _decode_column(
             delta = np.frombuffer(raw, dtype=np.uint64).astype(np.int64)
             data = (delta + int(meta["base"])).astype(np.dtype(meta["dtype"]))
         else:
-            data = np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).copy()
+            data = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]))
+            if copy:
+                data = data.copy()
     except (ValueError, TypeError, KeyError) as exc:
         raise CorruptSnapshotError(
             source, f"column {name!r}: undecodable block ({exc})", offset=offset
@@ -222,7 +229,7 @@ def column_block(name: str, data: np.ndarray) -> tuple[Iterator, dict]:
 
 
 def path_table_block(
-    name: str, table: PathTable, path_ids: np.ndarray
+    name: str, table, path_ids: np.ndarray
 ) -> tuple[Iterator[bytes], dict]:
     """The paths of ``path_ids`` as a ``tree-zlib`` block still to be
     deflated: ``(buffers, meta)`` — the one path-table encoder.
@@ -232,12 +239,17 @@ def path_table_block(
     otherwise), then the rows' names, newline-joined UTF-8: a row under
     an earlier row stores its own name, a row with no parent in the block
     its full path.  The block is self-contained.  ``buffers`` yields the
-    parent rows, then the names in chunks built only when drawn, each
-    holding at most :data:`PATH_CHUNK` rows and about
-    :data:`PATH_CHUNK_CHARS` characters.  A name containing a newline
-    would read back as two, so drawing its chunk raises a ``ValueError``
-    naming the path.  Once ``buffers`` is exhausted, ``meta["raw_bytes"]``
-    is the inflated stream's length in bytes.
+    parent rows, then the names in chunks built only when drawn.  Once
+    ``buffers`` is exhausted, ``meta["raw_bytes"]`` is the inflated
+    stream's length in bytes.
+
+    ``table`` is a :class:`PathTable` — its chunks hold at most
+    :data:`PATH_CHUNK` rows and about :data:`PATH_CHUNK_CHARS`
+    characters, and a name containing a newline, which would read back as
+    two, raises a ``ValueError`` naming the path when its chunk is drawn
+    — or any tree of paths with ``parent_rows(path_ids)`` and
+    ``tree_names(path_ids, parent rows)``, which yields the names' UTF-8
+    bytes (the shard merge's index of its parts).
     """
     parents = table.parent_rows(path_ids)
     meta = {
@@ -246,15 +258,27 @@ def path_table_block(
         "rows": int(path_ids.size),
         "raw_bytes": 0,
     }
-    return _tree_buffers(table, path_ids, parents, meta), meta
+    if isinstance(table, PathTable):
+        names = _tree_buffers(table, path_ids, parents)
+    else:
+        names = table.tree_names(path_ids, parents)
+    return _counted(parents, names, meta), meta
 
 
-def _tree_buffers(
-    table: PathTable, path_ids: np.ndarray, parents: np.ndarray, meta: dict
+def _counted(
+    parents: np.ndarray, names: Iterator[bytes], meta: dict
 ) -> Iterator[bytes]:
     head = parents.astype("<i4").tobytes()
     meta["raw_bytes"] += len(head)
     yield head
+    for data in names:
+        meta["raw_bytes"] += len(data)
+        yield data
+
+
+def _tree_buffers(
+    table: PathTable, path_ids: np.ndarray, parents: np.ndarray
+) -> Iterator[bytes]:
     most, chars = PATH_CHUNK, PATH_CHUNK_CHARS
     for start in range(0, path_ids.size, most):
         ids = path_ids[start : start + most]
@@ -287,7 +311,6 @@ def _tree_buffers(
             del piece  # the built names go before the deflate draws them
             data = text.encode("utf-8")
             del text
-            meta["raw_bytes"] += len(data)
             yield data
             lo = hi
 
@@ -485,19 +508,24 @@ def write_block_files(files: list[BlockFile]) -> list[dict]:
     return stats
 
 
+def raw_block(name: str, data: np.ndarray) -> tuple[np.ndarray, dict]:
+    """One numeric column as a ``raw`` block: its little-endian array
+    bytes, stored as they are (the codec :func:`open_columnar` maps)."""
+    blob = _byte_view(data)
+    return blob, {
+        "name": name,
+        "dtype": str(data.dtype),
+        "rows": int(data.size),
+        "codec": "raw",
+        "raw_bytes": len(blob),
+        "stored_bytes": len(blob),
+        "crc32": zlib.crc32(blob),
+    }
+
+
 def _snapshot_blocks(snapshot: Snapshot):
     for name in _STORED_COLUMNS:
-        data = getattr(snapshot, name)
-        blob = _byte_view(data)
-        yield blob, {
-            "name": name,
-            "dtype": str(data.dtype),
-            "rows": int(data.size),
-            "codec": "raw",
-            "raw_bytes": len(blob),
-            "stored_bytes": len(blob),
-            "crc32": zlib.crc32(blob),
-        }
+        yield raw_block(name, getattr(snapshot, name))
     yield path_table_block("__paths__", snapshot.paths, snapshot.path_id)
 
 
@@ -801,6 +829,103 @@ def _lines(pieces: Iterable[bytes]) -> Iterator[str]:
     yield "".join(partial)
 
 
+def _path_fault(
+    source: str | Path, meta: dict, offset: int, reason: str
+) -> CorruptSnapshotError:
+    return CorruptSnapshotError(
+        source, f"path table {meta['name']!r}: {reason}", offset=offset
+    )
+
+
+def _tree_stream(
+    blob: bytes, meta: dict, rows: int, source: str | Path, offset: int
+) -> tuple[np.ndarray, Iterator[bytes]]:
+    """Check a ``tree-zlib`` block that must hold ``rows`` rows; returns
+    its parent rows (int32) and its names' text as checked pieces.
+
+    The CRC and the parent rows are checked here: a reference below
+    "none", at or after its own row or past the block is refused.  The
+    text is inflated :data:`INFLATE_PIECE` bytes at a time, and each piece
+    is checked with NumPy as it is drawn: its UTF-8, and no ``/`` in a
+    name under a parent row.  Once the last piece is drawn, a names count
+    other than ``rows`` is refused.  Every fault, a truncated stream
+    included, names the block and, where there is one, the first bad row.
+    """
+    if zlib.crc32(blob) != meta["crc32"]:
+        raise _path_fault(source, meta, offset, "checksum mismatch")
+    try:
+        head, rest = _split_stream(_inflate(blob), 4 * rows)
+    except zlib.error as exc:
+        raise _path_fault(source, meta, offset, f"undecodable ({exc})") from exc
+    if len(head) < 4 * rows:
+        raise _path_fault(
+            source, meta, offset,
+            f"stream ends after {len(head) // 4} of {rows} parent rows",
+        )
+    refs = np.frombuffer(head, dtype="<i4")
+    bad = np.flatnonzero((refs < -1) | (refs >= np.arange(rows)))
+    if bad.size:
+        row, ref = int(bad[0]), int(refs[bad[0]])
+        where = (
+            "below none" if ref < -1
+            else "past the block" if ref >= rows
+            else "at or after its own row"
+        )
+        raise _path_fault(
+            source, meta, offset, f"row {row}: parent reference {ref} is {where}"
+        )
+    return refs, _checked_names(blob, meta, rows, source, offset, rest, refs >= 0)
+
+
+def _checked_names(
+    blob: bytes,
+    meta: dict,
+    rows: int,
+    source: str | Path,
+    offset: int,
+    pieces: Iterator[bytes],
+    under: np.ndarray,
+) -> Iterator[bytes]:
+    """The pieces of a tree block's name text, each checked before it is
+    yielded (see :func:`_tree_stream`)."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    ended = 0  # names ended so far: the row the next byte belongs to
+    size = 0
+    try:
+        for piece in pieces:
+            decoder.decode(piece)
+            data = np.frombuffer(piece, dtype=np.uint8)
+            newlines = int(np.count_nonzero(data == 0x0A))
+            # only a name under a parent row may not hold a "/"
+            if b"/" in piece and under[ended : ended + newlines + 1].any():
+                slashes = np.flatnonzero(data == 0x2F)
+                at = ended + np.searchsorted(np.flatnonzero(data == 0x0A), slashes)
+                at = at[at < rows]
+                at = at[under[at]]
+                if at.size:
+                    row = int(at[0])
+                    name = _name_at(blob, rows, row)
+                    raise _path_fault(
+                        source, meta, offset, f"row {row}: name {name!r} holds a '/'"
+                    )
+            ended += newlines
+            size += len(piece)
+            yield piece
+        decoder.decode(b"", final=True)
+    except (zlib.error, UnicodeDecodeError) as exc:
+        raise _path_fault(source, meta, offset, f"undecodable ({exc})") from exc
+    found = ended + 1 if rows or size else 0  # no rows: the empty text
+    if found != rows:
+        raise _path_fault(source, meta, offset, f"{found} names for {rows} rows")
+
+
+def _name_at(blob: bytes, rows: int, row: int) -> str:
+    """Name ``row`` of a tree block whose pieces passed every check up to
+    it (a fault message's words)."""
+    _, rest = _split_stream(_inflate(blob), 4 * rows)
+    return next(itertools.islice(_lines(rest), row, None))
+
+
 def _decode_tree(
     blob: bytes,
     meta: dict,
@@ -811,68 +936,44 @@ def _decode_tree(
 ) -> PathRows | None:
     """Decode a ``tree-zlib`` path table that must hold ``rows`` rows.
 
-    The stream is inflated and split one piece at a time.  A row with no
-    parent in the block carries its full path; it is split at its last
-    ``/`` as it is read, so the call holds the rows' names and their
-    distinct outside directories, never the full paths.  With
-    ``keep=False`` it runs the same checks and returns None.  A parent
-    reference below "none", at or after its own row or past the block, a
-    name under a row holding a ``/``, a names count other than ``rows``
-    and a truncated stream are all refused, naming the block.
+    :func:`_tree_stream` checks the block as it inflates, one piece at a
+    time.  A row with no parent in the block carries its full path; it is
+    split at its last ``/`` as it is read, so the call holds the rows'
+    names and their distinct outside directories, never the full paths.
+    With ``keep=False`` it runs the same checks and returns None.
     """
-    name = meta["name"]
-
-    def corrupt(reason: str) -> CorruptSnapshotError:
-        return CorruptSnapshotError(
-            source, f"path table {name!r}: {reason}", offset=offset
-        )
-
-    if zlib.crc32(blob) != meta["crc32"]:
-        raise corrupt("checksum mismatch")
-    names: list[str] | None = [] if keep else None
+    refs, pieces = _tree_stream(blob, meta, rows, source, offset)
+    if not keep:
+        for _ in pieces:
+            pass
+        return None
+    parents = refs.tolist()
+    names: list[str] = []
     dir_of: dict[str, int] = {}
-    found = 0
-    last = ""
-    try:
-        head, rest = _split_stream(_inflate(blob), 4 * rows)
-        if len(head) < 4 * rows:
-            raise corrupt(
-                f"stream ends after {len(head) // 4} of {rows} parent rows"
-            )
-        refs = np.frombuffer(head, dtype="<i4")
-        bad = np.flatnonzero((refs < -1) | (refs >= np.arange(rows)))
-        if bad.size:
-            row, ref = int(bad[0]), int(refs[bad[0]])
-            where = (
-                "below none" if ref < -1
-                else "past the block" if ref >= rows
-                else "at or after its own row"
-            )
-            raise corrupt(f"row {row}: parent reference {ref} is {where}")
-        parents = refs.tolist()
-        del head, refs
-        for found, last in enumerate(_lines(rest)):
-            if found >= rows:
-                continue
-            if parents[found] >= 0:
-                if "/" in last:
-                    raise corrupt(f"row {found}: name {last!r} holds a '/'")
-                if names is not None:
-                    names.append(last)
-            elif names is not None:
-                directory, sep, leaf = last.rpartition("/")
-                if sep:
-                    parents[found] = -2 - dir_of.setdefault(directory, len(dir_of))
-                    last = leaf
-                names.append(last)
-        found += 1
-    except (zlib.error, UnicodeDecodeError) as exc:
-        raise corrupt(f"undecodable ({exc})") from exc
-    if not rows and found == 1 and not last:
-        found = 0  # no rows: the empty text
-    if found != rows:
-        raise corrupt(f"{found} names for {rows} rows")
-    return None if names is None else PathRows(parents, names, list(dir_of))
+    for row, name in enumerate(_lines(pieces)):
+        if row >= rows:
+            continue  # the checked pieces refuse the count at their end
+        if parents[row] < 0:
+            directory, sep, leaf = name.rpartition("/")
+            if sep:
+                parents[row] = -2 - dir_of.setdefault(directory, len(dir_of))
+                name = leaf
+        names.append(name)
+    return PathRows(parents, names, list(dir_of))
+
+
+def _tree_arrays(
+    blob: bytes, meta: dict, rows: int, source: str | Path, offset: int
+) -> tuple[np.ndarray, bytes]:
+    """A ``tree-zlib`` block, checked as :func:`_tree_stream` checks it, as
+    ``(parent rows, names)``: the int32 parent rows and the names' UTF-8
+    text, newline-joined.  A ``strtab-zlib`` block is refused."""
+    if meta["codec"] != "tree-zlib":
+        raise _path_fault(
+            source, meta, offset, f"codec {meta['codec']!r}, not 'tree-zlib'"
+        )
+    refs, pieces = _tree_stream(blob, meta, rows, source, offset)
+    return refs, b"".join(pieces)
 
 
 #: Codecs a path-table block may carry: :func:`path_table_block`'s, and
@@ -889,35 +990,43 @@ def _decode_paths(
     keep: bool = True,
 ) -> PathRows | None:
     """Decode either path-table codec into :class:`PathRows` (None with
-    ``keep=False``) — the one entry every reader decodes paths through."""
+    ``keep=False``) — the one entry every interning reader decodes paths
+    through."""
     if meta["codec"] == "tree-zlib":
         return _decode_tree(blob, meta, rows, source, offset, keep)
     strings = _decode_strtab(blob, meta, rows, source, offset, keep)
     return None if strings is None else split_paths(strings)
 
 
+def _check_paths(
+    blob: bytes, meta: dict, rows: int, source: str | Path, offset: int
+) -> None:
+    _decode_paths(blob, meta, rows, source, offset, keep=False)
+
+
 def _read_prologue(
-    fh: BinaryIO, source: str | Path, keep: bool = True
-) -> tuple[dict, PathRows | None, dict[str, tuple[dict, int]]]:
+    fh: BinaryIO, source: str | Path, decode: Callable = _decode_paths
+) -> tuple[dict, Any, dict[str, tuple[dict, int]]]:
     """The front half every snapshot reader shares.
 
-    Validates the header, decodes the path table (with ``keep=False``,
-    checks it without building its rows, which come back None), and
-    locates every other block; returns ``(header, path rows, {name:
-    (meta, offset)})``.  A file without a path table, missing a stored
-    numeric column, or with a column block whose row count disagrees with
-    the header's is refused here, before any column decodes or any path
-    is interned.
+    Validates the header, decodes the path table with ``decode(blob,
+    meta, rows, source, offset)`` — :func:`_decode_paths` by default,
+    :func:`_check_paths` to check it without building its rows (which
+    come back None) — and locates every other block; returns ``(header,
+    decoded paths, {name: (meta, offset)})``.  A file without a path
+    table, missing a stored numeric column, or with a column block whose
+    row count disagrees with the header's is refused here, before any
+    column decodes or any path is interned.
     """
     header, offsets = _read_header(fh, source)
     rows = header["rows"]
-    paths: PathRows | None = None
+    paths: Any = None
     has_paths = False
     blocks: dict[str, tuple[dict, int]] = {}
     for meta, offset in zip(header["columns"], offsets):
         if meta["codec"] in _PATH_CODECS:
             blob = _read_block(fh, source, meta, offset)
-            paths = _decode_paths(blob, meta, rows, source, offset, keep)
+            paths = decode(blob, meta, rows, source, offset)
             has_paths = True
             continue
         if meta["rows"] != rows:
@@ -948,10 +1057,32 @@ def verify_columnar(source: str | Path) -> dict:
     ``verify="deep"`` use this.
     """
     with open(source, "rb") as fh:
-        header, _, blocks = _read_prologue(fh, source, keep=False)
+        header, _, blocks = _read_prologue(fh, source, _check_paths)
         for meta, offset in blocks.values():
             _decode_column(_read_block(fh, source, meta, offset), meta, source, offset)
     return {key: header[key] for key in _HEADER_KEYS}
+
+
+def read_tree_columns(
+    source: str | Path,
+) -> tuple[dict, dict[str, np.ndarray], tuple[np.ndarray, bytes]]:
+    """Every block of a snapshot whose paths are a ``tree-zlib`` block, as
+    arrays, interning nothing: ``(header, columns, (parent rows, names))``.
+
+    ``columns`` holds every numeric block the file stores (a shard part's
+    ``path_id`` block among them) as read-only arrays, each checked as
+    :func:`read_columnar` checks it; the path block is checked by
+    :func:`_tree_arrays`.  The shard merge reads its parts with this.
+    """
+    with open(source, "rb") as fh:
+        header, tree, blocks = _read_prologue(fh, source, _tree_arrays)
+        columns = {
+            name: _decode_column(
+                _read_block(fh, source, meta, offset), meta, source, offset, copy=False
+            )
+            for name, (meta, offset) in blocks.items()
+        }
+    return header, columns, tree
 
 
 def read_columnar(source: str | Path, paths: PathTable) -> Snapshot:

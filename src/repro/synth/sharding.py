@@ -5,8 +5,9 @@ is millions of users, which no single in-memory :class:`FileSystem` can
 hold.  This module splits the simulation by *project*: a stable CRC hash
 assigns every project gid to one of N shards, each shard simulates only its
 projects' namespaces on its own clock/file system, and every weekly scan is
-written straight to a per-shard ``.rpq`` part via the columnar writer — the
-full tree is never materialized in one process.
+written straight to a per-shard ``.rpq`` part, with the shard scanner's path
+ids beside its rows (:func:`~repro.scan.merge.write_shard_part`) — the full
+tree is never materialized in one process.
 
 Determinism is the load-bearing property:
 
@@ -21,7 +22,9 @@ Determinism is the load-bearing property:
   deterministic) but skips re-writing weeks already recorded in its
   :class:`~repro.query.journal.KernelJournal` checkpoint, whose appends
   are fsynced — a SIGKILL loses at most the in-flight week, which the
-  next attempt rewrites byte-identically.
+  next attempt rewrites byte-identically (a journal written for another
+  part layout, :data:`~repro.scan.merge.PART_FORMAT`, is discarded, so
+  the shard is re-simulated).
 
 The merged archive (see :mod:`repro.scan.merge`) is therefore byte-identical
 for a fixed shard count regardless of worker count, scheduling order, or
@@ -45,12 +48,13 @@ from repro.core.accounts import write_accounts
 from repro.core.manifest import config_fingerprint
 from repro.core.runcontrol import RunController
 from repro.query.journal import KernelJournal
-from repro.scan.columnar import write_columnar
 from repro.scan.merge import (
+    PART_FORMAT,
     PARTS_DIRNAME,
     merge_shard_parts,
     shard_dir,
     shard_part_path,
+    write_shard_part,
 )
 from repro.scan.store import ArchiveHealthReport, SnapshotFault
 from repro.synth.driver import (
@@ -116,13 +120,16 @@ class ShardPlan:
         return np.random.default_rng(seq)
 
     def fingerprint(self, shard: int) -> dict:
-        """Journal identity: config fingerprint + the shard coordinates."""
+        """Journal identity: config fingerprint, the shard coordinates and
+        the part layout (a journal of parts an older build wrote is
+        discarded, so its shard is re-simulated)."""
         return {
             **config_fingerprint(self.config),
             "scale": self.config.scale,
             "weeks": self.config.weeks,
             "n_shards": self.n_shards,
             "shard": shard,
+            "part_format": PART_FORMAT,
         }
 
     def labels(self) -> list[str]:
@@ -213,7 +220,7 @@ def simulate_shard(
             path = shard_part_path(parts_root, shard, outcome.label)
             record = done.get(scan_index)
             if record is None or not path.exists():
-                stats = write_columnar(outcome.snapshot, path)
+                stats = write_shard_part(outcome.snapshot, path)
                 record = {
                     "label": outcome.label,
                     "file": path.name,

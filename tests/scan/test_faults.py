@@ -430,7 +430,7 @@ def _with_short_block(src, dest, name: str) -> None:
 def _merge_drops_short_shard(victim):
     """``merge_shard_parts(on_error="skip")`` over a healthy shard 0 and
     ``victim`` as shard 1 drops shard 1 and merges shard 0 alone."""
-    from repro.scan.merge import merge_shard_parts, shard_part_path
+    from repro.scan.merge import merge_shard_parts, shard_part_path, write_shard_part
     from repro.scan.store import ArchiveHealthReport
     from repro.synth.driver import SimulationConfig
 
@@ -438,7 +438,7 @@ def _merge_drops_short_shard(victim):
     healthy, bad = (shard_part_path(root, s, "w0") for s in (0, 1))
     for part in (healthy, bad):
         part.parent.mkdir(parents=True)
-    write_columnar(_make_snapshot(6), healthy)
+    write_shard_part(_make_snapshot(6), healthy)
     shutil.copy(victim, bad)
     report = ArchiveHealthReport()
     records = merge_shard_parts(
@@ -458,8 +458,10 @@ def test_short_column_block_refused_typed(tmp_path, entry):
     valid — is refused with CorruptSnapshotError before any path is
     interned: never a bare ValueError the store's policies miss, never a
     lazy snapshot whose ``uid`` is shorter than its ``len``."""
+    from repro.scan.merge import write_shard_part
+
     src = tmp_path / "w0.rpq"
-    write_columnar(_make_snapshot(6), src)
+    (write_shard_part if entry == "merge" else write_columnar)(_make_snapshot(6), src)
     victim = tmp_path / "short.rpq"
     _with_short_block(src, victim, "uid")
     if entry == "merge":
@@ -603,19 +605,20 @@ def test_malformed_path_block_table_raises_typed(tmp_path, field, value, entry):
 def test_merge_drops_a_shard_with_a_bad_tree_block(tmp_path):
     """Under ``skip`` the merge probe drops the shard whose path block is
     bad, naming the block, and merges the rest."""
-    src = tmp_path / "w0.rpq"
-    write_columnar(_make_snapshot(6), src)
-    victim = tmp_path / "bad.rpq"
-    _with_path_payload(src, victim, "__paths__", _PAYLOAD_FAULTS["past-block"][0])
-    from repro.scan.merge import merge_shard_parts, shard_part_path
+    from repro.scan.merge import merge_shard_parts, shard_part_path, write_shard_part
     from repro.scan.store import ArchiveHealthReport
     from repro.synth.driver import SimulationConfig
+
+    src = tmp_path / "w0.rpq"
+    write_shard_part(_make_snapshot(6), src)
+    victim = tmp_path / "bad.rpq"
+    _with_path_payload(src, victim, "__paths__", _PAYLOAD_FAULTS["past-block"][0])
 
     root = tmp_path / "parts"
     healthy, bad = (shard_part_path(root, s, "w0") for s in (0, 1))
     for part in (healthy, bad):
         part.parent.mkdir(parents=True)
-    write_columnar(_make_snapshot(6), healthy)
+    write_shard_part(_make_snapshot(6), healthy)
     shutil.copy(victim, bad)
     report = ArchiveHealthReport()
     records = merge_shard_parts(

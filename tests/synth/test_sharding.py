@@ -25,6 +25,7 @@ from repro.scan.merge import (
     merge_shard_parts,
     probe_shard_parts,
     shard_part_path,
+    write_shard_part,
 )
 from repro.scan.paths import PathTable
 from repro.scan.store import ArchiveHealthReport
@@ -121,6 +122,37 @@ def test_resume_skips_already_written_weeks(tmp_path, baseline) -> None:
     assert victim.read_bytes() == original
 
 
+def test_parts_of_an_older_build_are_resimulated(tmp_path, baseline, monkeypatch) -> None:
+    """Journals without the part format, beside parts without shard-local
+    ids — what a build before the id block left — are discarded on
+    resume: each shard is re-simulated and its parts rewritten, so the
+    merge takes them instead of quarantining every shard."""
+    from repro.synth import sharding
+
+    _, want = baseline
+    plan = ShardPlan(config=CONFIG, n_shards=N_SHARDS)
+    population = generate_population(seed=CONFIG.seed, n_users=CONFIG.n_users)
+    parts_root = tmp_path / "parts"
+    shards = list(range(N_SHARDS))
+    fingerprint = ShardPlan.fingerprint
+
+    def older(self, shard):
+        return {k: v for k, v in fingerprint(self, shard).items() if k != "part_format"}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ShardPlan, "fingerprint", older)
+        patch.setattr(sharding, "write_shard_part", write_columnar)
+        for shard in shards:
+            simulate_shard(plan, population, shard, parts_root)
+    with pytest.raises(CorruptSnapshotError, match="no 'path_id' block"):
+        probe_shard_parts(parts_root, plan.labels(), shards)
+    with pytest.warns(RuntimeWarning, match="different run"):
+        for shard in shards:
+            simulate_shard(plan, population, shard, parts_root)
+    merge_shard_parts(parts_root, tmp_path / "merged", CONFIG, plan.labels(), shards)
+    assert archive_digest(tmp_path / "merged") == want
+
+
 def test_merged_ino_spaces_do_not_collide(baseline) -> None:
     out, _ = baseline
     labels = scan_labels(CONFIG)
@@ -139,6 +171,19 @@ def test_merge_dedupes_shared_structure(baseline) -> None:
     assert len(np.unique(snap.path_id)) == len(snap.path_id)
     paths = table.paths_of(snap.path_id[:50])
     assert any(p == "/lustre" for p in paths)
+    # each directory several shards hold appears once, with the inode of
+    # the lowest shard holding it
+    merged = dict(zip(table.paths_of(snap.path_id), snap.ino.tolist()))
+    assert len(merged) == len(snap)
+    holders: dict[str, list[tuple[int, int]]] = {}
+    for shard in range(N_SHARDS):
+        part = read_columnar(shard_part_path(out / "parts", shard, labels[0]), PathTable())
+        for path, ino in zip(part.path_strings(), part.ino.tolist()):
+            holders.setdefault(path, []).append((shard, ino))
+    shared = {path: min(held) for path, held in holders.items() if len(held) > 1}
+    assert "/lustre" in shared
+    for path, (shard, ino) in shared.items():
+        assert merged[path] == shard * INO_STRIDE + ino, path
 
 
 def test_merge_probe_raises_typed_on_corruption(tmp_path, baseline) -> None:
@@ -257,7 +302,7 @@ def test_merge_names_the_disagreeing_part(tmp_path, baseline) -> None:
     part = read_columnar(victim, PathTable())
     part.timestamp += 1
     try:
-        write_columnar(part, victim)
+        write_shard_part(part, victim)
         with pytest.raises(CorruptSnapshotError, match="disagrees") as err:
             merge_shard_parts(
                 parts_root, tmp_path / "merged", CONFIG, labels,
