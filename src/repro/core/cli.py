@@ -10,6 +10,7 @@ LustreDU/PSV trace dumps into an analyzable archive through the hardened
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -470,7 +471,14 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["ingest"]:
         return ingest_main(argv[1:])
     if argv[:1] == ["serve"]:
-        return serve_main(argv[1:])
+        code = serve_main(argv[1:])
+        # serve's signal handlers must outlive every Python statement: the
+        # interpreter's own shutdown puts the default dispositions back
+        # before it tears the modules down, and a second signal landing
+        # then would kill the process instead of exiting 130
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
     if argv[:1] == ["synth"]:
         return synth_main(argv[1:])
     parser = build_parser()
@@ -669,13 +677,60 @@ def serve_main(argv: list[str]) -> int:
             follower.stop()
 
 
+class _ServeSignals:
+    """The serve verb's SIGTERM/SIGINT handler, the process's own.
+
+    Installed with ``signal.signal`` rather than the loop's
+    ``add_signal_handler``, it outlives the loop: a closing asyncio loop
+    puts back the default disposition of the signals it handled, so on an
+    idle server, whose drain finishes at once, a second signal landing
+    after the loop has closed would kill the process instead of exiting
+    130.
+    The first signal calls ``on_first`` in the loop; any later one, in the
+    loop or after it, exits 130 at once, as does a first one that finds the
+    loop closed (the server failed to start).  :func:`main` ends a serve
+    process with ``os._exit``, so the handler is still installed when the
+    process exits.
+    """
+
+    def __init__(self, loop, on_first, signal_mod) -> None:
+        import socket
+
+        self.loop = loop
+        self.on_first = on_first
+        self.signal_mod = signal_mod
+        self.count = 0
+        # the C-level handler writes each signal's number to ``notify``:
+        # that wakes the selector even when another thread took the
+        # signal, so this handler runs promptly in the main thread
+        self.wake, self.notify = socket.socketpair()
+        self.wake.setblocking(False)
+        self.notify.setblocking(False)
+        loop.add_reader(self.wake.fileno(), self.wake.recv, 512)
+        signal_mod.set_wakeup_fd(self.notify.fileno(), warn_on_full_buffer=False)
+        for signum in (signal_mod.SIGTERM, signal_mod.SIGINT):
+            signal_mod.signal(signum, self)
+
+    def __call__(self, signum: int, frame) -> None:
+        self.count += 1
+        name = self.signal_mod.Signals(signum).name
+        if self.count == 1 and not self.loop.is_closed():
+            self.loop.call_soon_threadsafe(self.on_first, name)
+            return
+        # one unbuffered write: the handler may interrupt a buffered one
+        try:
+            os.write(2, f"# second {name}: hard abort\n".encode())
+        except OSError:
+            pass
+        os._exit(EXIT_SIGNAL)
+
+
 async def _serve_forever(server, signal_mod) -> int:
     """Run the accept loop until a signal drains (0) or hard-aborts (130)."""
     import asyncio
 
     loop = asyncio.get_running_loop()
     finished = loop.create_future()
-    signal_count = 0
 
     def note(message: str) -> None:
         # shutdown progress is best-effort: when the operator's terminal
@@ -686,29 +741,19 @@ async def _serve_forever(server, signal_mod) -> int:
         except OSError:
             pass
 
-    def on_signal(name: str) -> None:
-        nonlocal signal_count
-        signal_count += 1
-        if signal_count == 1:
+    def drain(name: str) -> None:
+        async def _drain() -> None:
+            await server.drain(f"received {name}")
+            if not finished.done():
+                finished.set_result(0)
 
-            async def _drain() -> None:
-                await server.drain(f"received {name}")
-                if not finished.done():
-                    finished.set_result(0)
-
-            loop.create_task(_drain())
-            note(
-                f"# received {name}: draining (grace "
-                f"{server.config.grace_seconds:g}s)"
-            )
-        elif not finished.done():
-            finished.set_result(EXIT_SIGNAL)
-            note(f"# second {name}: hard abort")
-
-    for signum in (signal_mod.SIGTERM, signal_mod.SIGINT):
-        loop.add_signal_handler(
-            signum, on_signal, signal_mod.Signals(signum).name
+        loop.create_task(_drain())
+        note(
+            f"# received {name}: draining (grace "
+            f"{server.config.grace_seconds:g}s)"
         )
+
+    _ServeSignals(loop, drain, signal_mod)
     await server.start()
     # flush=True and a parseable PORT line: acceptance tests (and reverse
     # proxies) read the bound ephemeral port from here

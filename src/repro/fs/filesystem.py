@@ -16,6 +16,8 @@ into the POSIX-flavored API the workload models drive:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from repro.fs.clock import SimClock
@@ -142,7 +144,10 @@ class FileSystem:
         This is the hot path of the workload driver — a bursty checkpoint
         writes thousands of files into one directory in one simulated
         session — so inode allocation, striping, and timestamps are all done
-        array-wise.
+        array-wise.  A bad batch — an illegal, repeated or existing name,
+        or timestamps that are neither one stamp nor one per name — raises
+        before anything changes: no quota charged, no OST cursor moved, no
+        inode number taken.
         """
         n = len(names)
         if n == 0:
@@ -151,14 +156,20 @@ class FileSystem:
             self.getstripe(parent) if stripe_count is None
             else self.osts.validate(stripe_count)
         )
+        entries = self.namespace.check_names(parent, names)
+        stamps = np.asarray(timestamps, dtype=np.int64)
+        if stamps.ndim and stamps.shape != (n,):
+            raise InvalidArgument(
+                f"timestamps of shape {stamps.shape} for {n} names"
+            )
         self.quota.charge(gid, n)
-        starts = self.osts.assign_many(np.full(n, stripes, dtype=np.int64))
+        starts = self.osts.assign_many(stripes, n)
         inos = self.inodes.alloc_many(
-            n, S_IFREG | perm, uid, gid, timestamps, stripes, starts
+            n, S_IFREG | perm, uid, gid, stamps, stripes, starts
         )
-        self.namespace.link_many(parent, names, inos)
-        ts_max = int(np.max(timestamps)) if np.ndim(timestamps) else int(timestamps)
-        self.inodes.touch_write(parent, ts_max)
+        # nothing between the check and here touches the namespace
+        self.namespace._link_checked(entries, parent, names, inos)
+        self.inodes.touch_write(parent, int(stamps.max() if stamps.ndim else stamps))
         self.files_created += n
         return inos
 
@@ -247,20 +258,19 @@ class FileSystem:
         inos = np.asarray(inos, dtype=np.int64)
         if inos.size == 0:
             return
-        parents = self.namespace.parents_of(inos)
-        self.namespace.unlink_inodes(inos)
-        self._drop_unlinked(inos, np.unique(parents), ts)
+        parents = self.namespace.unlink_inodes(inos)
+        self._drop_unlinked(inos, parents, ts)
 
     def _drop_unlinked(
         self, inos: np.ndarray, parents: np.ndarray | int, ts: int
     ) -> None:
         """Refund, free and count files whose dentries are already gone."""
-        gids, counts = np.unique(self.inodes.gid[inos], return_counts=True)
-        for gid, count in zip(gids, counts):
-            self.quota.refund(int(gid), int(count))
+        for gid, count in Counter(self.inodes.gid[inos].tolist()).items():
+            self.quota.refund(gid, count)
         self.inodes.free_many(inos)
+        # a parent listed twice is stamped twice with the same time
         self.inodes.touch_write(parents, ts)
-        self.files_deleted += int(inos.size)
+        self.files_deleted += inos.size
 
     def rmdir(self, parent: int, name: str, timestamp: int | None = None) -> None:
         ts = self.clock.now if timestamp is None else int(timestamp)

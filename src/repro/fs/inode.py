@@ -126,26 +126,30 @@ class InodeTable:
         """
         if count <= 0:
             raise InvalidArgument(f"count must be positive, got {count}")
-        reuse = min(len(self._free), count)
-        inos = np.empty(count, dtype=np.int64)
+        free = self._free
+        reuse = min(len(free), count)
+        start = self._next
+        self._next = start + count - reuse
+        self._grow_to(self._next)
         if reuse:
-            inos[:reuse] = self._free[-reuse:]
-            del self._free[-reuse:]
-        fresh = count - reuse
-        if fresh:
-            start = self._next
-            self._next += fresh
-            self._grow_to(self._next)
-            inos[reuse:] = np.arange(start, start + fresh, dtype=np.int64)
-        self.mode[inos] = mode
-        self.uid[inos] = uid
-        self.gid[inos] = gid
-        self.atime[inos] = timestamps
-        self.mtime[inos] = timestamps
-        self.ctime[inos] = timestamps
-        self.stripe_count[inos] = stripe_counts
-        self.stripe_start[inos] = stripe_starts
-        self.allocated[inos] = True
+            inos = np.empty(count, dtype=np.int64)
+            inos[:reuse] = free[-reuse:]
+            del free[-reuse:]
+            inos[reuse:] = np.arange(start, self._next, dtype=np.int64)
+            at = inos
+        else:
+            # one fresh run: every column write is a slice
+            inos = np.arange(start, self._next, dtype=np.int64)
+            at = slice(start, self._next)
+        self.mode[at] = mode
+        self.uid[at] = uid
+        self.gid[at] = gid
+        self.atime[at] = timestamps
+        self.mtime[at] = timestamps
+        self.ctime[at] = timestamps
+        self.stripe_count[at] = stripe_counts
+        self.stripe_start[at] = stripe_starts
+        self.allocated[at] = True
         self._live += count
         return inos
 
@@ -159,11 +163,11 @@ class InodeTable:
         inos = np.asarray(inos, dtype=np.int64)
         if inos.size == 0:
             return
-        if not self.allocated[inos].all():
+        if np.count_nonzero(self.allocated[inos]) != inos.size:
             raise NotFound("free_many: some inodes are not allocated")
         self.allocated[inos] = False
-        self._free.extend(int(i) for i in inos)
-        self._live -= int(inos.size)
+        self._free.extend(inos.tolist())
+        self._live -= inos.size
 
     # -- queries --------------------------------------------------------
 

@@ -8,6 +8,7 @@ a downward search.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 
 import numpy as np
@@ -89,27 +90,50 @@ class Namespace:
         if self.inodes.is_dir(child):
             self._children.setdefault(child, {})
 
-    def link_many(self, parent: int, names: list[str], children: np.ndarray) -> None:
-        """Bulk dentry insertion (single dict update, one capacity check)."""
+    def check_names(self, parent: int, names: list[str]) -> dict[str, int]:
+        """Raise what :meth:`link_many` would raise for ``names`` under
+        ``parent``, changing nothing; returns the parent's entries.
+
+        Legality is tested once over the joined names; a batch that fails
+        it goes through the per-name check, which raises that name's error.
+        """
         entries = self._require_dir(parent)
+        joined = f"/{'/'.join(names)}/"
+        if (
+            joined.count("/") != len(names) + 1
+            or "//" in joined
+            or "/./" in joined
+            or "/../" in joined
+        ):
+            for name in names:
+                _validate_name(name)
+        if len(set(names)) != len(names):
+            raise FileExistsError_("duplicate names within one link_many batch")
+        if not entries.keys().isdisjoint(names):
+            clash = entries.keys() & set(names)
+            raise FileExistsError_(f"{len(clash)} names already exist, e.g. {next(iter(clash))!r}")
+        return entries
+
+    def link_many(self, parent: int, names: list[str], children: np.ndarray) -> None:
+        """Bulk dentry insertion: the whole batch is checked, then linked."""
         if len(names) != len(children):
             raise InvalidArgument("names and children length mismatch")
-        if not names:
-            return
-        for name in names:
-            _validate_name(name)
-        fresh = dict(zip(names, (int(c) for c in children)))
-        if len(fresh) != len(names):
-            raise FileExistsError_("duplicate names within one link_many batch")
-        clash = entries.keys() & fresh.keys()
-        if clash:
-            raise FileExistsError_(f"{len(clash)} names already exist, e.g. {next(iter(clash))!r}")
-        entries.update(fresh)
+        entries = self.check_names(parent, names)
+        if names:
+            self._link_checked(entries, parent, names, children)
+
+    def _link_checked(
+        self, entries: dict[str, int], parent: int, names: list[str],
+        children: np.ndarray,
+    ) -> None:
+        """Link a non-empty batch :meth:`check_names` has passed into
+        ``entries``, the parent's entries it returned."""
         children = np.asarray(children, dtype=np.int64)
-        self._ensure_capacity(int(children.max()) + 1)
+        kids = children.tolist()
+        entries.update(zip(names, kids))
+        self._ensure_capacity(max(kids) + 1)
         self._parent[children] = parent
-        for name, child in fresh.items():
-            self._name[child] = name
+        deque(map(self._name.__setitem__, kids, names), maxlen=0)
 
     def unlink(self, parent: int, name: str) -> int:
         """Remove a *file* dentry; returns the unlinked inode number."""
@@ -174,37 +198,36 @@ class Namespace:
     def parent_of(self, ino: int) -> int:
         return int(self._parent[ino])
 
-    def parents_of(self, inos: np.ndarray) -> np.ndarray:
-        """Vectorized parent lookup."""
-        return self._parent[np.asarray(inos, dtype=np.int64)]
-
-    def unlink_inodes(self, inos: np.ndarray) -> None:
+    def unlink_inodes(self, inos: np.ndarray) -> np.ndarray:
         """Batched *file* dentry removal (the purge sweep's hot path).
 
         Validates the whole batch before mutating anything, so a bad inode
         leaves the namespace untouched.  The per-dentry dict deletions are
-        unavoidable (they are hash-map removals), but the parent-pointer and
-        name bookkeeping is done array-wise.
+        unavoidable (they are hash-map removals); the checks run over plain
+        lists and the parent pointers are reset array-wise.  Returns each
+        inode's former parent.
         """
         inos = np.asarray(inos, dtype=np.int64)
-        if inos.size == 0:
-            return
-        if np.unique(inos).size != inos.size:
+        batch = inos.tolist()
+        if len(set(batch)) != len(batch):
             raise InvalidArgument("duplicate inodes in unlink batch")
+        parents = self._parent[inos]
+        names = self._name
+        children = self._children
         removals: list[tuple[dict[str, int], str]] = []
-        for ino in inos:
-            ino = int(ino)
-            if ino in self._children:
+        for ino, parent in zip(batch, parents.tolist()):
+            if ino in children:
                 raise IsADirectory(f"inode {ino} is a directory; use rmdir")
-            name = self._name[ino]
+            name = names[ino]
             if name is None or ino == self.root:
                 raise NotFound(f"inode {ino} is not linked")
-            removals.append((self._children[int(self._parent[ino])], name))
+            removals.append((children[parent], name))
         for entries, name in removals:
             del entries[name]
-        for ino in inos:
-            self._name[int(ino)] = None
+        for ino in batch:
+            names[ino] = None
         self._parent[inos] = 0
+        return parents
 
     def linked_mask(self, inos: np.ndarray) -> np.ndarray:
         """Vectorized: which of these inodes are linked into the tree.

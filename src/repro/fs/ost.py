@@ -60,17 +60,18 @@ class OstAllocator:
         self._cursor = (self._cursor + stripe_count) % self.ost_count
         return start
 
-    def assign_many(self, stripe_counts: np.ndarray) -> np.ndarray:
-        """Vectorized allocation: one starting index per requested file."""
-        stripe_counts = np.asarray(stripe_counts, dtype=np.int64)
-        if stripe_counts.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if (stripe_counts < 1).any() or (stripe_counts > self.max_stripe).any():
-            raise InvalidArgument("stripe counts outside the allowed range")
-        ends = np.cumsum(stripe_counts)
-        starts = (self._cursor + ends - stripe_counts) % self.ost_count
-        self._cursor = (self._cursor + int(ends[-1])) % self.ost_count
-        return starts
+    def assign_many(self, stripe_count: int, count: int) -> np.ndarray:
+        """Allocate stripes for ``count`` files of one stripe count.
+
+        Returns the starting OST indices that ``count`` calls of
+        :meth:`assign` would, in closed form: file ``i`` starts
+        ``i * stripe_count`` OSTs past the cursor.
+        """
+        stripe_count = self.validate(stripe_count)
+        start = self._cursor
+        end = start + count * stripe_count
+        self._cursor = end % self.ost_count
+        return np.arange(start, end, stripe_count, dtype=np.int64) % self.ost_count
 
     def stripe_indices(self, start: int, count: int) -> np.ndarray:
         """The explicit OST index list of one file (for LustreDU export)."""

@@ -27,6 +27,9 @@ measures:
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.fs.clock import SECONDS_PER_DAY
@@ -82,6 +85,17 @@ STRIPE_TUNE_PROB = 0.3
 RECALL_PROB = 0.08
 
 
+@functools.cache
+def _domain_knobs(spec: DomainSpec) -> tuple[float, float, float]:
+    """A domain's write spread, read spread and depth parameter, computed
+    once per domain rather than once per project."""
+    return (
+        spread_from_cv(spec.write_cv, DEFAULT_WRITE_CV),
+        spread_from_cv(spec.read_cv, DEFAULT_READ_CV),
+        depth_geometric_p(spec.depth_median),
+    )
+
+
 class ProjectBehavior:
     """Weekly workload driver for one project allocation."""
 
@@ -106,9 +120,7 @@ class ProjectBehavior:
         self.stress_depth = stress_depth
         self.atlas = atlas
 
-        self.write_spread = spread_from_cv(spec.write_cv, DEFAULT_WRITE_CV)
-        self.read_spread = spread_from_cv(spec.read_cv, DEFAULT_READ_CV)
-        self.depth_p = depth_geometric_p(spec.depth_median)
+        self.write_spread, self.read_spread, self.depth_p = _domain_knobs(spec)
         self.sampler = ExtensionSampler(spec, rng)
 
         start = int(rng.integers(0, max(n_weeks // 6, 1)))
@@ -121,7 +133,9 @@ class ProjectBehavior:
         members = project.members if project.members else [0]
         shares = rng.dirichlet(np.full(len(members), 0.5))
         self.member_uids = np.array(members, dtype=np.int64)
-        self._member_cdf = normalized_cdf(shares)
+        # bisect_right over the CDF as floats picks what searchsorted(...,
+        # side="right") picks, without a NumPy call per session
+        self._member_cdf: list[float] = normalized_cdf(shares).tolist()
         # members who have not yet produced a file here; early sessions
         # rotate through them so every affiliated user becomes "active"
         # in the §4.1.1 sense (the paper counts 1,362 users by snapshot UID)
@@ -129,8 +143,9 @@ class ProjectBehavior:
 
         # live-file tracking (kept reconciled with purge/deletes)
         self._inos: np.ndarray = np.empty(0, dtype=np.int64)
-        # last week's transient outputs, cleaned up at the next step
-        self._transient: np.ndarray = np.empty(0, dtype=np.int64)
+        # last week's transient outputs, one slice per session, cleaned up
+        # at the next step
+        self._transient: list[np.ndarray] = []
         # directory pool: every working dir, plus the first one made at
         # each component depth (the anchor new chains grow from)
         self._dir_inos: list[int] = []
@@ -284,15 +299,20 @@ class ProjectBehavior:
         lo = WEEK_SECONDS - width
         return lo + self.rng.random(count) * width
 
+    def _event_offset(self, spread: float) -> float:
+        """One event's offset: ``_session_offsets(1, spread)[0]``, drawn as
+        one ``rng.random()`` (the same stream value as ``random(1)[0]``)."""
+        width = spread * WEEK_SECONDS
+        return WEEK_SECONDS - width + self.rng.random() * width
+
     def weekly_budget(self, week: int) -> int:
         raw = self.total_files * self.weights[week] + self._budget_carry
         budget = int(raw)
         self._budget_carry = raw - budget
         return budget
 
-    def _track(self, inos: np.ndarray) -> None:
-        if inos.size:
-            self._inos = np.concatenate([self._inos, np.asarray(inos, np.int64)])
+    def _track(self, *batches: np.ndarray) -> None:
+        self._inos = np.concatenate([self._inos, *batches])
 
     def _sample_live(self, fraction: float, window: str = "any") -> np.ndarray:
         """Sample live files: ``window`` is 'old', 'new', or 'any'.
@@ -353,26 +373,30 @@ class ProjectBehavior:
         n_sessions = sessions_per_week(self.spec.write_cv, budget)
         n_sessions = min(n_sessions, budget)
         split = self.rng.multinomial(budget, np.full(n_sessions, 1.0 / n_sessions))
-        session_offsets = np.sort(self._session_offsets(n_sessions, self.write_spread))
-        for count, offset in zip(split, session_offsets):
-            count = int(count)
+        session_offsets = sorted(
+            self._session_offsets(n_sessions, self.write_spread).tolist()
+        )
+        week_end = week_start + WEEK_SECONDS - 1
+        created: list[np.ndarray] = []
+        for count, offset in zip(split.tolist(), session_offsets):
             if count == 0:
                 continue
             if self._unwritten:
                 uid = self._unwritten.pop()
             else:
-                pick = self._member_cdf.searchsorted(self.rng.random(), side="right")
-                uid = int(self.member_uids[pick])
+                uid = int(self.member_uids[bisect_right(self._member_cdf, self.rng.random())])
             base_ts = week_start + int(offset)
             target = self._pick_directory(fs, uid, base_ts, upcoming_files=count)
             names = self.sampler.sample_names(count)
             # files stream out over the session (seconds apart, ≤ ~2h)
-            gaps = np.minimum(self.rng.exponential(4.0, size=count), 60.0)
-            stamps = base_ts + np.cumsum(gaps).astype(np.int64)
+            gaps = self.rng.exponential(4.0, size=count)
+            np.minimum(gaps, 60.0, out=gaps)
+            stamps = gaps.cumsum().astype(np.int64)
+            stamps += base_ts
             # sessions never spill past the snapshot at the end of the week
-            np.minimum(stamps, week_start + WEEK_SECONDS - 1, out=stamps)
+            np.minimum(stamps, week_end, out=stamps)
             inos = fs.create_many(target, names, uid, self.project.gid, stamps)
-            self._track(inos)
+            created.append(inos)
             if self.job_log is not None:
                 nodes, runtime, wait = sample_job_shape(
                     JobKind.SIMULATION, self.rng, files_in_session=count
@@ -384,17 +408,20 @@ class ProjectBehavior:
             # flag a slice as next week's transient cleanup victims
             n_transient = int(count * TRANSIENT_FRACTION)
             if n_transient:
-                self._transient = np.concatenate(
-                    [self._transient, inos[:n_transient]]
-                )
+                self._transient.append(inos[:n_transient])
             stats["created"] += count
+        # no step of a session reads the tracked files: track the week's
+        # creations at once
+        self._track(*created)
 
     def _cleanup_transient(
         self, fs: FileSystem, week_start: int, stats: dict[str, int]
     ) -> None:
         """Delete last week's staging/intermediate outputs."""
-        victims = self._owned_files(fs, self._transient)
-        self._transient = np.empty(0, dtype=np.int64)
+        if not self._transient:
+            return
+        victims = self._owned_files(fs, np.concatenate(self._transient))
+        self._transient = []
         if victims.size:
             self._delete(fs, victims, week_start, stats)
 
@@ -455,10 +482,14 @@ class ProjectBehavior:
         stats: dict[str, int],
     ) -> None:
         """Unlink tracked files in one batch, at one time inside the week."""
-        ts = week_start + int(self._session_offsets(1, self.write_spread)[0])
+        ts = week_start + int(self._event_offset(self.write_spread))
+        held = fs.inodes.allocated[self._inos]
         fs.unlink_inodes(victims, timestamp=ts)
-        self._inos = self._inos[~np.isin(self._inos, victims)]
-        stats["deleted"] += int(victims.size)
+        # the unlink frees exactly the victims, which were all allocated:
+        # an entry allocated before it and free after it equals a victim,
+        # and every other entry stays
+        self._inos = self._inos[held <= fs.inodes.allocated[self._inos]]
+        stats["deleted"] += victims.size
 
     # -- archival tier (§2.1) ----------------------------------------------------
 
@@ -489,7 +520,7 @@ class ProjectBehavior:
             names.append(fs.namespace.path(ino))
             mtimes.append(int(fs.inodes.mtime[ino]))
         if names:
-            ts = week_start + int(self._session_offsets(1, self.write_spread)[0])
+            ts = week_start + int(self._event_offset(self.write_spread))
             self.archive.ingest(self.project.gid, uid, names, mtimes, ts)
             stats["archived"] = stats.get("archived", 0) + len(names)
 
@@ -508,7 +539,7 @@ class ProjectBehavior:
         all_names = list(bucket)
         picks = [all_names[int(i)] for i in
                  self.rng.choice(len(all_names), size=want, replace=False)]
-        ts = week_start + int(self._session_offsets(1, self.read_spread)[0])
+        ts = week_start + int(self._event_offset(self.read_spread))
         found = self.archive.recall(self.project.gid, picks, timestamp=ts)
         if not found:
             return

@@ -9,6 +9,8 @@ trees, and a generic tail of images/text/logs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.scan.extensions import NO_EXTENSION
@@ -84,39 +86,51 @@ def normalized_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-class ExtensionSampler:
-    """Per-domain weighted extension/name sampler.
+@functools.cache
+def _extension_table(spec: DomainSpec) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """One domain's weighted name mix: its extensions, their probabilities
+    and the CDF the samplers search — built once per domain and shared,
+    read-only, by every project's :class:`ExtensionSampler`.
 
     The weight table combines (1) the domain's Table 2 top-three extensions
     at their published popularity, (2) the source-code mix biased toward the
     domain's Table 1 language pair, (3) checkpoint series, (4) no-extension
     names, and (5) the generic pool filling the remainder.
     """
+    weights: dict[str, float] = {}
+    top_total = 0.0
+    for ext, pct in spec.ext_top:
+        weights[ext] = weights.get(ext, 0.0) + pct
+        top_total += pct
+    weights[NO_EXTENSION] = NO_EXT_WEIGHT
+    weights[SERIES] = SERIES_WEIGHT
+    source = source_extension_weights(spec.languages)
+    source_total = sum(source.values())
+    for ext, w in source.items():
+        weights[ext] = weights.get(ext, 0.0) + SOURCE_WEIGHT * w / source_total
+    remainder = max(
+        100.0 - top_total - NO_EXT_WEIGHT - SERIES_WEIGHT - SOURCE_WEIGHT, 5.0
+    )
+    generic_total = sum(w for _, w in GENERIC_EXTENSIONS)
+    for ext, w in GENERIC_EXTENSIONS:
+        weights[ext] = weights.get(ext, 0.0) + remainder * w / generic_total
+    extensions = tuple(weights)
+    probs = np.array([weights[e] for e in extensions], dtype=np.float64)
+    probs = probs / probs.sum()
+    cdf = normalized_cdf(probs)
+    probs.setflags(write=False)
+    cdf.setflags(write=False)
+    return extensions, probs, cdf
+
+
+class ExtensionSampler:
+    """Per-project weighted extension/name sampler over its domain's
+    :func:`_extension_table`, drawing from the project's own RNG."""
 
     def __init__(self, spec: DomainSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self.rng = rng
-        weights: dict[str, float] = {}
-        top_total = 0.0
-        for ext, pct in spec.ext_top:
-            weights[ext] = weights.get(ext, 0.0) + pct
-            top_total += pct
-        weights[NO_EXTENSION] = NO_EXT_WEIGHT
-        weights[SERIES] = SERIES_WEIGHT
-        source = source_extension_weights(spec.languages)
-        source_total = sum(source.values())
-        for ext, w in source.items():
-            weights[ext] = weights.get(ext, 0.0) + SOURCE_WEIGHT * w / source_total
-        remainder = max(
-            100.0 - top_total - NO_EXT_WEIGHT - SERIES_WEIGHT - SOURCE_WEIGHT, 5.0
-        )
-        generic_total = sum(w for _, w in GENERIC_EXTENSIONS)
-        for ext, w in GENERIC_EXTENSIONS:
-            weights[ext] = weights.get(ext, 0.0) + remainder * w / generic_total
-        self.extensions = list(weights)
-        probs = np.array([weights[e] for e in self.extensions], dtype=np.float64)
-        self.probs = probs / probs.sum()
-        self._cdf = normalized_cdf(self.probs)
+        self.extensions, self.probs, self._cdf = _extension_table(spec)
         self._series_counter = 0
         self._name_counter = 0
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from repro.fs.clock import SECONDS_PER_DAY, SimClock
-from repro.fs.errors import InvalidArgument, IsADirectory, NotFound, QuotaExceeded
+from repro.fs.errors import (
+    FileExistsError_,
+    InvalidArgument,
+    IsADirectory,
+    NotFound,
+    QuotaExceeded,
+)
 from repro.fs.filesystem import FileSystem
 from repro.fs.quota import QuotaManager
 
@@ -124,6 +130,43 @@ def test_unlink_many_refuses_a_bad_batch_with_nothing_unlinked(fs, batch, error)
     fs.unlink_many(d, ["c", "a"])  # the same files still unlink cleanly
     assert sorted(fs.namespace.children(d)) == ["b", "sub"]
     assert fs.file_count == 1
+
+
+def _fs_state(fs):
+    """Everything a refused batch must leave as it was."""
+    return (
+        fs.entry_count, fs.file_count, fs.files_created, fs.quota.usage(2),
+        fs.osts._cursor, fs.inodes.high_watermark, list(fs.inodes._free),
+        [(ino, parent, name) for ino, parent, name in fs.namespace.walk()],
+    )
+
+
+@pytest.mark.parametrize(
+    "names, stamps, error",
+    [
+        (["x", "x"], None, FileExistsError_),
+        (["x", "bad/name"], None, InvalidArgument),
+        (["x", "."], None, InvalidArgument),
+        (["x", ""], None, InvalidArgument),
+        (["x", "a"], None, FileExistsError_),
+        (["x", "y", "z"], [5, 6], InvalidArgument),
+        (["x", "y"], [[5, 6]], InvalidArgument),
+    ],
+    ids=["duplicate-name", "slash", "dot", "empty", "existing-name",
+         "short-stamps", "stamps-shape"],
+)
+def test_create_many_refuses_a_bad_batch_with_nothing_changed(fs, names, stamps, error):
+    d = fs.makedirs("/p", uid=1, gid=2)
+    fs.create_many(d, ["a", "b", "c"], 1, 2, timestamps=fs.clock.now)
+    fs.unlink_many(d, ["b"])  # a freed number waits on the free list
+    before = _fs_state(fs)
+    with pytest.raises(error):
+        fs.create_many(d, names, 1, 2,
+                       timestamps=fs.clock.now if stamps is None else np.array(stamps))
+    assert _fs_state(fs) == before
+    # the next create takes the numbers the refused batch would have
+    again = fs.create_many(d, ["p", "q"], 1, 2, timestamps=fs.clock.now)
+    assert again.tolist() == [before[6][-1], before[5]]
 
 
 def test_unlink_many_frees_in_name_order(fs):

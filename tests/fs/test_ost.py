@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from repro.fs.errors import InvalidArgument
@@ -44,18 +43,19 @@ def test_max_stripe_clamped_to_ost_count():
 def test_assign_many_matches_serial_assign():
     serial = OstAllocator(ost_count=32, max_stripe=16)
     batch = OstAllocator(ost_count=32, max_stripe=16)
-    counts = np.array([4, 8, 1, 16, 3])
-    starts_serial = [serial.assign(int(c)) for c in counts]
-    starts_batch = batch.assign_many(counts)
-    assert starts_serial == starts_batch.tolist()
+    for stripes, count in [(4, 3), (8, 5), (1, 2), (16, 4), (3, 7), (-1, 2)]:
+        starts_serial = [serial.assign(stripes) for _ in range(count)]
+        starts_batch = batch.assign_many(stripes, count)
+        assert starts_serial == starts_batch.tolist()
     # both leave the cursor at the same place
     assert serial.assign(1) == batch.assign(1)
 
 
 def test_assign_many_empty():
     alloc = OstAllocator(ost_count=8)
-    out = alloc.assign_many(np.empty(0, dtype=np.int64))
+    out = alloc.assign_many(4, 0)
     assert out.size == 0
+    assert alloc.assign(1) == 0
 
 
 def test_stripe_indices_wraparound():

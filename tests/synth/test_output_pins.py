@@ -9,6 +9,14 @@ the oracle rewrites every path block to ``strtab-zlib``.  The ``strtab``
 digests are the files every writer emitted before the tree codec, so they
 also prove that codec lossless and path-id order kept.
 
+The simulation itself is pinned too, before any writer sees it: every
+snapshot column, every interned path string, the week stats and the purge
+reports of ``run_simulation`` at the reproduce config (seeds 1 and 7), and
+of one small run that also collects the job log, models HPSS and carries a
+changelog — branches no archive pin takes, which draw from the same
+per-project streams.  A simulator change that claims "bytes unchanged"
+must pass these untouched, part by part.
+
 Pinned with numpy 2.4.6 and zlib 1.2.13: the draws come from numpy's
 ``Generator`` streams and the blocks are zlib-compressed, so another
 version of either may move a digest without any change here.  A change
@@ -18,11 +26,19 @@ CHANGES.md, as ``test_fig18_degree_fit_pinned`` does for the degree fit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from repro.core.pipeline import ReproPipeline
-from repro.synth.driver import SimulationConfig
+from repro.fs.changelog import attach_changelog
+from repro.fs.filesystem import FileSystem
+from repro.scan.snapshot import NUMERIC_COLUMNS
+from repro.synth import driver
+from repro.synth.driver import SimulationConfig, run_simulation
 from repro.synth.sharding import run_sharded
 from repro.testing.oracle import rewrite_archive, rewrite_as_strtab
 
@@ -98,3 +114,105 @@ def test_sharded_archive_bytes_pinned(tmp_path):
     assert output_digests(tmp_path / "written") == SHARDED_DIGESTS
     flat = rewrite_archive(tmp_path / "written", tmp_path / "flat", rewrite_as_strtab)
     assert output_digests(flat) == SHARDED_STRTAB_DIGESTS
+
+
+# -- the simulation itself ------------------------------------------------------
+
+#: perfbench's ``reproduce`` config: 6 weeks, stress depths on
+REPRODUCE = SimulationConfig(scale=1e-6, weeks=6)
+#: the job-log and HPSS branches, with a changelog on the file system
+BRANCHES = SimulationConfig(
+    seed=3, scale=1e-6, weeks=4, collect_job_log=True, enable_hpss=True
+)
+
+SIMULATION_DIGESTS = {
+    1: {
+        "columns": "b11dbd369189183febae65cb19fb0eccd2774c32867959771e047fdd3da292f3",
+        "paths": "a0361545ac96afac4e1797abf0c964bd8acd84230a180e9d26f44202b2bc8d27",
+        "week_stats": "47a5f36e60d6e83bb359f0e41f7de07b352c86c230cbb9673a883f2409a24900",
+        "purge": "84dd3b8a2b7eac309510d30aa92d194c0a9569706fcf02f546b52072b98a4c03",
+    },
+    7: {
+        "columns": "c3ee2867299b7234681698699e533f486c6fbc5beac7e1896b6d48fbb1c94990",
+        "paths": "1e78a45fc0a72ed55f57d37c6361d3f25622cd301a2400bd14fe5b20a59181cf",
+        "week_stats": "8a6f8130e8cd501df0497b297b1c974fbe16298324cafb55274d021f14c9736f",
+        "purge": "7dafe50e285a4122edc0b3194cfb296c6891232717a605721fd315f115d12139",
+    },
+}
+
+BRANCHES_DIGESTS = {
+    "columns": "da2734ba45199ad356e026d122fd4cfcc08378fa79c01625be7c2f9a40099b1f",
+    "paths": "63d3872aa7291cff8cc56c639074cea3cc8b7500c18a7acc1b0ecfc16764335c",
+    "week_stats": "c39898789d96fb5554537dca87a4b3b723203d95fa157558d92980e2d0ab0253",
+    "purge": "f25b70868d31ec79a4b30b9be426c536620a9fd9585ef9e547b9f281d7185742",
+    "job_log": "916fdaade797bed9aba84f7ee0f19d228b183d6c4e78923762c7dce48b081666",
+    "hpss": "d3f6ac64ffe11204ae0631f6e9a43bf7751c359d127988c5380d96ebbac3a9ac",
+    "changelog": "a8aa592653f4956fa9b6faee77a9820329b8fb1f41aa589f62312610a68cdc5a",
+}
+
+
+def _sha(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes) else repr(chunk).encode())
+    return h.hexdigest()
+
+
+def simulation_digests(result) -> dict[str, str]:
+    """One sha256 per part of a finished run, so a failure names the part."""
+    snaps = list(result.collection)
+    paths = result.scanner.paths
+    return {
+        "columns": _sha(*(
+            chunk
+            for snap in snaps
+            for chunk in (
+                (snap.label, snap.timestamp),
+                *(np.ascontiguousarray(getattr(snap, c)).tobytes()
+                  for c in NUMERIC_COLUMNS),
+            )
+        )),
+        "paths": _sha("\n".join(paths.paths_of(range(len(paths)))).encode()),
+        "week_stats": _sha([dataclasses.astuple(w) for w in result.week_stats]),
+        "purge": _sha(*(
+            chunk
+            for r in result.purge_reports
+            for chunk in (
+                (r.timestamp, r.window_days, r.scanned, r.purged),
+                r.purged_inos.tobytes(),
+                r.purged_ages_days.tobytes(),
+            )
+        )),
+    }
+
+
+@pytest.mark.parametrize("seed", sorted(SIMULATION_DIGESTS))
+def test_simulation_pinned(seed):
+    result = run_simulation(dataclasses.replace(REPRODUCE, seed=seed))
+    assert simulation_digests(result) == SIMULATION_DIGESTS[seed]
+
+
+def test_job_log_hpss_and_changelog_pinned(monkeypatch):
+    logs = []
+
+    def logged(*args, **kwargs):
+        fs = FileSystem(*args, **kwargs)
+        logs.append(attach_changelog(fs))
+        return fs
+
+    monkeypatch.setattr(driver, "FileSystem", logged)
+    result = run_simulation(BRANCHES)
+    (log,) = logs
+    table = result.job_log.to_table()
+    digests = simulation_digests(result)
+    digests["job_log"] = _sha(*(table[k].tobytes() for k in sorted(table)))
+    digests["hpss"] = _sha(
+        [(gid, list(bucket.values())) for gid, bucket in result.hpss._holdings.items()],
+        result.hpss.transfers,
+    )
+    digests["changelog"] = _sha(*(
+        chunk
+        for codes, inos, times, _ in log._iter_blocks()
+        for chunk in (codes.tobytes(), inos.tobytes(), times.tobytes())
+    ))
+    assert digests == BRANCHES_DIGESTS

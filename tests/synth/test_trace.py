@@ -54,6 +54,27 @@ def test_manual_trace_round_trip():
     assert _snapshot_view(replayed) == _snapshot_view(fs)
 
 
+def test_lenient_replay_skips_a_bad_create_many_with_nothing_changed():
+    """``strict=False`` replays outside input: a ``create_many`` event whose
+    ``ts`` list is one short is skipped, and leaves no quota charged, no OST
+    cursor moved and no inode number taken."""
+    fs = _fresh_fs()
+    d = fs.makedirs("/p/u", uid=1, gid=2)
+    fs.create(d, "f0", 1, 2)
+    before = (fs.quota.usage(2), fs.osts._cursor, fs.inodes.high_watermark,
+              fs.entry_count)
+    events = [
+        {"op": "create_many", "dir": "/p/u", "names": ["a", "b", "c"],
+         "uid": 1, "gid": 2, "ts": [10, 11], "stripe": 2},
+        {"op": "create_many", "dir": "/p/u", "names": ["f0", "d"],
+         "uid": 1, "gid": 2, "ts": 12, "stripe": 2},
+    ]
+    assert replay_trace(events, fs, strict=False) == 0
+    assert (fs.quota.usage(2), fs.osts._cursor, fs.inodes.high_watermark,
+            fs.entry_count) == before
+    assert fs.create(d, "next", 1, 2) == before[2]
+
+
 def test_trace_save_load_round_trip():
     fs = _fresh_fs()
     recorder = TraceRecorder(fs)
